@@ -2,9 +2,10 @@
 
 A small define-by-run tape: every operation returns a :class:`Tensor` that
 remembers its parents and how to push gradients back to them.  The op set is
-exactly what the network needs (affine maps, batched matmul, masked softmax,
-layer/batch normalization building blocks, ELU, dropout, reductions) plus a
-finite-difference :func:`grad_check` used throughout the test suite.
+exactly what the model and losses call (elementwise add/mul/power, ELU,
+softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum/mean,
+last-axis softmax with an optional diagonal mask, logsumexp and layer norm)
+plus a finite-difference :func:`grad_check` used throughout the test suite.
 
 Gradients are exact, not approximated; the engine runs in float64 for checks
 and float32 for training.  A backward sweep consumes its graph (memory is
@@ -30,7 +31,6 @@ except (OSError, AttributeError):
     pass
 
 ELU_ALPHA = 1.0
-MASK_SENTINEL = -1e30  # additive logit mask; exp() underflows to exactly 0
 
 _finite_checks = False
 _grad_enabled = True
@@ -109,12 +109,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
 
     def _accumulate(self, grad, own=False):
         """Add `grad` in; `own=True` hands over a fresh array (no copy)."""
@@ -278,38 +272,6 @@ def power(a, exponent):
     return out
 
 
-def sqrt(a):
-    a = _wrap(a)
-    root = np.sqrt(a.data)
-    out = _make(root, (a,), "sqrt")
-    if _tracked(out):
-        def _bw():
-            a._accumulate(out.grad * 0.5 / root, own=True)
-        out._backward = _bw
-    return out
-
-
-def exp(a):
-    a = _wrap(a)
-    e = np.exp(a.data)
-    out = _make(e, (a,), "exp")
-    if _tracked(out):
-        def _bw():
-            a._accumulate(out.grad * e, own=True)
-        out._backward = _bw
-    return out
-
-
-def log(a):
-    a = _wrap(a)
-    out = _make(np.log(a.data), (a,), "log")
-    if _tracked(out):
-        def _bw():
-            a._accumulate(out.grad / a.data, own=True)
-        out._backward = _bw
-    return out
-
-
 def elu(a):
     a = _wrap(a)
     neg = ELU_ALPHA * np.expm1(np.minimum(a.data, 0.0))
@@ -420,41 +382,30 @@ def tmean(a, axis=None, keepdims=False):
 
 # -- normalization and attention helpers ----------------------------------
 
-def softmax(a, axis=-1, blocked=None):
-    """Softmax along `axis`, optionally with hard-masked positions.
+def softmax(a, mask_diagonal=False):
+    """Softmax over the last axis; `mask_diagonal` zeroes the self-weights.
 
-    `blocked` is a broadcastable boolean array marking positions whose
-    post-softmax weight must be exactly zero (equivalent to an additive
-    -inf logit mask, fused to avoid materializing masked logits).  At least
-    one position per row must stay unblocked.
+    With the mask on, the last two axes must be square: -inf is written onto
+    their diagonal before the row max, so diagonal weights come out exactly
+    0 and the other entries are the softmax of the off-diagonal logits.  The
+    input array is left unchanged.
     """
     a = _wrap(a)
-    if blocked is None:
-        m = np.max(a.data, axis=axis, keepdims=True)
-        s = np.subtract(a.data, m)
-        np.exp(s, out=s)
-    else:
-        # blocked entries must have zero influence bit-for-bit, so they are
-        # excluded from the stability max as well
-        blocked = np.asarray(blocked, dtype=bool)
-        m = np.max(np.where(blocked, -np.inf, a.data), axis=axis, keepdims=True)
-        s = np.subtract(a.data, m)
-        np.exp(s, out=s)
-        if axis in (-1, s.ndim - 1) and blocked.shape == s.shape[-2:]:
-            rows, cols = np.nonzero(blocked)
-            s[..., rows, cols] = 0.0
-        else:
-            s[np.broadcast_to(blocked, s.shape)] = 0.0
-    s /= s.sum(axis=axis, keepdims=True)
+    s = a.data.copy()
+    if mask_diagonal:
+        *lead, m, n = s.shape
+        if m != n or n < 2:
+            raise AutodiffError(f"diagonal mask needs square n x n rows, n >= 2, "
+                                f"got {s.shape}")
+        s.reshape(*lead, n * n)[..., ::n + 1] = -np.inf
+    s -= np.max(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = _make(s, (a,), "softmax")
     if _tracked(out):
         def _bw():
             g = out.grad  # dead after this closure; safe to consume in place
-            if axis in (-1, s.ndim - 1):
-                dot = np.einsum("...i,...i->...", g, s)[..., None]
-            else:
-                dot = np.sum(g * s, axis=axis, keepdims=True)
-            g -= dot
+            g -= np.einsum("...i,...i->...", g, s)[..., None]
             g *= s
             a._accumulate(g, own=True)
         out._backward = _bw
@@ -517,11 +468,6 @@ def dropout(a, rate, rng):
     return mul(a, Tensor(keep))
 
 
-def affine(x, w, b):
-    """x @ w + b with broadcasting over leading axes."""
-    return add(matmul(x, w), b)
-
-
 # -- parameters -----------------------------------------------------------
 
 class ParameterSet:
@@ -574,11 +520,6 @@ class ParameterSet:
         for name, t in self._params.items():
             ps.add(name, t.data.astype(dtype))
         return ps
-
-    def set_data(self, other):
-        """Copy array values in from another ParameterSet (same names)."""
-        for name, t in other.items():
-            self._params[name].data = t.data.copy()
 
 
 def grad_check(fn, params, h=1e-5, names=None):

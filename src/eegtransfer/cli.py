@@ -214,7 +214,7 @@ def _cmd_export_features(args, cfg: RunConfig):
 
 def _cmd_grad_check(args, cfg: RunConfig):
     mcfg = cfg.model
-    montage = data_io._synth_montage(mcfg.n_channels)
+    montage = data_io.synth_montage(mcfg.n_channels)
     rng = np.random.default_rng(cfg.seed)
     dta = model.init_parameters(mcfg, seed=cfg.seed + 1, dtype=np.float64)
     feats_a = rng.normal(size=(4, mcfg.n_channels, mcfg.n_bands))

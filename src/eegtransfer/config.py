@@ -35,9 +35,6 @@ class ModelConfig:
     clf_hidden: tuple[int, int] = (32, 32)
     n_classes: int = 3
     init_scale: float = 1.0
-    # ablation: zero diagonal logits multiplicatively instead of masking them
-    # out of the softmax (leaves exp(0)=1 weight on the diagonal)
-    literal_diag_mask: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "proj_dims", tuple(self.proj_dims))
@@ -123,7 +120,6 @@ class RunConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     synth: SynthSpec = field(default_factory=SynthSpec)
     protocol: str | None = None
-    paths: dict = field(default_factory=dict)
 
 
 _NESTED = {

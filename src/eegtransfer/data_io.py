@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .config import ModelConfig, SynthSpec, _from_dict
+from .config import ConfigError, ModelConfig, SynthSpec, _from_dict
 from .dsp import DEFAULT_BANDS, FeatureSample, RawTrial
 from .model import DtaParameters, init_parameters
 from .montage import ChannelMontage, default_montage, load_montage, save_montage
@@ -187,7 +187,7 @@ def write_bank(bank: SampleBank, directory) -> None:
 
 
 def _manifest_get(manifest, key, where):
-    if key not in manifest:
+    if not isinstance(manifest, dict) or key not in manifest:
         raise ManifestMismatchError(f"{where}: manifest is missing key {key!r}")
     return manifest[key]
 
@@ -202,9 +202,10 @@ def read_bank(directory) -> SampleBank:
     if version != FORMAT_VERSION:
         raise ManifestMismatchError(f"unsupported format_version {version}")
     counts = _manifest_get(manifest, "counts", str(mpath))
-    n_samples = counts["n_samples"]
-    n_ch = counts["n_channels"]
-    n_bands = counts["n_bands"]
+    n_samples, n_ch, n_bands = (_manifest_get(counts, k, f"{mpath} counts")
+                                for k in ("n_samples", "n_channels", "n_bands"))
+    dataset, classes, bands = (_manifest_get(manifest, k, str(mpath))
+                               for k in ("dataset", "classes", "bands"))
     index = _manifest_get(manifest, "samples", str(mpath))
     if len(index) != n_samples:
         raise ManifestMismatchError(
@@ -256,8 +257,7 @@ def read_bank(directory) -> SampleBank:
         raw_trials.append(RawTrial(rec["subject"], rec["session"], rec["trial"],
                                    rec["label"], fs, data))
 
-    return SampleBank(manifest["dataset"], tuple(manifest["classes"]),
-                      tuple(manifest["bands"]), montage, samples, raw_trials)
+    return SampleBank(dataset, tuple(classes), tuple(bands), montage, samples, raw_trials)
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -302,11 +302,18 @@ def save_checkpoint(dta: DtaParameters, path, optimizer=None) -> None:
     Path(path).write_bytes(bytes(out))
 
 
+def _header_get(header, key, path):
+    if not isinstance(header, dict) or key not in header:
+        raise CheckpointError(f"{path}: checkpoint header is missing key {key!r}")
+    return header[key]
+
+
 def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None):
     """Load (DtaParameters, AdamState | None); optionally cast to `dtype`.
 
-    Raises CheckpointError on bad magic, truncation, or a config that does
-    not match `expected_config`.
+    Raises CheckpointError on bad magic, truncation, a missing header key, a
+    model config this version does not know, or a config that does not match
+    `expected_config`.
     """
     from .training import AdamState
 
@@ -323,21 +330,29 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header ({e})") from None
     body = blob[hstart + hlen:]
+    version = _header_get(header, "format_version", path)
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format_version {version}")
 
-    config = _from_dict(ModelConfig, header["model_config"], "checkpoint.model_config")
+    try:
+        config = _from_dict(ModelConfig, _header_get(header, "model_config", path),
+                            "model_config")
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: bad checkpoint {e}") from None
     if expected_config is not None and config != expected_config:
         raise CheckpointError(
             f"checkpoint config {config} does not match expected {expected_config}")
 
     stored = {}
-    for rec in header["arrays"]:
-        itemsize = 8 if rec["dtype"] == "<f8" else 4
-        nbytes = int(np.prod(rec["shape"], dtype=np.int64)) * itemsize if rec["shape"] else itemsize
-        end = rec["offset"] + nbytes
+    for rec in _header_get(header, "arrays", path):
+        name, kind, dt, shape, offset = (_header_get(rec, k, path) for k in
+                                         ("name", "kind", "dtype", "shape", "offset"))
+        itemsize = 8 if dt == "<f8" else 4
+        nbytes = int(np.prod(shape, dtype=np.int64)) * itemsize if shape else itemsize
+        end = offset + nbytes
         if end > len(body):
-            raise CheckpointError(f"{path}: truncated payload at array {rec['name']}")
-        arr = np.frombuffer(body[rec["offset"]:end], dtype=rec["dtype"]).reshape(rec["shape"])
-        stored[(rec["kind"], rec["name"])] = arr
+            raise CheckpointError(f"{path}: truncated payload at array {name}")
+        stored[(kind, name)] = np.frombuffer(body[offset:end], dtype=dt).reshape(shape)
 
     dta = init_parameters(config, seed=0)
     cast = dtype
@@ -355,9 +370,8 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
 
     opt = None
     if header.get("optimizer"):
-        h = header["optimizer"]
-        opt = AdamState(lr=h["lr"], beta1=h["beta1"], beta2=h["beta2"],
-                        eps=h["eps"], weight_decay=h["weight_decay"], step=h["step"])
+        keys = ("lr", "beta1", "beta2", "eps", "weight_decay", "step")
+        opt = AdamState(**{k: _header_get(header["optimizer"], k, path) for k in keys})
         for (kind, name), arr in stored.items():
             if kind == "opt_m":
                 opt.m[name] = arr.astype(cast) if cast else arr.copy()
@@ -463,7 +477,8 @@ def synth_factors(spec: SynthSpec):
     return mu_class, delta_subject, rng
 
 
-def _synth_montage(n_channels: int) -> ChannelMontage:
+def synth_montage(n_channels: int) -> ChannelMontage:
+    """The reference montage cut or extended to `n_channels` electrodes."""
     ref = default_montage()
     if n_channels == len(ref):
         return ref
@@ -488,7 +503,7 @@ def gen_synthetic(spec: SynthSpec) -> SampleBank:
     separable features.
     """
     mu_class, delta_subject, rng = synth_factors(spec)
-    montage = _synth_montage(spec.n_channels)
+    montage = synth_montage(spec.n_channels)
     bands = DEFAULT_BANDS if spec.n_bands == len(DEFAULT_BANDS) else None
     band_names = (bands.names if bands is not None
                   else tuple(f"band{i}" for i in range(spec.n_bands)))

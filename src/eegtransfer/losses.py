@@ -4,13 +4,12 @@ The contrastive objective scores every (row of view A, row of view B) pair:
 temperature-scaled cosine similarity goes through a binary cross-entropy
 with a label-equality target, in the overflow-safe logits form
 softplus(x) - x*y.  Scoring the full N x N pair matrix lets one sample be
-similar to several samples at once; `matched_only` restores the
-diagonal-pairs-only variant for ablation.
+similar to several samples at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +63,7 @@ def _row_normalize(z):
     return z * ad.power(norms_sq, -0.5)
 
 
-def contrastive_loss(batch: ContrastiveBatch, matched_only=False) -> Tensor:
+def contrastive_loss(batch: ContrastiveBatch) -> Tensor:
     """Mean binary cross-entropy over temperature-scaled pairwise cosines.
 
     Targets are 1 where the pair's labels match and 0 otherwise.  Returns a
@@ -82,10 +81,6 @@ def contrastive_loss(batch: ContrastiveBatch, matched_only=False) -> Tensor:
     zb = _row_normalize(z_b)
     x = ad.matmul(za, ad.swapaxes(zb, -1, -2)) * (1.0 / batch.tau)
     y = (batch.labels_a[:, None] == batch.labels_b[None, :]).astype(x.data.dtype)
-    if matched_only:
-        eye = np.eye(len(batch.labels_a), dtype=x.data.dtype)
-        per_pair = ad.softplus(x) - x * Tensor(y)
-        return ad.tsum(per_pair * Tensor(eye)) * (1.0 / len(batch.labels_a))
     # softplus(x) - x*y == -[y ln(sig(x)) + (1-y) ln(1 - sig(x))], stably
     return ad.tmean(ad.softplus(x) - x * Tensor(y))
 

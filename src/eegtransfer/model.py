@@ -43,7 +43,6 @@ class ModelError(ValueError):
 class EncoderOutput:
     q_final: Tensor                      # (B, n_channels, d_model)
     attention: list | None = None        # per layer: (B, heads, n, n)
-    kv_per_layer: list | None = None     # per layer: (k array, v array) as consumed
 
 
 class DtaParameters:
@@ -234,14 +233,7 @@ def masked_attention(q, k_heads, v_heads, dta: DtaParameters, layer: int,
     qh = _to_heads(_affine(q, params, f"enc{layer}.q") * (1.0 / math.sqrt(cfg.d_head)),
                    cfg.n_heads)
     logits = ad.matmul(qh, ad.swapaxes(k_heads, -1, -2))
-    blocked = None
-    if mask_diagonal:
-        if cfg.literal_diag_mask:
-            keep = (1.0 - np.eye(n, dtype=logits.data.dtype))
-            logits = logits * Tensor(keep)
-        else:
-            blocked = np.eye(n, dtype=bool)
-    attn = ad.softmax(logits, axis=-1, blocked=blocked)
+    attn = ad.softmax(logits, mask_diagonal=mask_diagonal)
     mixed = _from_heads(ad.matmul(attn, v_heads))
     return _affine(mixed, params, f"enc{layer}.out"), attn.data
 
@@ -285,14 +277,12 @@ def encode(de, pos_data, dta: DtaParameters, train=False, rng=None,
     v_heads = _to_heads(_affine(kv, dta.params, "kv.v"), cfg.n_heads)
 
     attn_maps = [] if capture_attention else None
-    kv_layers = [] if capture_attention else None
     for layer in range(cfg.n_layers):
         q, attn = encoder_layer(q, k_heads, v_heads, dta, layer,
                                 mask_diagonal, train, rng)
         if capture_attention:
             attn_maps.append(attn)
-            kv_layers.append((k_heads.data, v_heads.data))
-    return EncoderOutput(q_final=q, attention=attn_maps, kv_per_layer=kv_layers)
+    return EncoderOutput(q_final=q, attention=attn_maps)
 
 
 def _flatten(q_final):

@@ -81,6 +81,31 @@ class TestBankRoundTrip:
         with pytest.raises(io.ManifestMismatchError):
             io.read_bank(tmp_path / "bank")
 
+    @pytest.mark.parametrize("key", ["dataset", "classes", "bands", "counts.n_samples",
+                                     "counts.n_channels", "counts.n_bands"])
+    def test_missing_manifest_key_raises(self, small_bank, tmp_path, key):
+        io.write_bank(small_bank, tmp_path / "bank")
+        mpath = tmp_path / "bank" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        *parents, leaf = key.split(".")
+        section = manifest
+        for part in parents:
+            section = section[part]
+        del section[leaf]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(io.ManifestMismatchError, match=repr(leaf)):
+            io.read_bank(tmp_path / "bank")
+
+
+def rewrite_header(path, edit):
+    """Re-serialise a checkpoint after `edit(header)` changed its header."""
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + hlen])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + hlen:])
+
 
 class TestCheckpoints:
     def make_model(self):
@@ -142,6 +167,48 @@ class TestCheckpoints:
             io.load_checkpoint(path)
         path.write_bytes(b"WRONGMAG" + b"\x00" * 32)
         with pytest.raises(io.CheckpointError, match="magic"):
+            io.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["format_version", "model_config", "arrays"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path)
+        rewrite_header(path, lambda h: h.pop(key))
+        with pytest.raises(io.CheckpointError, match=repr(key)):
+            io.load_checkpoint(path)
+
+    @pytest.mark.parametrize("section,key", [("arrays", "shape"), ("optimizer", "step")])
+    def test_missing_nested_header_key_rejected(self, tmp_path, section, key):
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path, optimizer=T.AdamState(lr=1e-3))
+
+        def drop(header):
+            part = header["arrays"][0] if section == "arrays" else header[section]
+            del part[key]
+
+        rewrite_header(path, drop)
+        with pytest.raises(io.CheckpointError, match=repr(key)):
+            io.load_checkpoint(path)
+
+    def test_unknown_model_config_key_rejected(self, tmp_path):
+        # checkpoints that carry the removed literal_diag_mask switch are
+        # refused with the key named, not loaded with it silently dropped
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path)
+        rewrite_header(path, lambda h: h["model_config"].update(literal_diag_mask=False))
+        with pytest.raises(io.CheckpointError, match="literal_diag_mask") as err:
+            io.load_checkpoint(path)
+        assert "\n" not in str(err.value)
+
+    def test_bad_model_config_value_rejected(self, tmp_path):
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path)
+        rewrite_header(path, lambda h: h["model_config"].update(n_heads=3))
+        with pytest.raises(io.CheckpointError, match="n_heads"):
             io.load_checkpoint(path)
 
 

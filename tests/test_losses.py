@@ -88,18 +88,6 @@ class TestContrastiveLoss:
                 total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
         assert got == pytest.approx(total / 16.0, abs=1e-9)
 
-    def test_matched_only_mode_uses_diagonal_pairs(self):
-        rng = np.random.default_rng(3)
-        za, zb = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        la = np.array([0, 1, 0])
-        got = float(ls.contrastive_loss(
-            ls.ContrastiveBatch(za, zb, la, la, 0.5), matched_only=True).data)
-        total = 0.0
-        for i in range(3):
-            x = ls.cosine_similarity(za[i], zb[i]) / 0.5
-            total += -math.log(1.0 / (1.0 + math.exp(-x)))
-        assert got == pytest.approx(total / 3.0, abs=1e-9)
-
     def test_zero_norm_row_rejected(self):
         za = np.array([[0.0, 0.0], [1.0, 0.0]])
         zb = np.ones((2, 2))

@@ -136,18 +136,6 @@ class TestMaskedAttention:
         with pytest.raises(M.ModelError):
             M.encode(np.zeros((1, 5)), pos, d1, train=True)
 
-    def test_literal_mask_keeps_diagonal_weight(self, tiny):
-        cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, ffn_hidden=16,
-                          n_channels=6, n_bands=5, proj_dims=(4, 4, 4),
-                          clf_hidden=(4, 4), n_classes=2, literal_diag_mask=True)
-        dl = M.init_parameters(cfg, seed=6)
-        rng = np.random.default_rng(6)
-        pos = rng.normal(size=(6, 3))
-        pos /= np.linalg.norm(pos, axis=1, keepdims=True)
-        out = M.encode(rand_de(rng), pos, dl, train=True, capture_attention=True)
-        diag = out.attention[0][0, :, np.arange(6), np.arange(6)]
-        assert np.all(diag > 0.0)  # zeroed logits leave exp(0) weight
-
 
 class TestEncode:
     def test_attention_rows_sum_to_one_and_diagonal_zero(self, tiny):
@@ -167,15 +155,24 @@ class TestEncode:
         diag = out.attention[0][:, :, np.arange(6), np.arange(6)]
         assert np.all(diag > 0.0)
 
-    def test_key_value_bitwise_constant_across_layers(self, tiny):
+    def test_key_value_bitwise_constant_across_layers(self, tiny, monkeypatch):
         dta, pos = tiny
         rng = np.random.default_rng(9)
-        out = M.encode(rand_de(rng, batch=2), pos, dta, train=True,
-                       capture_attention=True)
-        k0, v0 = out.kv_per_layer[0]
-        for k, v in out.kv_per_layer[1:]:
-            assert k is k0 and v is v0  # the same arrays are consumed
-            assert np.array_equal(k, k0) and np.array_equal(v, v0)
+        seen = []
+        layer = M.encoder_layer
+
+        def spy(q, k_heads, v_heads, *args, **kwargs):
+            seen.append((k_heads, v_heads, k_heads.data.copy(), v_heads.data.copy()))
+            return layer(q, k_heads, v_heads, *args, **kwargs)
+
+        monkeypatch.setattr(M, "encoder_layer", spy)
+        M.encode(rand_de(rng, batch=2), pos, dta, train=True)
+        assert len(seen) == dta.config.n_layers >= 2
+        k0, v0, k0_data, v0_data = seen[0]
+        for k, v, k_data, v_data in seen[1:]:
+            assert k is k0 and v is v0  # every layer consumes the same tensors
+            assert k.data is k0.data and v.data is v0.data
+            assert np.array_equal(k_data, k0_data) and np.array_equal(v_data, v0_data)
 
     def test_self_unknown_property_in_train_mode(self, tiny):
         dta, pos = tiny

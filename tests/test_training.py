@@ -1,5 +1,7 @@
 """Optimizer algebra, pretraining/calibration loops, prediction contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,34 @@ class TestCalibrate:
         assert cal.val_accuracy == 0.9
         # returned parameters are the epoch-2 snapshot
         assert np.array_equal(cal.params.params["clf.fc3.b"].data, seen[1])
+
+    @pytest.mark.parametrize("with_mask", [False, True])
+    def test_calibrate_with_mask_applies_to_fit_steps_only(self, tiny_bank, pretrained,
+                                                           monkeypatch, with_mask):
+        calls = []
+        encode = M.encode
+
+        def spy(de, pos, dta, train=False, rng=None, mask_diagonal=None, **kw):
+            effective = train if mask_diagonal is None else mask_diagonal
+            calls.append((train, effective))
+            return encode(de, pos, dta, train=train, rng=rng,
+                          mask_diagonal=mask_diagonal, **kw)
+
+        monkeypatch.setattr(M, "encode", spy)
+        short = StageConfig(batch_size=16, epochs=2, lr=1e-3)
+        tconf = dataclasses.replace(TINY_TRAIN, calibrate=short, patience=2)
+        if with_mask:  # otherwise the flag keeps its default
+            tconf = dataclasses.replace(tconf, calibrate_with_mask=True)
+        cal = T.calibrate(pretrained, self.labeled(tiny_bank), tiny_bank.montage, tconf)
+        fit = [mask for train, mask in calls if train]
+        evals = [mask for train, mask in calls if not train]
+        assert fit and evals  # fit steps and per-epoch validation both ran
+        assert all(mask is with_mask for mask in fit)
+        assert not any(evals)
+        calls.clear()
+        feats = np.stack([s.de for s in self.labeled(tiny_bank)])
+        T.predict_batch(cal.params, feats, tiny_bank.montage)
+        assert calls and calls == [(False, False)] * len(calls)
 
 
 class TestPredict:
