@@ -4,8 +4,9 @@ A small define-by-run tape: every operation returns a :class:`Tensor` that
 remembers its parents and how to push gradients back to them.  The op set is
 exactly what the model and losses call (elementwise add/mul/power, ELU,
 softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum/mean,
-last-axis softmax with an optional diagonal mask, logsumexp and layer norm)
-plus a finite-difference :func:`grad_check` used throughout the test suite.
+fused dot-product attention with an optional diagonal mask, logsumexp and
+layer norm), plus the last-axis softmax that attention is tested against and
+a finite-difference :func:`grad_check` used throughout the test suite.
 
 Gradients are exact, not approximated; the engine runs in float64 for checks
 and float32 for training.  A backward sweep consumes its graph (memory is
@@ -29,8 +30,6 @@ try:
     _libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 except (OSError, AttributeError):
     pass
-
-ELU_ALPHA = 1.0
 
 _finite_checks = False
 _grad_enabled = True
@@ -273,12 +272,19 @@ def power(a, exponent):
 
 
 def elu(a):
+    """ELU with alpha 1: x for x > 0, exp(x) - 1 otherwise."""
     a = _wrap(a)
-    neg = ELU_ALPHA * np.expm1(np.minimum(a.data, 0.0))
-    out = _make(np.where(a.data > 0, a.data, neg), (a,), "elu")
+    neg = np.expm1(np.minimum(a.data, 0.0))
+    val = np.maximum(a.data, 0.0)
+    val += neg
+    out = _make(val, (a,), "elu")
     if _tracked(out):
         def _bw():
-            a._accumulate(out.grad * np.where(a.data > 0, 1.0, neg + ELU_ALPHA), own=True)
+            # d/dx is 1 for x > 0 (where neg is 0) and exp(x) = neg + 1 otherwise;
+            # neg is dead after this closure, so it holds the gradient
+            np.add(neg, 1.0, out=neg)
+            np.multiply(neg, out.grad, out=neg)
+            a._accumulate(neg, own=True)
         out._backward = _bw
     return out
 
@@ -412,6 +418,53 @@ def softmax(a, mask_diagonal=False):
     return out
 
 
+def attention(q, k, v, mask_diagonal=False):
+    """softmax(q kᵀ) v over the last two axes as one node; returns (out, weights).
+
+    `weights` is the (..., query, key) probability array.  With the mask on,
+    the query and key counts must be equal: -inf is written onto the
+    diagonal of the logits before the max, as in :func:`softmax`, so
+    self-weights come out exactly 0.  Leading axes broadcast (a query
+    without the batch axis is shared by every batch element).
+
+    The probabilities are held transposed, keys on axis -2, so the row max
+    and row sum reduce over an outer axis; the backward keeps only them and
+    uses D = rowsum(dO * O) in place of the n x n softmax row-dot
+    (FlashAttention, Dao et al. 2022).
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    pt = np.matmul(k.data, np.swapaxes(q.data, -1, -2))  # (..., key, query)
+    *lead, m, n = pt.shape
+    if mask_diagonal:
+        if m != n or n < 2:
+            raise AutodiffError(f"diagonal mask needs as many keys as queries, "
+                                f"n >= 2, got {m} keys for {n} queries")
+        pt.reshape(*lead, n * n)[..., ::n + 1] = -np.inf
+    pt -= np.max(pt, axis=-2, keepdims=True)
+    np.exp(pt, out=pt)
+    pt /= np.matmul(np.ones((1, m), dtype=pt.dtype), pt)
+    weights = np.swapaxes(pt, -1, -2)
+    out = _make(np.matmul(weights, v.data), (q, k, v), "attention")
+    if _tracked(out):
+        def _bw():
+            g = out.grad
+            if v.requires_grad:
+                v._accumulate(_unbroadcast(np.matmul(pt, g), v.data.shape), own=True)
+            if not (q.requires_grad or k.requires_grad):
+                return
+            d = np.einsum("...i,...i->...", g, out.data)[..., None, :]
+            dst = np.matmul(v.data, np.swapaxes(g, -1, -2))  # dPᵀ
+            dst -= d
+            dst *= pt  # dSᵀ, the gradient of the transposed logits
+            if q.requires_grad:
+                dq = np.matmul(np.swapaxes(dst, -1, -2), k.data)
+                q._accumulate(_unbroadcast(dq, q.data.shape), own=True)
+            if k.requires_grad:
+                k._accumulate(_unbroadcast(np.matmul(dst, q.data), k.data.shape), own=True)
+        out._backward = _bw
+    return out, weights
+
+
 def logsumexp(a, axis=-1):
     a = _wrap(a)
     m = np.max(a.data, axis=axis, keepdims=True)
@@ -426,6 +479,12 @@ def logsumexp(a, axis=-1):
     return out
 
 
+def _row_mean(x, avg):
+    """Mean over the last axis, kept as a length-1 axis: one GEMV with the
+    (d, 1) vector `avg` of 1/d (faster than .mean(axis=-1) on short rows)."""
+    return np.matmul(x.reshape(-1, x.shape[-1]), avg).reshape(*x.shape[:-1], 1)
+
+
 def layer_norm(a, gamma, beta, eps=1e-5):
     """Normalize over the last axis, then scale and shift.
 
@@ -433,24 +492,34 @@ def layer_norm(a, gamma, beta, eps=1e-5):
     reciprocal finite), so the output is just `beta`.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = _make(xhat * gamma.data + beta.data, (a, gamma, beta), "layer_norm")
+    d = a.shape[-1]
+    avg = np.full((d, 1), 1.0 / d, dtype=a.dtype)
+    xhat = a.data - _row_mean(a.data, avg)
+    inv = _row_mean(xhat * xhat, avg)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    val = xhat * gamma.data
+    val += beta.data
+    out = _make(val, (a, gamma, beta), "layer_norm")
     if _tracked(out):
         def _bw():
             g = out.grad
             if gamma.requires_grad:
                 gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape), own=True)
             if beta.requires_grad:
-                beta._accumulate(_unbroadcast(np.array(g), beta.data.shape), own=True)
+                beta._accumulate(_unbroadcast(g, beta.data.shape))
             if a.requires_grad:
                 dxhat = g * gamma.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                a._accumulate(inv * (dxhat - m1 - xhat * m2), own=True)
+                m1 = _row_mean(dxhat, avg)
+                t = dxhat * xhat
+                m2 = _row_mean(t, avg)
+                np.multiply(xhat, m2, out=t)
+                dxhat -= m1
+                dxhat -= t
+                dxhat *= inv
+                a._accumulate(dxhat, own=True)
         out._backward = _bw
     return out
 

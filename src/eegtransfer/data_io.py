@@ -232,30 +232,35 @@ def read_bank(directory) -> SampleBank:
     flat = np.frombuffer(body, dtype="<f4").reshape(n_samples, n_ch, n_bands)
 
     samples = []
-    for row, de in zip(index, flat):
+    for i, (row, de) in enumerate(zip(index, flat)):
+        if not isinstance(row, list) or len(row) != 5:
+            raise ManifestMismatchError(
+                f"{mpath}: samples row {i} is {row!r}, expected "
+                "[subject, session, trial, window, label]")
         subject, session, trial, window, label = row
         samples.append(FeatureSample(subject, session, trial, window, label, de))
 
     raw_trials = []
-    for rec in manifest.get("raw_trials", []):
-        rpath = directory / rec["file"]
-        rblob = rpath.read_bytes()
+    for i, rec in enumerate(manifest.get("raw_trials", [])):
+        where = f"{mpath} raw_trials[{i}]"
+        fname, n_rch, n_rs, subject, session, trial, label = (
+            _manifest_get(rec, k, where) for k in
+            ("file", "channels", "samples", "subject", "session", "trial", "label"))
+        rblob = (directory / fname).read_bytes()
         if rblob[:len(MAGIC_RAW)] != MAGIC_RAW:
-            raise BadMagicError(f"{rec['file']}: bad magic {rblob[:8]!r}")
+            raise BadMagicError(f"{fname}: bad magic {rblob[:8]!r}")
         rbody = rblob[len(MAGIC_RAW):]
         fs = float(np.frombuffer(rbody[:8], dtype="<f8")[0])
         data_bytes = rbody[8:]
-        expected = rec["channels"] * rec["samples"] * 4
+        expected = n_rch * n_rs * 4
         if len(data_bytes) < expected:
             raise TruncatedPayloadError(
-                f"{rec['file']}: expected {expected} data bytes, found {len(data_bytes)}")
+                f"{fname}: expected {expected} data bytes, found {len(data_bytes)}")
         if len(data_bytes) > expected:
             raise ManifestMismatchError(
-                f"{rec['file']}: {len(data_bytes)} data bytes exceed manifest shape")
-        data = np.frombuffer(data_bytes, dtype="<f4").reshape(
-            rec["channels"], rec["samples"])
-        raw_trials.append(RawTrial(rec["subject"], rec["session"], rec["trial"],
-                                   rec["label"], fs, data))
+                f"{fname}: {len(data_bytes)} data bytes exceed manifest shape")
+        data = np.frombuffer(data_bytes, dtype="<f4").reshape(n_rch, n_rs)
+        raw_trials.append(RawTrial(subject, session, trial, label, fs, data))
 
     return SampleBank(dataset, tuple(classes), tuple(bands), montage, samples, raw_trials)
 
@@ -311,9 +316,9 @@ def _header_get(header, key, path):
 def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None):
     """Load (DtaParameters, AdamState | None); optionally cast to `dtype`.
 
-    Raises CheckpointError on bad magic, truncation, a missing header key, a
-    model config this version does not know, or a config that does not match
-    `expected_config`.
+    Raises CheckpointError on bad magic, truncation, bytes past the last
+    array, a missing header key, a model config this version does not know,
+    or a config that does not match `expected_config`.
     """
     from .training import AdamState
 
@@ -344,6 +349,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
             f"checkpoint config {config} does not match expected {expected_config}")
 
     stored = {}
+    payload_end = 0
     for rec in _header_get(header, "arrays", path):
         name, kind, dt, shape, offset = (_header_get(rec, k, path) for k in
                                          ("name", "kind", "dtype", "shape", "offset"))
@@ -352,7 +358,11 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
         end = offset + nbytes
         if end > len(body):
             raise CheckpointError(f"{path}: truncated payload at array {name}")
+        payload_end = max(payload_end, end)
         stored[(kind, name)] = np.frombuffer(body[offset:end], dtype=dt).reshape(shape)
+    if len(body) > payload_end:
+        raise CheckpointError(
+            f"{path}: {len(body) - payload_end} trailing bytes after the last array")
 
     dta = init_parameters(config, seed=0)
     cast = dtype

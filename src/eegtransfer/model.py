@@ -219,10 +219,12 @@ def masked_attention(q, k_heads, v_heads, dta: DtaParameters, layer: int,
                      mask_diagonal: bool):
     """Multi-head attention over channels; training masks the diagonal.
 
-    With the mask on, diagonal logits are driven to -inf before the softmax,
-    so the post-softmax self-weight is exactly zero and each row is a convex
+    The scaled query heads, the shared key/value heads and the mask go to
+    the fused :func:`autodiff.attention` op (one tape node).  With the mask
+    on, diagonal logits are driven to -inf before the softmax, so the
+    post-softmax self-weight is exactly zero and each row is a convex
     combination of the *other* channels' values.  Returns the output
-    projection and the attention weights array.
+    projection and the (B, heads, query, key) attention weights array.
     """
     params = dta.params
     cfg = dta.config
@@ -232,10 +234,8 @@ def masked_attention(q, k_heads, v_heads, dta: DtaParameters, layer: int,
     # fold the 1/sqrt(d_head) scale into the (much smaller) query tensor
     qh = _to_heads(_affine(q, params, f"enc{layer}.q") * (1.0 / math.sqrt(cfg.d_head)),
                    cfg.n_heads)
-    logits = ad.matmul(qh, ad.swapaxes(k_heads, -1, -2))
-    attn = ad.softmax(logits, mask_diagonal=mask_diagonal)
-    mixed = _from_heads(ad.matmul(attn, v_heads))
-    return _affine(mixed, params, f"enc{layer}.out"), attn.data
+    mixed, attn = ad.attention(qh, k_heads, v_heads, mask_diagonal=mask_diagonal)
+    return _affine(_from_heads(mixed), params, f"enc{layer}.out"), attn
 
 
 def encoder_layer(q, k_heads, v_heads, dta: DtaParameters, layer: int,

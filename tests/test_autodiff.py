@@ -129,6 +129,55 @@ def test_masked_softmax_needs_square_rows():
         ad.softmax(ad.Tensor(np.zeros((2, 1, 1))), mask_diagonal=True)
 
 
+def reference_attention(q, k, v, mask_diagonal):
+    """The composed matmul -> softmax -> matmul chain the fused op replaces."""
+    logits = ad.matmul(q, ad.swapaxes(k, -1, -2))
+    return ad.matmul(ad.softmax(logits, mask_diagonal=mask_diagonal), v)
+
+
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("q_shape", [(2, 3, 5, 4), (3, 5, 4)], ids=["batched_q", "batchless_q"])
+def test_attention_matches_chain_and_gradient(mask, q_shape):
+    rng = np.random.default_rng(14)
+    ps = ad.ParameterSet()
+    ps.add("q", rng.normal(size=q_shape))
+    ps.add("k", rng.normal(size=(2, 3, 5, 4)))
+    ps.add("v", rng.normal(size=(2, 3, 5, 4)))
+    out, weights = ad.attention(ps["q"], ps["k"], ps["v"], mask_diagonal=mask)
+    want = reference_attention(ps["q"], ps["k"], ps["v"], mask)
+    assert out.shape == weights.shape[:-1] + (4,) == (2, 3, 5, 4)
+    assert np.allclose(out.data, want.data, rtol=0, atol=1e-12)
+    assert np.allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    if mask:
+        assert np.all(weights[..., np.arange(5), np.arange(5)] == 0.0)
+    else:
+        assert np.all(weights > 0.0)
+    w = rng.normal(size=(2, 3, 5, 4))
+    fd_check(lambda: ad.tsum(ad.attention(ps["q"], ps["k"], ps["v"], mask)[0]
+                             * ad.Tensor(w)), ps)
+
+
+def test_attention_masked_float32_self_weights_exactly_zero():
+    rng = np.random.default_rng(15)
+    q, k, v = (rng.normal(size=(4, 2, 7, 3)).astype(np.float32) for _ in range(3))
+    q[..., 0, :] = k[..., 0, :] * 50.0  # a dominant self-logit is still removed
+    out, weights = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v),
+                                mask_diagonal=True)
+    assert out.dtype == weights.dtype == np.float32
+    assert np.all(weights[..., np.arange(7), np.arange(7)] == 0.0)
+
+
+def test_attention_mask_needs_square_logits():
+    q, kv = ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((2, 5, 4)))
+    with pytest.raises(ad.AutodiffError, match="as many keys as queries"):
+        ad.attention(q, kv, kv, mask_diagonal=True)
+    one = ad.Tensor(np.zeros((2, 1, 4)))
+    with pytest.raises(ad.AutodiffError, match="n >= 2"):
+        ad.attention(one, one, one, mask_diagonal=True)
+    out, weights = ad.attention(q, kv, kv)  # unmasked cross-attention is fine
+    assert weights.shape == (2, 3, 5) and out.shape == (2, 3, 4)
+
+
 def test_logsumexp_matches_reference_and_gradient():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(3, 5)) * 10
@@ -161,6 +210,22 @@ def test_elu_definition():
     assert y[1] == pytest.approx(np.expm1(-1.0))
     assert y[2] == 0.0
     assert y[3] == 2.5
+    # forward and gradient are bitwise the select-based forms elu used to
+    # compute, which stay here as the reference
+    rng = np.random.default_rng(12)
+    for dtype in (np.float32, np.float64):
+        x = np.array([-1e6, -1.0, -0.0, 0.0, 2.5, np.inf, -np.inf], dtype=dtype)
+        x = np.concatenate([x, rng.normal(size=300).astype(dtype) * 3])
+        neg = np.expm1(np.minimum(x, 0.0))
+        want_y = np.where(x > 0, x, neg)
+        want_d = np.where(x > 0, 1.0, neg + 1.0)
+        t = ad.Tensor(x, requires_grad=True)
+        out = ad.elu(t)
+        dout = rng.normal(size=x.shape).astype(dtype)
+        out.backward(dout)
+        assert out.data.dtype == t.grad.dtype == dtype
+        assert out.data.tobytes() == want_y.tobytes()
+        assert t.grad.tobytes() == (dout * want_d).tobytes()
 
 
 def test_dropout_semantics():

@@ -96,6 +96,29 @@ class TestBankRoundTrip:
         with pytest.raises(io.ManifestMismatchError, match=repr(leaf)):
             io.read_bank(tmp_path / "bank")
 
+    @pytest.mark.parametrize("key", ["file", "channels", "samples", "subject",
+                                     "session", "trial", "label"])
+    def test_missing_raw_trial_key_raises(self, tmp_path, key):
+        spec = SynthSpec(n_subjects=1, n_classes=2, n_channels=4,
+                         trials_per_subject=2, samples_per_trial=3, seed=5,
+                         mode="timeseries")
+        io.write_bank(io.gen_synthetic(spec), tmp_path / "raw")
+        mpath = tmp_path / "raw" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        del manifest["raw_trials"][1][key]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(io.ManifestMismatchError, match=rf"raw_trials\[1\].*{key!r}"):
+            io.read_bank(tmp_path / "raw")
+
+    def test_short_sample_row_raises(self, small_bank, tmp_path):
+        io.write_bank(small_bank, tmp_path / "bank")
+        mpath = tmp_path / "bank" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["samples"][2] = manifest["samples"][2][:4]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(io.ManifestMismatchError, match="samples row 2"):
+            io.read_bank(tmp_path / "bank")
+
 
 def rewrite_header(path, edit):
     """Re-serialise a checkpoint after `edit(header)` changed its header."""
@@ -167,6 +190,14 @@ class TestCheckpoints:
             io.load_checkpoint(path)
         path.write_bytes(b"WRONGMAG" + b"\x00" * 32)
         with pytest.raises(io.CheckpointError, match="magic"):
+            io.load_checkpoint(path)
+
+    def test_trailing_payload_byte_rejected(self, tmp_path):
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(io.CheckpointError, match="1 trailing bytes"):
             io.load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["format_version", "model_config", "arrays"])
