@@ -2,18 +2,16 @@
 
 Two transforms operate on (channels x bands) feature matrices: convex sample
 mixing restricted to same-label partners (so every augmented sample keeps an
-unambiguous label) and random channel zeroing.  All randomness flows through
-an explicit numpy Generator, so views are reproducible and callers own RNG
-partitioning across workers.
+unambiguous label) makes the first contrastive view, random channel zeroing
+the second.  All randomness flows through an explicit numpy Generator, so
+views are reproducible and callers own RNG partitioning across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-KNOWN_TRANSFORMS = ("mixup", "mask")
 
 
 class AugmentError(ValueError):
@@ -24,19 +22,12 @@ class AugmentError(ValueError):
 class AugmentConfig:
     mixup_alpha: float = 0.2     # Beta(alpha, alpha) mixing coefficient
     mask_prob: float = 0.2       # per-channel zeroing probability
-    view_a: tuple[str, ...] = ("mixup",)
-    view_b: tuple[str, ...] = ("mask",)
 
     def __post_init__(self):
-        object.__setattr__(self, "view_a", tuple(self.view_a))
-        object.__setattr__(self, "view_b", tuple(self.view_b))
         if self.mixup_alpha <= 0:
             raise AugmentError(f"mixup_alpha must be > 0, got {self.mixup_alpha}")
         if not 0 <= self.mask_prob < 1:
             raise AugmentError(f"mask_prob must be in [0, 1), got {self.mask_prob}")
-        for t in self.view_a + self.view_b:
-            if t not in KNOWN_TRANSFORMS:
-                raise AugmentError(f"unknown transform {t!r}")
 
 
 def mixup(x_i, x_j, lam):
@@ -90,25 +81,14 @@ def _apply_mask(feats, prob, rng):
     return out
 
 
-def apply_transforms(feats, labels, transforms, config: AugmentConfig, rng):
-    """Run an ordered transform list over a (N, channels, bands) stack."""
-    out = feats.copy()
-    for t in transforms:
-        if t == "mixup":
-            out = _apply_mixup(out, labels, config.mixup_alpha, rng)
-        elif t == "mask":
-            out = _apply_mask(out, config.mask_prob, rng)
-        else:
-            raise AugmentError(f"unknown transform {t!r}")
-    return out
-
-
 def make_views(batch, config: AugmentConfig, rng):
     """Build the two contrastive views of a batch of feature samples.
 
     `batch` is a list of FeatureSample (or (de, label) pairs).  Returns
     (view_a, view_b, labels) where the views are (N, channels, bands) arrays
-    index-aligned with the batch and both carry the batch labels.
+    index-aligned with the batch and both carry the batch labels: view_a is
+    the same-label mixup, view_b the channel-masked batch.  Both draw from
+    `rng`, mixup first.
     """
     if len(batch) == 0:
         raise AugmentError("empty batch")
@@ -118,6 +98,6 @@ def make_views(batch, config: AugmentConfig, rng):
     else:
         feats = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
         labels = np.array([lab for _, lab in batch], dtype=np.int64)
-    view_a = apply_transforms(feats, labels, config.view_a, config, rng)
-    view_b = apply_transforms(feats, labels, config.view_b, config, rng)
+    view_a = _apply_mixup(feats, labels, config.mixup_alpha, rng)
+    view_b = _apply_mask(feats, config.mask_prob, rng)
     return view_a, view_b, labels

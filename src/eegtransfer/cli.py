@@ -134,16 +134,15 @@ def _cmd_predict(args, cfg: RunConfig):
 def _cmd_evaluate(args, cfg: RunConfig):
     bank = _load_bank(args)
     protocol = data_io.get_protocol(cfg.protocol) if cfg.protocol else None
+    if args.mode == "subject-dependent" and protocol is None:
+        protocol = data_io.get_protocol("ratio80")
+    report = evaluation.losocv(
+        bank, cfg.model, cfg.train, cfg.augment, protocol=protocol,
+        from_scratch=args.from_scratch, jobs=args.jobs, log=True)
     if args.mode == "subject-dependent":
-        if protocol is None:
-            protocol = data_io.get_protocol("ratio80")
-        report = evaluation.subject_dependent(
-            bank, cfg.model, cfg.train, cfg.augment, protocol,
-            from_scratch=args.from_scratch, jobs=args.jobs, log=True)
-    else:
-        report = evaluation.losocv(
-            bank, cfg.model, cfg.train, cfg.augment, protocol=protocol,
-            from_scratch=args.from_scratch, jobs=args.jobs, log=True)
+        # calibration draws from each subject's protocol training trials and
+        # testing uses its protocol test trials
+        report.protocol = f"subject-dependent+{protocol.name}"
     out = _out_dir(args)
     _write_csv(out / "report.csv", cfg, ["subject", "accuracy"],
                [(s, f"{a:.6f}") for s, a in report.per_subject])
@@ -225,15 +224,13 @@ def _cmd_grad_check(args, cfg: RunConfig):
     def contrastive_head():
         # masked (training) attention; projector batch norm in eval mode so
         # batch-mean subtraction leaves no parameter without influence
-        za = model.project(model.encode(feats_a, pos, dta, train=True, rng=None).q_final,
-                           dta, train=False)
-        zb = model.project(model.encode(feats_b, pos, dta, train=True, rng=None).q_final,
-                           dta, train=False)
+        za = model.project(model.encode(feats_a, pos, dta, mask_diagonal=True).q_final, dta)
+        zb = model.project(model.encode(feats_b, pos, dta, mask_diagonal=True).q_final, dta)
         return losses.contrastive_loss(
             losses.ContrastiveBatch(za, zb, labels, labels))
 
     def cross_entropy_head():
-        enc = model.encode(feats_a, pos, dta, train=False)
+        enc = model.encode(feats_a, pos, dta)
         return losses.cross_entropy(model.classify(enc.q_final, dta), labels)
 
     with finite_checks():

@@ -74,9 +74,6 @@ class TrainConfig:
     calibrate: StageConfig = field(default_factory=lambda: StageConfig(128, 100, 1e-5))
     patience: int = 20
     k_per_class: int = 20
-    # mask behavior downstream of pretraining is test-phase by default
-    calibrate_with_mask: bool = False
-    freeze_encoder: bool = False
 
     def __post_init__(self):
         if self.patience <= 0 or self.patience > self.calibrate.epochs:

@@ -58,6 +58,10 @@ class ManifestMismatchError(BankError):
     pass
 
 
+class NonFinitePayloadError(BankError):
+    pass
+
+
 class CheckpointError(ValueError):
     pass
 
@@ -186,10 +190,22 @@ def write_bank(bank: SampleBank, directory) -> None:
         json.dumps(manifest, indent=1), encoding="utf-8")
 
 
-def _manifest_get(manifest, key, where):
+def _manifest_get(manifest, key, where, kind=object):
     if not isinstance(manifest, dict) or key not in manifest:
         raise ManifestMismatchError(f"{where}: manifest is missing key {key!r}")
-    return manifest[key]
+    value = manifest[key]
+    if not isinstance(value, kind):
+        raise ManifestMismatchError(
+            f"{where}: {key} is {type(value).__name__}, expected {kind.__name__}")
+    return value
+
+
+def _manifest_uint(manifest, key, where):
+    value = _manifest_get(manifest, key, where)
+    if type(value) is not int or value < 0:
+        raise ManifestMismatchError(
+            f"{where}: {key} is {value!r}, expected a non-negative integer")
+    return value
 
 
 def read_bank(directory) -> SampleBank:
@@ -197,21 +213,24 @@ def read_bank(directory) -> SampleBank:
     mpath = directory / MANIFEST_NAME
     if not mpath.exists():
         raise BankError(f"no {MANIFEST_NAME} in {directory}")
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise ManifestMismatchError(f"{mpath}: not valid JSON ({e})") from None
     version = _manifest_get(manifest, "format_version", str(mpath))
     if version != FORMAT_VERSION:
         raise ManifestMismatchError(f"unsupported format_version {version}")
-    counts = _manifest_get(manifest, "counts", str(mpath))
-    n_samples, n_ch, n_bands = (_manifest_get(counts, k, f"{mpath} counts")
+    counts = _manifest_get(manifest, "counts", str(mpath), dict)
+    n_samples, n_ch, n_bands = (_manifest_uint(counts, k, f"{mpath} counts")
                                 for k in ("n_samples", "n_channels", "n_bands"))
-    dataset, classes, bands = (_manifest_get(manifest, k, str(mpath))
-                               for k in ("dataset", "classes", "bands"))
-    index = _manifest_get(manifest, "samples", str(mpath))
+    dataset = _manifest_get(manifest, "dataset", str(mpath), str)
+    classes, bands, index = (_manifest_get(manifest, k, str(mpath), list)
+                             for k in ("classes", "bands", "samples"))
     if len(index) != n_samples:
         raise ManifestMismatchError(
             f"counts.n_samples={n_samples} but index table has {len(index)} rows")
 
-    montage = load_montage(directory / _manifest_get(manifest, "montage_file", str(mpath)))
+    montage = load_montage(directory / _manifest_get(manifest, "montage_file", str(mpath), str))
     if len(montage) != n_ch:
         raise ManifestMismatchError(
             f"montage has {len(montage)} channels, manifest says {n_ch}")
@@ -233,19 +252,25 @@ def read_bank(directory) -> SampleBank:
 
     samples = []
     for i, (row, de) in enumerate(zip(index, flat)):
-        if not isinstance(row, list) or len(row) != 5:
+        if (not isinstance(row, list) or len(row) != 5
+                or any(type(v) is not int or v < 0 for v in row)):
             raise ManifestMismatchError(
-                f"{mpath}: samples row {i} is {row!r}, expected "
+                f"{mpath}: samples row {i} is {row!r}, expected non-negative integers "
                 "[subject, session, trial, window, label]")
-        subject, session, trial, window, label = row
-        samples.append(FeatureSample(subject, session, trial, window, label, de))
+        try:
+            samples.append(FeatureSample(*row, de))
+        except dsp.DspError as e:
+            raise NonFinitePayloadError(f"{FEATURES_NAME}: sample {i}: {e}") from None
 
     raw_trials = []
-    for i, rec in enumerate(manifest.get("raw_trials", [])):
+    records = (_manifest_get(manifest, "raw_trials", str(mpath), list)
+               if "raw_trials" in manifest else [])
+    for i, rec in enumerate(records):
         where = f"{mpath} raw_trials[{i}]"
-        fname, n_rch, n_rs, subject, session, trial, label = (
-            _manifest_get(rec, k, where) for k in
-            ("file", "channels", "samples", "subject", "session", "trial", "label"))
+        fname = _manifest_get(rec, "file", where, str)
+        n_rch, n_rs, subject, session, trial, label = (
+            _manifest_uint(rec, k, where)
+            for k in ("channels", "samples", "subject", "session", "trial", "label"))
         rblob = (directory / fname).read_bytes()
         if rblob[:len(MAGIC_RAW)] != MAGIC_RAW:
             raise BadMagicError(f"{fname}: bad magic {rblob[:8]!r}")

@@ -142,17 +142,6 @@ def losocv(bank: SampleBank, mconf: ModelConfig, tconf: TrainConfig,
                       details={"folds": folds})
 
 
-def subject_dependent(bank: SampleBank, mconf: ModelConfig, tconf: TrainConfig,
-                      aconf: AugmentConfig, protocol: SplitProtocol,
-                      from_scratch=False, jobs=1, log=False) -> EvalReport:
-    """LOSOCV variant where calibration samples come from each subject's
-    protocol training trials and testing uses the protocol test trials."""
-    report = losocv(bank, mconf, tconf, aconf, protocol=protocol,
-                    from_scratch=from_scratch, jobs=jobs, log=log)
-    report.protocol = f"subject-dependent+{protocol.name}"
-    return report
-
-
 # -- separation diagnostics -----------------------------------------------------
 
 def icd_ics(features, labels, alpha=2.0):
@@ -261,8 +250,7 @@ def channel_representations(dta: m.DtaParameters, samples,
     total = None
     with ad.no_grad():
         for start in range(0, feats.shape[0], batch_size):
-            enc = m.encode(feats[start:start + batch_size], montage.positions,
-                           dta, train=False)
+            enc = m.encode(feats[start:start + batch_size], montage.positions, dta)
             part = enc.q_final.data.sum(axis=0)
             total = part if total is None else total + part
     return total / feats.shape[0]
@@ -308,9 +296,8 @@ def _projected(dta, feats, montage, batch_size=512):
     outs = []
     with ad.no_grad():
         for start in range(0, feats.shape[0], batch_size):
-            enc = m.encode(feats[start:start + batch_size], montage.positions,
-                           dta, train=False)
-            outs.append(m.project(enc.q_final, dta, train=False).data)
+            enc = m.encode(feats[start:start + batch_size], montage.positions, dta)
+            outs.append(m.project(enc.q_final, dta).data)
     return np.concatenate(outs, axis=0)
 
 

@@ -3,14 +3,14 @@
 The encoder turns a (channels x bands) feature matrix into one d_model
 vector per channel.  Three properties define it:
 
-- the query stream starts from electrode-position encodings only, so during
-  masked training a channel's output row provably never depends on that
+- the query stream starts from electrode-position encodings only, so with
+  the mask on a channel's output row provably never depends on that
   channel's own input features;
 - keys and values are computed once from position + source encodings and
   reused unchanged by every layer, so attention maps stay interpretable;
-- the diagonal of the attention matrix is removed during training (each
-  channel is reconstructed from the other channels) and restored at test
-  time.
+- the diagonal of the attention matrix is removed during contrastive
+  pretraining (each channel is reconstructed from the other channels) and
+  restored for calibration and prediction.
 
 A projection head maps the encoder output into the contrastive space and a
 small MLP head classifies it; both live in the same parameter record.
@@ -217,7 +217,7 @@ def _from_heads(x):
 
 def masked_attention(q, k_heads, v_heads, dta: DtaParameters, layer: int,
                      mask_diagonal: bool):
-    """Multi-head attention over channels; training masks the diagonal.
+    """Multi-head attention over channels; pretraining masks the diagonal.
 
     The scaled query heads, the shared key/value heads and the mask go to
     the fused :func:`autodiff.attention` op (one tape node).  With the mask
@@ -239,29 +239,29 @@ def masked_attention(q, k_heads, v_heads, dta: DtaParameters, layer: int,
 
 
 def encoder_layer(q, k_heads, v_heads, dta: DtaParameters, layer: int,
-                  mask_diagonal: bool, train: bool, rng):
-    """One block: attention, residual + norm, feed-forward, residual + norm."""
+                  mask_diagonal: bool, rng):
+    """One block: attention, residual + norm, feed-forward, residual + norm.
+    Feed-forward dropout fires when an `rng` is given."""
     params = dta.params
     h, attn = masked_attention(q, k_heads, v_heads, dta, layer, mask_diagonal)
     x = ad.layer_norm(q + h, params[f"enc{layer}.ln1.g"], params[f"enc{layer}.ln1.b"], LN_EPS)
     inner = ad.elu(_affine(x, params, f"enc{layer}.ffn.f1"))
-    if train and rng is not None and dta.config.dropout > 0:
+    if rng is not None:
         inner = ad.dropout(inner, dta.config.dropout, rng)
     ffn = _affine(inner, params, f"enc{layer}.ffn.f2")
     out = ad.layer_norm(x + ffn, params[f"enc{layer}.ln2.g"], params[f"enc{layer}.ln2.b"], LN_EPS)
     return out, attn
 
 
-def encode(de, pos_data, dta: DtaParameters, train=False, rng=None,
-           mask_diagonal=None, capture_attention=False) -> EncoderOutput:
+def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None,
+           capture_attention=False) -> EncoderOutput:
     """Run the full encoder.
 
-    `de` is (B, n, bands), (n, bands), or a Tensor; `mask_diagonal` defaults
-    to the train flag (the mask is shut off at test time).  Dropout fires
-    only when training with an rng.  Output q_final is (B, n, d_model).
+    `de` is (B, n, bands), (n, bands), or a Tensor.  `mask_diagonal` removes
+    the attention diagonal (contrastive pretraining); calibration and
+    prediction leave it off.  Dropout fires only when an `rng` is given.
+    Output q_final is (B, n, d_model).
     """
-    if mask_diagonal is None:
-        mask_diagonal = train
     cfg = dta.config
     x = de if isinstance(de, Tensor) else Tensor(np.asarray(de, dtype=dta.dtype))
     if x.ndim == 2:
@@ -278,8 +278,7 @@ def encode(de, pos_data, dta: DtaParameters, train=False, rng=None,
 
     attn_maps = [] if capture_attention else None
     for layer in range(cfg.n_layers):
-        q, attn = encoder_layer(q, k_heads, v_heads, dta, layer,
-                                mask_diagonal, train, rng)
+        q, attn = encoder_layer(q, k_heads, v_heads, dta, layer, mask_diagonal, rng)
         if capture_attention:
             attn_maps.append(attn)
     return EncoderOutput(q_final=q, attention=attn_maps)
@@ -307,24 +306,26 @@ def _bn_eval(x, gamma, beta, state, key):
     return (x - Tensor(state[f"{key}.mean"])) * Tensor(inv) * gamma + beta
 
 
-def project(q_final, dta: DtaParameters, train=False, rng=None,
-            update_stats=None) -> Tensor:
+def project(q_final, dta: DtaParameters, train=False, rng=None) -> Tensor:
     """Projection head: flatten, then three affine stages with batch norm,
-    ELU and dropout between them; output is the contrastive embedding."""
+    ELU and dropout between them; output is the contrastive embedding.
+
+    `train` normalises with batch statistics and updates the running ones in
+    `dta.bn_state`; eval mode uses the running statistics and writes nothing.
+    Dropout fires only when an `rng` is given."""
     params = dta.params
-    update = train if update_stats is None else update_stats
-    state = dta.bn_state if update else dict(dta.bn_state)
+    state = dta.bn_state  # only _bn_train writes to it
     x = _flatten(q_final)
     x = _dense(x, params["proj.fc1.w"])
     bn = _bn_train if train else _bn_eval
     x = bn(x, params["proj.bn1.g"], params["proj.bn1.b"], state, "proj.bn1")
     x = ad.elu(x)
-    if train and rng is not None and dta.config.dropout > 0:
+    if rng is not None:
         x = ad.dropout(x, dta.config.dropout, rng)
     x = _dense(x, params["proj.fc2.w"])
     x = bn(x, params["proj.bn2.g"], params["proj.bn2.b"], state, "proj.bn2")
     x = ad.elu(x)
-    if train and rng is not None and dta.config.dropout > 0:
+    if rng is not None:
         x = ad.dropout(x, dta.config.dropout, rng)
     return _affine(x, params, "proj.fc3")
 

@@ -100,13 +100,13 @@ def _progress(log, msg):
 
 
 def pretrain(bank, montage: ChannelMontage, mconf: ModelConfig,
-             tconf: TrainConfig, aconf: AugmentConfig,
-             dtype=np.float32, tau=0.5, log=False) -> PretrainResult:
+             tconf: TrainConfig, aconf: AugmentConfig, log=False) -> PretrainResult:
     """Contrastive pretraining of encoder + projector on a sample bank.
 
     Per epoch: seeded shuffle, fixed-size batches (partial batch dropped for
-    batch-norm stability), two augmented views, masked-train-mode encoding,
-    projection, pairwise contrastive loss, Adam update.
+    batch-norm stability), two augmented views, diagonal-masked encoding with
+    dropout, train-mode projection, pairwise contrastive loss at the default
+    temperature, Adam update.  Parameters are float32.
     """
     samples = list(bank.samples)
     if not samples:
@@ -121,7 +121,7 @@ def pretrain(bank, montage: ChannelMontage, mconf: ModelConfig,
 
     s_init, s_shuffle, s_augment, s_dropout = np.random.SeedSequence(
         tconf.seed).spawn(4)
-    dta = m.init_parameters(mconf, seed=s_init, dtype=dtype)
+    dta = m.init_parameters(mconf, seed=s_init, dtype=np.float32)
     rng_shuffle = np.random.default_rng(s_shuffle)
     rng_augment = np.random.default_rng(s_augment)
     rng_dropout = np.random.default_rng(s_dropout)
@@ -144,12 +144,11 @@ def pretrain(bank, montage: ChannelMontage, mconf: ModelConfig,
             dta.params.zero_grad()
             # one pass over both views; batch-norm statistics span the pair
             both = np.concatenate([view_a, view_b], axis=0)
-            enc = m.encode(both, pos, dta, train=True, rng=rng_dropout)
+            enc = m.encode(both, pos, dta, mask_diagonal=True, rng=rng_dropout)
             z = m.project(enc.q_final, dta, train=True, rng=rng_dropout)
             z_a = ad.narrow(z, 0, batch_size)
             z_b = ad.narrow(z, batch_size, batch_size)
-            loss = contrastive_loss(
-                ContrastiveBatch(z_a, z_b, batch_labels, batch_labels, tau))
+            loss = contrastive_loss(ContrastiveBatch(z_a, z_b, batch_labels, batch_labels))
             loss.backward()
             adam_step(dta.params, opt, train_names)
             batch_losses.append(float(loss.data))
@@ -203,9 +202,9 @@ def calibrate(pretrained: m.DtaParameters, labeled, montage: ChannelMontage,
 
     The labeled set is split 80/20 (stratified) into fit and validation;
     training stops once validation accuracy has not improved for `patience`
-    epochs and the best-validation snapshot is returned.  The diagonal mask
-    stays off (test-phase behavior) unless configured otherwise; encoder
-    dropout stays active during fit steps, as in any training pass.
+    epochs and the best-validation snapshot is returned.  Every step encodes
+    with the diagonal mask off (test-phase behavior); dropout fires in the
+    fit steps only, as in any training pass.
     """
     if len(labeled) == 0:
         raise TrainError("empty calibration set")
@@ -227,11 +226,8 @@ def calibrate(pretrained: m.DtaParameters, labeled, montage: ChannelMontage,
     rng_batch = np.random.default_rng(s_batch)
     rng_dropout = np.random.default_rng(s_dropout)
 
-    train_names = dta.classifier_names()
-    if not tconf.freeze_encoder:
-        train_names = train_names + dta.encoder_names()
+    train_names = dta.classifier_names() + dta.encoder_names()
     opt = AdamState(lr=tconf.calibrate.lr, weight_decay=tconf.weight_decay)
-    mask = tconf.calibrate_with_mask
     pos = montage.positions
     batch_size = tconf.calibrate.batch_size
 
@@ -245,8 +241,7 @@ def calibrate(pretrained: m.DtaParameters, labeled, montage: ChannelMontage,
         for start in range(0, fit_idx.size, batch_size):  # keep-all batches
             idx = fit_idx[perm[start:start + batch_size]]
             dta.params.zero_grad()
-            enc = m.encode(feats[idx], pos, dta, train=True, rng=rng_dropout,
-                           mask_diagonal=mask)
+            enc = m.encode(feats[idx], pos, dta, rng=rng_dropout)
             loss = cross_entropy(m.classify(enc.q_final, dta), labels[idx])
             loss.backward()
             adam_step(dta.params, opt, train_names)
@@ -278,7 +273,7 @@ def predict_batch(dta: m.DtaParameters, feats, montage: ChannelMontage,
     with ad.no_grad():
         for start in range(0, feats.shape[0], batch_size):
             chunk = feats[start:start + batch_size]
-            enc = m.encode(chunk, pos, dta, train=False)
+            enc = m.encode(chunk, pos, dta)
             logits = m.classify(enc.q_final, dta)
             probs.append(softmax_probs(logits.data))
     probs = np.concatenate(probs, axis=0)

@@ -61,22 +61,43 @@ def make_batch(labels, rng):
             for i, lab in enumerate(labels)]
 
 
-def test_make_views_identity_pipelines():
-    rng = np.random.default_rng(4)
-    batch = make_batch([0, 1, 0, 1], rng)
-    cfg = ag.AugmentConfig(view_a=(), view_b=())
-    va, vb, labels = ag.make_views(batch, cfg, np.random.default_rng(0))
+def reference_views(feats, labels, cfg, rng):
+    """The earlier transform-list pipeline with its one recipe (view a:
+    mixup, view b: mask), written out draw for draw."""
+    va = feats.copy()
+    for i in range(len(feats)):
+        pool = [j for j in range(len(feats)) if labels[j] == labels[i] and j != i]
+        if pool:
+            j = pool[int(rng.integers(len(pool)))]
+            lam = float(rng.beta(cfg.mixup_alpha, cfg.mixup_alpha))
+            va[i] = lam * feats[i] + (1.0 - lam) * feats[j]
+    vb = feats.copy()
+    for i in range(len(feats)):
+        keep = np.zeros(feats.shape[1], dtype=np.int8)
+        while not keep.any():
+            keep = (rng.random(feats.shape[1]) >= cfg.mask_prob).astype(np.int8)
+        vb[i] = feats[i] * keep[:, None].astype(feats.dtype)
+    return va, vb
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_make_views_bitwise_equal_to_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    batch = make_batch([0, 1, 0, 2, 1, 0, 1, 1], rng)  # label 2 has no partner
+    cfg = ag.AugmentConfig(mixup_alpha=0.3 + 0.1 * seed, mask_prob=0.25)
     raw = np.stack([s.de for s in batch]).astype(np.float64)
-    assert np.array_equal(va, raw)
-    assert np.array_equal(vb, raw)
-    assert labels.tolist() == [0, 1, 0, 1]
+    labels = np.array([s.label for s in batch])
+    want_a, want_b = reference_views(raw, labels, cfg, np.random.default_rng(seed))
+    for views in (batch, [(s.de, s.label) for s in batch]):
+        va, vb, got_labels = ag.make_views(views, cfg, np.random.default_rng(seed))
+        assert np.array_equal(va, want_a) and np.array_equal(vb, want_b)
+        assert got_labels.tolist() == labels.tolist()
 
 
 def test_make_views_single_sample_per_label_falls_back():
     rng = np.random.default_rng(5)
     batch = make_batch([0, 1, 2], rng)
-    cfg = ag.AugmentConfig(view_a=("mixup",), view_b=())
-    va, _, _ = ag.make_views(batch, cfg, np.random.default_rng(0))
+    va, _, _ = ag.make_views(batch, ag.AugmentConfig(), np.random.default_rng(0))
     raw = np.stack([s.de for s in batch]).astype(np.float64)
     assert np.array_equal(va, raw)
 
@@ -86,8 +107,7 @@ def test_make_views_mixup_stays_within_label():
     # construct label-dependent constants so any cross-label mixing is visible
     batch = [FeatureSample(0, 0, i, 0, lab, np.full((3, 2), float(lab)))
              for i, lab in enumerate([0, 0, 1, 1, 1])]
-    cfg = ag.AugmentConfig(view_a=("mixup",), view_b=())
-    va, _, labels = ag.make_views(batch, cfg, np.random.default_rng(1))
+    va, _, labels = ag.make_views(batch, ag.AugmentConfig(), np.random.default_rng(1))
     for row, lab in zip(va, labels):
         assert np.allclose(row, float(lab))
 
@@ -122,5 +142,3 @@ def test_config_validation():
         ag.AugmentConfig(mixup_alpha=0.0)
     with pytest.raises(ag.AugmentError):
         ag.AugmentConfig(mask_prob=1.0)
-    with pytest.raises(ag.AugmentError):
-        ag.AugmentConfig(view_a=("warp",))

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eegtransfer import cli
-from eegtransfer.config import ConfigError, load_run_config, run_config_from_dict
+from eegtransfer.config import ConfigError, RunConfig, load_run_config, run_config_from_dict
 
 TINY_CONFIG = {
     "seed": 11,
@@ -73,7 +75,6 @@ class TestUsageErrors:
 
 class TestGenSynth:
     def test_writes_bank_files(self, bank_dir, tmp_path):
-        from pathlib import Path
         d = Path(bank_dir)
         assert (d / "manifest.json").exists()
         assert (d / "features.bin").exists()
@@ -82,7 +83,6 @@ class TestGenSynth:
 
 class TestPipeline:
     def test_pretrain_outputs(self, pretrained_dir):
-        from pathlib import Path
         d = Path(pretrained_dir)
         assert (d / "pretrained.ckpt").exists()
         loss_csv = (d / "pretrain_loss.csv").read_text()
@@ -121,6 +121,15 @@ class TestPipeline:
         assert first.startswith("# config_hash=") and "seed=11" in first
         assert text.splitlines()[1] == "subject,accuracy"
         report = json.loads((out / "report.json").read_text())
+        assert set(report["per_subject"]) == {"0", "1"}
+
+    def test_evaluate_subject_dependent_names_protocol(self, config_path, bank_dir,
+                                                       tmp_path):
+        out = tmp_path / "sd"
+        assert cli.main(["evaluate", "--config", config_path, "--bank", bank_dir,
+                         "--mode", "subject-dependent", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["protocol"] == "subject-dependent+ratio80"
         assert set(report["per_subject"]) == {"0", "1"}
 
     def test_evaluate_byte_identical_reruns(self, config_path, bank_dir, tmp_path):
@@ -196,6 +205,13 @@ class TestConfig:
             run_config_from_dict({"modle": {}})
         with pytest.raises(ConfigError, match="unknown keys"):
             run_config_from_dict({"model": {"d_modle": 3}})
+
+    def test_readme_config_block_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        # the example spells out the defaults, so it must load to them
+        assert run_config_from_dict(json.loads(blocks[0])) == RunConfig()
 
     def test_defaults_match_training_recipe(self):
         cfg = load_run_config(None)

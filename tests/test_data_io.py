@@ -120,6 +120,71 @@ class TestBankRoundTrip:
             io.read_bank(tmp_path / "bank")
 
 
+def _corrupt_json(bank):
+    (bank / "manifest.json").write_text('{"format_version": 1,', encoding="utf-8")
+
+
+def _edit_manifest(edit):
+    def apply(bank):
+        mpath = bank / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        edit(manifest)
+        mpath.write_text(json.dumps(manifest))
+    return apply
+
+
+def _nan_payload(bank):
+    f = bank / "features.bin"
+    blob = bytearray(f.read_bytes())
+    at = 8 + (3 * 8 * 5 + 2) * 4  # sample 3 of the 8-channel, 5-band bank
+    blob[at:at + 4] = np.float32(np.nan).tobytes()
+    f.write_bytes(bytes(blob))
+
+
+BANK_FAULTS = {
+    "corrupt_json": (_corrupt_json, io.ManifestMismatchError,
+                     r"manifest\.json: not valid JSON"),
+    "samples_not_a_list": (_edit_manifest(lambda m: m.update(samples=4)),
+                           io.ManifestMismatchError, "samples is int"),
+    "dataset_not_a_string": (_edit_manifest(lambda m: m.update(dataset=5)),
+                             io.ManifestMismatchError, "dataset is int"),
+    "classes_not_a_list": (_edit_manifest(lambda m: m.update(classes=3)),
+                           io.ManifestMismatchError, "classes is int"),
+    "montage_file_not_a_string": (_edit_manifest(lambda m: m.update(montage_file=7)),
+                                  io.ManifestMismatchError, "montage_file is int"),
+    "raw_trials_not_a_list": (_edit_manifest(lambda m: m.update(raw_trials=3)),
+                              io.ManifestMismatchError, "raw_trials is int"),
+    "string_label": (_edit_manifest(lambda m: m["samples"][1].__setitem__(4, "1")),
+                     io.ManifestMismatchError, "samples row 1"),
+    "string_count": (_edit_manifest(lambda m: m["counts"].update(n_samples="24")),
+                     io.ManifestMismatchError, "n_samples is '24'"),
+    "nan_in_payload": (_nan_payload, io.NonFinitePayloadError,
+                       r"features\.bin: sample 3"),
+}
+
+
+@pytest.mark.parametrize("fault", list(BANK_FAULTS))
+def test_malformed_bank_raises_typed_error(small_bank, tmp_path, fault):
+    corrupt, error, message = BANK_FAULTS[fault]
+    io.write_bank(small_bank, tmp_path / "bank")
+    corrupt(tmp_path / "bank")
+    with pytest.raises(error, match=message) as exc:
+        io.read_bank(tmp_path / "bank")
+    assert isinstance(exc.value, io.BankError) and "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["channels", "samples", "subject", "session", "trial",
+                                 "label"])
+def test_non_integer_raw_trial_field_raises(tmp_path, key):
+    spec = SynthSpec(n_subjects=1, n_classes=2, n_channels=4,
+                     trials_per_subject=2, samples_per_trial=3, seed=5,
+                     mode="timeseries")
+    io.write_bank(io.gen_synthetic(spec), tmp_path / "raw")
+    _edit_manifest(lambda m: m["raw_trials"][1].update({key: "1"}))(tmp_path / "raw")
+    with pytest.raises(io.ManifestMismatchError, match=rf"raw_trials\[1\].*{key} is '1'"):
+        io.read_bank(tmp_path / "raw")
+
+
 def rewrite_header(path, edit):
     """Re-serialise a checkpoint after `edit(header)` changed its header."""
     blob = path.read_bytes()
@@ -144,8 +209,8 @@ class TestCheckpoints:
         loaded, opt = io.load_checkpoint(path)
         assert opt is None
         probe = np.stack([s.de for s in small_bank.samples[:4]]).astype(np.float64)
-        a = M.encode(probe, small_bank.montage.positions, dta, train=False).q_final.data
-        b = M.encode(probe, small_bank.montage.positions, loaded, train=False).q_final.data
+        a = M.encode(probe, small_bank.montage.positions, dta).q_final.data
+        b = M.encode(probe, small_bank.montage.positions, loaded).q_final.data
         assert np.array_equal(a, b)
 
     def test_optimizer_state_round_trip(self, tmp_path):

@@ -11,7 +11,7 @@ from eegtransfer import model as M
 from eegtransfer import training as T
 from eegtransfer.augment import AugmentConfig
 from eegtransfer.config import ModelConfig, StageConfig, SynthSpec, TrainConfig
-from eegtransfer.data_io import gen_synthetic, get_protocol
+from eegtransfer.data_io import gen_synthetic
 
 TINY_MODEL = ModelConfig(n_layers=1, d_model=8, n_heads=2, ffn_hidden=16,
                          n_channels=8, n_bands=5, proj_dims=(16, 16, 16),
@@ -61,14 +61,6 @@ class TestLosocv:
         tconf = dataclasses.replace(TINY_TRAIN, k_per_class=0)
         report = E.losocv(tiny_bank, TINY_MODEL, tconf, AugmentConfig())
         assert len(report.per_subject) == 3
-
-    def test_protocol_split_respected(self, tiny_bank):
-        import dataclasses
-        # 4 trials per subject: 80/20 -> calibrate from first 3, test on last
-        report = E.subject_dependent(tiny_bank, TINY_MODEL,
-                                     dataclasses.replace(TINY_TRAIN, k_per_class=2),
-                                     AugmentConfig(), get_protocol("ratio80"))
-        assert report.protocol.startswith("subject-dependent")
 
 
 class TestIcdIcs:

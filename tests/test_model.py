@@ -1,6 +1,8 @@
 """Encoder architecture contracts: masking, information separation,
 embeddings, projection and classification heads."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,14 +136,14 @@ class TestMaskedAttention:
         d1 = M.init_parameters(cfg, seed=5)
         pos = np.array([[0.0, 0.0, 1.0]])
         with pytest.raises(M.ModelError):
-            M.encode(np.zeros((1, 5)), pos, d1, train=True)
+            M.encode(np.zeros((1, 5)), pos, d1, mask_diagonal=True)
 
 
 class TestEncode:
     def test_attention_rows_sum_to_one_and_diagonal_zero(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(7)
-        out = M.encode(rand_de(rng, batch=3), pos, dta, train=True,
+        out = M.encode(rand_de(rng, batch=3), pos, dta, mask_diagonal=True,
                        capture_attention=True)
         for attn in out.attention:
             assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
@@ -150,7 +152,7 @@ class TestEncode:
     def test_test_mode_diagonal_may_be_positive(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(8)
-        out = M.encode(rand_de(rng, batch=2), pos, dta, train=False,
+        out = M.encode(rand_de(rng, batch=2), pos, dta,
                        capture_attention=True)
         diag = out.attention[0][:, :, np.arange(6), np.arange(6)]
         assert np.all(diag > 0.0)
@@ -166,7 +168,7 @@ class TestEncode:
             return layer(q, k_heads, v_heads, *args, **kwargs)
 
         monkeypatch.setattr(M, "encoder_layer", spy)
-        M.encode(rand_de(rng, batch=2), pos, dta, train=True)
+        M.encode(rand_de(rng, batch=2), pos, dta, mask_diagonal=True)
         assert len(seen) == dta.config.n_layers >= 2
         k0, v0, k0_data, v0_data = seen[0]
         for k, v, k_data, v_data in seen[1:]:
@@ -178,11 +180,11 @@ class TestEncode:
         dta, pos = tiny
         rng = np.random.default_rng(10)
         de = rand_de(rng)
-        base = M.encode(de, pos, dta, train=True).q_final.data[0]
+        base = M.encode(de, pos, dta, mask_diagonal=True).q_final.data[0]
         for i in range(6):
             bumped = de.copy()
             bumped[i] += rng.uniform(-10, 10, size=5)
-            out = M.encode(bumped, pos, dta, train=True).q_final.data[0]
+            out = M.encode(bumped, pos, dta, mask_diagonal=True).q_final.data[0]
             assert np.max(np.abs(out[i] - base[i])) <= 1e-9
             others = np.delete(np.abs(out - base), i, axis=0)
             assert others.max() >= 1e-6
@@ -191,18 +193,18 @@ class TestEncode:
         dta, pos = tiny
         rng = np.random.default_rng(11)
         de = rand_de(rng)
-        base = M.encode(de, pos, dta, train=False).q_final.data[0]
+        base = M.encode(de, pos, dta).q_final.data[0]
         bumped = de.copy()
         bumped[2] += 1.0
-        out = M.encode(bumped, pos, dta, train=False).q_final.data[0]
+        out = M.encode(bumped, pos, dta).q_final.data[0]
         assert np.max(np.abs(out[2] - base[2])) > 1e-6
 
     def test_eval_mode_bitwise_deterministic(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(12)
         de = rand_de(rng, batch=3)
-        a = M.encode(de, pos, dta, train=False).q_final.data
-        b = M.encode(de, pos, dta, train=False).q_final.data
+        a = M.encode(de, pos, dta).q_final.data
+        b = M.encode(de, pos, dta).q_final.data
         assert np.array_equal(a, b)
 
     def test_channel_permutation_equivariance(self, tiny):
@@ -212,8 +214,8 @@ class TestEncode:
         perm = np.array([3, 1, 5, 0, 2, 4])
         permuted = dta.copy()
         permuted.params["pos_table"].data = dta.params["pos_table"].data[perm]
-        base = M.encode(de, pos, dta, train=True).q_final.data[0]
-        out = M.encode(de[perm], pos[perm], permuted, train=True).q_final.data[0]
+        base = M.encode(de, pos, dta, mask_diagonal=True).q_final.data[0]
+        out = M.encode(de[perm], pos[perm], permuted, mask_diagonal=True).q_final.data[0]
         assert np.allclose(out, base[perm], atol=1e-9)
 
     def test_encoder_layer_zero_ffn_reduces_to_norms(self, tiny):
@@ -234,13 +236,27 @@ class TestEncode:
                           zeroed.params["enc0.ln1.b"], M.LN_EPS)
         want = ad.layer_norm(x, zeroed.params["enc0.ln2.g"],
                              zeroed.params["enc0.ln2.b"], M.LN_EPS).data
-        got, _ = M.encoder_layer(q, kh, vh, zeroed, 0, True, False, None)
+        got, _ = M.encoder_layer(q, kh, vh, zeroed, 0, True, None)
         assert np.allclose(got.data, want, atol=1e-12)
+
+    def test_dropout_fires_only_with_rng(self, tiny):
+        dta, pos = tiny
+        de = rand_de(np.random.default_rng(23), batch=2)
+        plain = M.encode(de, pos, dta).q_final.data
+        dropped = M.encode(de, pos, dta, rng=np.random.default_rng(0)).q_final.data
+        assert not np.array_equal(dropped, plain)
+        # at rate 0 an rng is never drawn from and the output is unchanged
+        no_dropout = M.DtaParameters(dataclasses.replace(TINY, dropout=0.0),
+                                     dta.params, dta.bn_state)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert np.array_equal(M.encode(de, pos, no_dropout, rng=rng).q_final.data, plain)
+        assert rng.bit_generator.state == state
 
     def test_shape_contract(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(15)
-        out = M.encode(rand_de(rng, batch=4), pos, dta, train=False)
+        out = M.encode(rand_de(rng, batch=4), pos, dta)
         assert out.q_final.shape == (4, 6, TINY.d_model)
         with pytest.raises(M.ModelError):
             M.encode(rng.normal(size=(4, 7, 5)), pos, dta)
@@ -250,16 +266,16 @@ class TestHeads:
     def test_projection_output_width(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(16)
-        enc = M.encode(rand_de(rng, batch=3), pos, dta, train=False)
+        enc = M.encode(rand_de(rng, batch=3), pos, dta)
         z = M.project(enc.q_final, dta, train=False)
         assert z.shape == (3, TINY.proj_dims[-1])
 
     def test_projection_eval_deterministic_and_train_uses_batch_stats(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(17)
-        enc = M.encode(rand_de(rng, batch=4), pos, dta, train=False)
+        enc = M.encode(rand_de(rng, batch=4), pos, dta)
         a = M.project(enc.q_final, dta, train=False).data
-        enc2 = M.encode(rand_de(np.random.default_rng(17), batch=4), pos, dta, train=False)
+        enc2 = M.encode(rand_de(np.random.default_rng(17), batch=4), pos, dta)
         b = M.project(enc2.q_final, dta, train=False).data
         assert np.array_equal(a, b)
 
@@ -267,9 +283,9 @@ class TestHeads:
         dta, pos = tiny
         rng = np.random.default_rng(18)
         de = rand_de(rng, batch=4)
-        full = M.project(M.encode(de, pos, dta, train=False).q_final,
+        full = M.project(M.encode(de, pos, dta).q_final,
                          dta, train=False).data
-        solo = M.project(M.encode(de[:1], pos, dta, train=False).q_final,
+        solo = M.project(M.encode(de[:1], pos, dta).q_final,
                          dta, train=False).data
         assert np.allclose(full[0], solo[0], atol=1e-9)
 
@@ -278,19 +294,28 @@ class TestHeads:
         work = dta.copy()
         rng = np.random.default_rng(19)
         before = work.bn_state["proj.bn1.mean"].copy()
-        enc = M.encode(rand_de(rng, batch=4), pos, work, train=True)
+        enc = M.encode(rand_de(rng, batch=4), pos, work, mask_diagonal=True)
         M.project(enc.q_final, work, train=True)
         assert not np.array_equal(before, work.bn_state["proj.bn1.mean"])
 
+    def test_eval_projection_leaves_running_stats(self, tiny):
+        dta, pos = tiny
+        work = dta.copy()
+        before = {k: v.copy() for k, v in work.bn_state.items()}
+        enc = M.encode(rand_de(np.random.default_rng(24), batch=4), pos, work)
+        M.project(enc.q_final, work, rng=np.random.default_rng(0))
+        assert all(np.array_equal(v, work.bn_state[k]) for k, v in before.items())
+
     def test_projector_gradient(self, tiny):
         dta, pos = tiny
+        dta = dta.copy()  # train-mode batch norm updates the running statistics
         rng = np.random.default_rng(20)
         de = rand_de(rng, batch=3)
         w = rng.normal(size=(3, TINY.proj_dims[-1]))
 
         def f():
-            enc = M.encode(de, pos, dta, train=False)
-            z = M.project(enc.q_final, dta, train=True, update_stats=False)
+            enc = M.encode(de, pos, dta)
+            z = M.project(enc.q_final, dta, train=True)
             return ad.tsum(z * ad.Tensor(w))
 
         err = ad.grad_check(f, dta.params, names=dta.projector_names())
@@ -299,7 +324,7 @@ class TestHeads:
     def test_classifier_shapes_and_uniform_at_zero(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(21)
-        enc = M.encode(rand_de(rng, batch=2), pos, dta, train=False)
+        enc = M.encode(rand_de(rng, batch=2), pos, dta)
         logits = M.classify(enc.q_final, dta)
         assert logits.shape == (2, TINY.n_classes)
         # the fresh head is zero-initialized: uniform predictions

@@ -172,15 +172,12 @@ class TestCalibrate:
             assert np.array_equal(cal.params.params[name].data,
                                   pretrained.params[name].data)
 
-    def test_freeze_encoder_flag(self, tiny_bank, pretrained):
-        frozen_cfg = TrainConfig(seed=7, pretrain=TINY_TRAIN.pretrain,
-                                 calibrate=TINY_TRAIN.calibrate, patience=5,
-                                 k_per_class=4, freeze_encoder=True)
+    def test_calibration_fine_tunes_encoder_and_classifier(self, tiny_bank, pretrained):
         cal = T.calibrate(pretrained, self.labeled(tiny_bank), tiny_bank.montage,
-                          frozen_cfg)
-        for name in pretrained.encoder_names():
-            assert np.array_equal(cal.params.params[name].data,
-                                  pretrained.params[name].data)
+                          TINY_TRAIN)
+        for name in pretrained.encoder_names() + pretrained.classifier_names():
+            assert not np.array_equal(cal.params.params[name].data,
+                                      pretrained.params[name].data), name
 
     def test_early_stopping_returns_best_not_last(self, tiny_bank, pretrained,
                                                   monkeypatch):
@@ -204,33 +201,36 @@ class TestCalibrate:
         # returned parameters are the epoch-2 snapshot
         assert np.array_equal(cal.params.params["clf.fc3.b"].data, seen[1])
 
-    @pytest.mark.parametrize("with_mask", [False, True])
-    def test_calibrate_with_mask_applies_to_fit_steps_only(self, tiny_bank, pretrained,
-                                                           monkeypatch, with_mask):
+    def test_calibrate_encodes_unmasked_with_dropout_in_fit_steps_only(
+            self, tiny_bank, pretrained, monkeypatch):
         calls = []
-        encode = M.encode
+        phase = ["fit"]
+        encode, evaluate = M.encode, T.evaluate_accuracy
 
-        def spy(de, pos, dta, train=False, rng=None, mask_diagonal=None, **kw):
-            effective = train if mask_diagonal is None else mask_diagonal
-            calls.append((train, effective))
-            return encode(de, pos, dta, train=train, rng=rng,
-                          mask_diagonal=mask_diagonal, **kw)
+        def spy(de, pos, dta, mask_diagonal=False, rng=None, **kw):
+            calls.append((phase[0], mask_diagonal, rng is not None))
+            return encode(de, pos, dta, mask_diagonal=mask_diagonal, rng=rng, **kw)
+
+        def validate(*args, **kwargs):
+            phase[0] = "val"
+            try:
+                return evaluate(*args, **kwargs)
+            finally:
+                phase[0] = "fit"
 
         monkeypatch.setattr(M, "encode", spy)
+        monkeypatch.setattr(T, "evaluate_accuracy", validate)
         short = StageConfig(batch_size=16, epochs=2, lr=1e-3)
         tconf = dataclasses.replace(TINY_TRAIN, calibrate=short, patience=2)
-        if with_mask:  # otherwise the flag keeps its default
-            tconf = dataclasses.replace(tconf, calibrate_with_mask=True)
         cal = T.calibrate(pretrained, self.labeled(tiny_bank), tiny_bank.montage, tconf)
-        fit = [mask for train, mask in calls if train]
-        evals = [mask for train, mask in calls if not train]
-        assert fit and evals  # fit steps and per-epoch validation both ran
-        assert all(mask is with_mask for mask in fit)
-        assert not any(evals)
+        # fit steps draw dropout, validation does not; nothing is masked
+        assert {c for c in calls if c[0] == "fit"} == {("fit", False, True)}
+        assert {c for c in calls if c[0] == "val"} == {("val", False, False)}
         calls.clear()
+        phase[0] = "predict"
         feats = np.stack([s.de for s in self.labeled(tiny_bank)])
         T.predict_batch(cal.params, feats, tiny_bank.montage)
-        assert calls and calls == [(False, False)] * len(calls)
+        assert calls and calls == [("predict", False, False)] * len(calls)
 
 
 class TestPredict:
