@@ -4,9 +4,12 @@ A small define-by-run tape: every operation returns a :class:`Tensor` that
 remembers its parents and how to push gradients back to them.  The op set is
 exactly what the model and losses call (elementwise add/mul/power, ELU,
 softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum/mean,
-fused dot-product attention with an optional diagonal mask, logsumexp and
-layer norm), plus the last-axis softmax that attention is tested against and
-a finite-difference :func:`grad_check` used throughout the test suite.
+logsumexp and four fused ops: ``linear`` (x @ w + b), ``ffn`` (linear, ELU,
+dropout, linear), dot-product ``attention`` with an optional diagonal mask
+and ``layer_norm`` with an optional residual), plus the last-axis softmax
+that attention is tested against and a finite-difference :func:`grad_check`
+used throughout the test suite.  A fused op is one tape node that keeps only
+what its hand-written backward reads.
 
 Gradients are exact, not approximated; the engine runs in float64 for checks
 and float32 for training.  A backward sweep consumes its graph (memory is
@@ -110,7 +113,8 @@ class Tensor:
         return self.data.dtype
 
     def _accumulate(self, grad, own=False):
-        """Add `grad` in; `own=True` hands over a fresh array (no copy)."""
+        """Add `grad` in; `own=True` hands over an array nothing else holds
+        (no copy)."""
         if self.grad is None:
             self.grad = grad if own else np.array(grad)
         else:
@@ -141,6 +145,10 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         self._accumulate(np.asarray(grad))
+        # backward rules consume or hand on the gradient of their node; the
+        # sweep runs on a copy so the root keeps its own
+        seeded = self.grad
+        self.grad = seeded.copy()
         while topo:
             node = topo.pop()
             if node._backward is not None:
@@ -149,6 +157,7 @@ class Tensor:
             node._parents = ()
             if node._op != "leaf" and node is not self:
                 node.grad = None
+        self.grad = seeded
 
     # -- operator sugar --------------------------------------------------
     def __add__(self, other):
@@ -211,6 +220,19 @@ def _tracked(out):
     return bool(out._parents)
 
 
+def _share(grad, parents):
+    """Accumulate a node's dead gradient into each parent, summed down to the
+    parent's shape: the first parent that takes `grad` whole owns it, any
+    later one gets a copy."""
+    owned = False
+    for p in parents:
+        if p.requires_grad:
+            g = _unbroadcast(grad, p.data.shape)
+            whole = g is grad
+            p._accumulate(g, own=not (whole and owned))
+            owned = owned or whole
+
+
 # -- elementwise ---------------------------------------------------------
 # Python scalars stay scalars (numpy weak promotion) so float32 graphs are
 # not silently upcast to float64 by 0-d constant arrays.
@@ -221,7 +243,7 @@ def add(a, b):
         out = _make(a.data + b, (a,), "add")
         if _tracked(out):
             def _bw():
-                a._accumulate(out.grad)
+                a._accumulate(out.grad, own=True)
             out._backward = _bw
         return out
     if isinstance(a, (int, float)):
@@ -230,10 +252,7 @@ def add(a, b):
     out = _make(a.data + b.data, (a, b), "add")
     if _tracked(out):
         def _bw():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad, b.data.shape))
+            _share(out.grad, (a, b))
         out._backward = _bw
     return out
 
@@ -271,20 +290,31 @@ def power(a, exponent):
     return out
 
 
+def _elu(x, out=None):
+    """ELU with alpha 1, max(x, 0) + expm1(min(x, 0)); `out=x` works in place."""
+    neg = np.expm1(np.minimum(x, 0.0))
+    out = np.maximum(x, 0.0, out=out)
+    out += neg
+    return out
+
+
+def _elu_slope(e):
+    """ELU's derivative from its output e: 1 where e > 0, exp(x) = e + 1
+    otherwise, i.e. min(e, 0) + 1."""
+    slope = np.minimum(e, 0.0)
+    slope += 1.0
+    return slope
+
+
 def elu(a):
     """ELU with alpha 1: x for x > 0, exp(x) - 1 otherwise."""
     a = _wrap(a)
-    neg = np.expm1(np.minimum(a.data, 0.0))
-    val = np.maximum(a.data, 0.0)
-    val += neg
-    out = _make(val, (a,), "elu")
+    out = _make(_elu(a.data), (a,), "elu")
     if _tracked(out):
         def _bw():
-            # d/dx is 1 for x > 0 (where neg is 0) and exp(x) = neg + 1 otherwise;
-            # neg is dead after this closure, so it holds the gradient
-            np.add(neg, 1.0, out=neg)
-            np.multiply(neg, out.grad, out=neg)
-            a._accumulate(neg, own=True)
+            g = out.grad  # dead after this closure; safe to consume in place
+            g *= _elu_slope(out.data)
+            a._accumulate(g, own=True)
         out._backward = _bw
     return out
 
@@ -316,7 +346,7 @@ def reshape(a, *shape):
     out = _make(a.data.reshape(shape), (a,), "reshape")
     if _tracked(out):
         def _bw():
-            a._accumulate(out.grad.reshape(a.data.shape))
+            a._accumulate(out.grad.reshape(a.data.shape), own=True)
         out._backward = _bw
     return out
 
@@ -326,7 +356,7 @@ def swapaxes(a, ax1, ax2):
     out = _make(np.swapaxes(a.data, ax1, ax2), (a,), "swapaxes")
     if _tracked(out):
         def _bw():
-            a._accumulate(np.swapaxes(out.grad, ax1, ax2))
+            a._accumulate(np.swapaxes(out.grad, ax1, ax2), own=True)
         out._backward = _bw
     return out
 
@@ -360,6 +390,83 @@ def matmul(a, b):
             if b.requires_grad:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
                 b._accumulate(_unbroadcast(gb, b.data.shape), own=True)
+        out._backward = _bw
+    return out
+
+
+def _gemm(x2, w, b, lead):
+    """x2 @ w (+ b) for 2-D x2, written into a new (*lead, d_out) array that
+    owns its memory (a reshaped view would hide the allocation from memory
+    accounting that skips views)."""
+    y = np.empty((*lead, w.shape[-1]), dtype=np.result_type(x2, w))
+    y2 = y.reshape(x2.shape[0], w.shape[-1])
+    np.matmul(x2, w, out=y2)
+    if b is not None:
+        y2 += b
+    return y
+
+
+def _weight_grads(g2, x2, w, b):
+    """Weight and bias gradients of x2 @ w (+ b) from the 2-D output gradient."""
+    if w.requires_grad:
+        w._accumulate(np.matmul(x2.T, g2), own=True)
+    if b is not None and b.requires_grad:
+        b._accumulate(g2.sum(axis=0), own=True)
+
+
+def linear(x, w, b=None):
+    """x @ w (+ b) over the last axis as one node.
+
+    `w` is (d_in, d_out) and `b` (d_out,); the leading axes of `x` collapse
+    into one GEMM.
+    """
+    x, w = _wrap(x), _wrap(w)
+    b = None if b is None else _wrap(b)
+    *lead, d = x.shape
+    x2 = x.data.reshape(-1, d)
+    out = _make(_gemm(x2, w.data, None if b is None else b.data, lead),
+                (x, w) if b is None else (x, w, b), "linear")
+    if _tracked(out):
+        def _bw():
+            g2 = out.grad.reshape(x2.shape[0], -1)
+            _weight_grads(g2, x2, w, b)
+            if x.requires_grad:
+                x._accumulate(np.matmul(g2, w.data.T).reshape(x.data.shape), own=True)
+        out._backward = _bw
+    return out
+
+
+def ffn(x, w1, b1, w2, b2, rate, rng):
+    """linear(dropout(elu(linear(x, w1, b1)), rate, rng), w2, b2) as one node.
+
+    The backward keeps only the ELU output e and a boolean keep mask: the
+    ELU derivative is min(e, 0) + 1 and the dropout output is rebuilt from
+    the two.  Dropout draws exactly as :func:`dropout` does and fires only
+    when an `rng` is given and `rate` > 0.
+    """
+    x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
+    *lead, d = x.shape
+    x2 = x.data.reshape(-1, d)
+    e = np.matmul(x2, w1.data)
+    e += b1.data
+    _elu(e, out=e)
+    keep = None
+    if rng is not None and rate != 0.0:
+        keep = _keep_mask((*lead, e.shape[-1]), e.dtype, rate, rng).reshape(e.shape)
+    h = e if keep is None else e * _keep_scale(keep, rate, e.dtype)
+    out = _make(_gemm(h, w2.data, b2.data, lead), (x, w1, b1, w2, b2), "ffn")
+    if _tracked(out):
+        def _bw():
+            g2 = out.grad.reshape(x2.shape[0], -1)
+            scale = None if keep is None else _keep_scale(keep, rate, e.dtype)
+            _weight_grads(g2, e if scale is None else e * scale, w2, b2)
+            gh = np.matmul(g2, w2.data.T)
+            if scale is not None:
+                gh *= scale
+            gh *= _elu_slope(e)
+            _weight_grads(gh, x2, w1, b1)
+            if x.requires_grad:
+                x._accumulate(np.matmul(gh, w1.data.T).reshape(x.data.shape), own=True)
         out._backward = _bw
     return out
 
@@ -485,16 +592,21 @@ def _row_mean(x, avg):
     return np.matmul(x.reshape(-1, x.shape[-1]), avg).reshape(*x.shape[:-1], 1)
 
 
-def layer_norm(a, gamma, beta, eps=1e-5):
-    """Normalize over the last axis, then scale and shift.
+def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
+    """Normalize `a` (plus `residual`, when given) over the last axis, then
+    scale and shift.
 
-    A constant vector normalizes to zeros (the eps floor keeps the
-    reciprocal finite), so the output is just `beta`.
+    The sum `residual + a` is formed in the node's working buffer and both
+    addends get its gradient (summed down to a batchless addend's shape).  A
+    constant vector normalizes to zeros (the eps floor keeps the reciprocal
+    finite), so the output is just `beta`.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
+    inputs = (a,) if residual is None else (_wrap(residual), a)
     d = a.shape[-1]
     avg = np.full((d, 1), 1.0 / d, dtype=a.dtype)
-    xhat = a.data - _row_mean(a.data, avg)
+    xhat = a.data.copy() if residual is None else inputs[0].data + a.data
+    xhat -= _row_mean(xhat, avg)
     inv = _row_mean(xhat * xhat, avg)
     inv += eps
     np.sqrt(inv, out=inv)
@@ -502,7 +614,7 @@ def layer_norm(a, gamma, beta, eps=1e-5):
     xhat *= inv
     val = xhat * gamma.data
     val += beta.data
-    out = _make(val, (a, gamma, beta), "layer_norm")
+    out = _make(val, (*inputs, gamma, beta), "layer_norm")
     if _tracked(out):
         def _bw():
             g = out.grad
@@ -510,7 +622,7 @@ def layer_norm(a, gamma, beta, eps=1e-5):
                 gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape), own=True)
             if beta.requires_grad:
                 beta._accumulate(_unbroadcast(g, beta.data.shape))
-            if a.requires_grad:
+            if any(t.requires_grad for t in inputs):
                 dxhat = g * gamma.data
                 m1 = _row_mean(dxhat, avg)
                 t = dxhat * xhat
@@ -519,9 +631,24 @@ def layer_norm(a, gamma, beta, eps=1e-5):
                 dxhat -= m1
                 dxhat -= t
                 dxhat *= inv
-                a._accumulate(dxhat, own=True)
+                _share(dxhat, inputs)
         out._backward = _bw
     return out
+
+
+def _keep_mask(shape, dtype, rate, rng):
+    """The boolean keep mask of inverted dropout: one uniform draw from `rng`."""
+    if not 0.0 <= rate < 1.0:
+        raise AutodiffError(f"dropout rate {rate} outside [0, 1)")
+    draw_dtype = dtype if dtype in (np.float32, np.float64) else np.float64
+    return rng.random(shape, dtype=draw_dtype) >= rate
+
+
+def _keep_scale(keep, rate, dtype):
+    """keep / (1 - rate) in `dtype`: what inverted dropout multiplies by."""
+    scale = keep.astype(dtype)
+    scale /= (1.0 - rate)
+    return scale
 
 
 def dropout(a, rate, rng):
@@ -529,12 +656,15 @@ def dropout(a, rate, rng):
     a = _wrap(a)
     if rate == 0.0:
         return a
-    if not 0.0 <= rate < 1.0:
-        raise AutodiffError(f"dropout rate {rate} outside [0, 1)")
-    draw_dtype = a.data.dtype if a.data.dtype in (np.float32, np.float64) else np.float64
-    keep = (rng.random(a.data.shape, dtype=draw_dtype) >= rate).astype(a.data.dtype)
-    keep /= (1.0 - rate)
-    return mul(a, Tensor(keep))
+    scale = _keep_scale(_keep_mask(a.data.shape, a.data.dtype, rate, rng), rate, a.data.dtype)
+    out = _make(a.data * scale, (a,), "dropout")
+    if _tracked(out):
+        def _bw():
+            g = out.grad  # dead after this closure; safe to consume in place
+            g *= scale
+            a._accumulate(g, own=True)
+        out._backward = _bw
+    return out
 
 
 # -- parameters -----------------------------------------------------------

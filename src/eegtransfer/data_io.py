@@ -8,8 +8,11 @@ float64 sampling rate, then channels x samples float32).  Payloads are raw
 little-endian floats so round-trips are bit-exact.
 
 Banks are immutable after load: concurrent readers are safe, one writer per
-directory.  Converters for licensed recordings are out of scope; this format
-is the integration point (see README).
+directory.  Writers stage every file under a temporary name next to its
+target and move it into place with ``os.replace`` only once all files are
+written (a bank's manifest last), so a write that fails part-way leaves the
+earlier bank or checkpoint as it was.  Converters for licensed recordings
+are out of scope; this format is the integration point (see README).
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,51 +148,74 @@ def bank_equal(a: SampleBank, b: SampleBank) -> bool:
     return True
 
 
+@contextmanager
+def _staged_writes():
+    """Yield `stage(path)`, which returns a temporary path next to `path` to
+    write instead.  On a clean exit every staged file replaces its target,
+    in staging order; on an exception the temporary files are removed and
+    the targets are left untouched."""
+    staged = []
+
+    def stage(path):
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        staged.append((tmp, path))
+        return tmp
+
+    try:
+        yield stage
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
 def write_bank(bank: SampleBank, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_montage(bank.montage, directory / MONTAGE_NAME)
-
-    payload = bytearray(MAGIC_FEATURES)
-    index = []
-    for s in bank.samples:
-        index.append([s.subject_id, s.session_id, s.trial_id, s.window_index, s.label])
-        payload += np.ascontiguousarray(s.de, dtype="<f4").tobytes()
-    (directory / FEATURES_NAME).write_bytes(bytes(payload))
-
-    raw_records = []
     if bank.raw_trials:
-        raw_dir = directory / "raw"
-        raw_dir.mkdir(exist_ok=True)
+        (directory / "raw").mkdir(exist_ok=True)
+    with _staged_writes() as stage:
+        save_montage(bank.montage, stage(directory / MONTAGE_NAME))
+
+        payload = bytearray(MAGIC_FEATURES)
+        index = []
+        for s in bank.samples:
+            index.append([s.subject_id, s.session_id, s.trial_id, s.window_index, s.label])
+            payload += np.ascontiguousarray(s.de, dtype="<f4").tobytes()
+        stage(directory / FEATURES_NAME).write_bytes(bytes(payload))
+
+        raw_records = []
         for i, t in enumerate(bank.raw_trials):
             fname = f"raw/t{i}.bin"
             blob = bytearray(MAGIC_RAW)
             blob += struct.pack("<d", t.fs)
             blob += np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-            (directory / fname).write_bytes(bytes(blob))
+            stage(directory / fname).write_bytes(bytes(blob))
             raw_records.append({
                 "subject": t.subject_id, "session": t.session_id,
                 "trial": t.trial_id, "label": t.label, "fs": t.fs,
                 "channels": t.n_channels, "samples": t.n_samples, "file": fname,
             })
 
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "dataset": bank.dataset,
-        "classes": list(bank.classes),
-        "bands": list(bank.bands),
-        "montage_file": MONTAGE_NAME,
-        "counts": {
-            "n_samples": len(bank.samples),
-            "n_channels": len(bank.montage),
-            "n_bands": len(bank.bands),
-            "n_raw_trials": len(bank.raw_trials),
-        },
-        "samples": index,
-        "raw_trials": raw_records,
-    }
-    (directory / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=1), encoding="utf-8")
+        manifest = {
+            "format_version": FORMAT_VERSION,
+            "dataset": bank.dataset,
+            "classes": list(bank.classes),
+            "bands": list(bank.bands),
+            "montage_file": MONTAGE_NAME,
+            "counts": {
+                "n_samples": len(bank.samples),
+                "n_channels": len(bank.montage),
+                "n_bands": len(bank.bands),
+                "n_raw_trials": len(bank.raw_trials),
+            },
+            "samples": index,
+            "raw_trials": raw_records,
+        }
+        stage(directory / MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=1), encoding="utf-8")
 
 
 def _manifest_get(manifest, key, where, kind=object):
@@ -329,7 +357,8 @@ def save_checkpoint(dta: DtaParameters, path, optimizer=None) -> None:
     out += struct.pack("<I", len(header))
     out += header
     out += blob
-    Path(path).write_bytes(bytes(out))
+    with _staged_writes() as stage:
+        stage(path).write_bytes(bytes(out))
 
 
 def _header_get(header, key, path):

@@ -156,17 +156,8 @@ def reinit_classifier(dta: DtaParameters, seed) -> None:
 
 # -- building blocks ---------------------------------------------------------
 
-def _dense(x, w):
-    """x @ w for a 2-D weight, collapsing leading axes into one GEMM."""
-    if x.ndim == 2:
-        return ad.matmul(x, w)
-    *lead, d = x.shape
-    flat = ad.reshape(x, (-1, d))
-    return ad.reshape(ad.matmul(flat, w), (*lead, int(w.shape[-1])))
-
-
 def _affine(x, params, name):
-    return _dense(x, params[f"{name}.w"]) + params[f"{name}.b"]
+    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _mlp_embed(x, params, name):
@@ -244,12 +235,13 @@ def encoder_layer(q, k_heads, v_heads, dta: DtaParameters, layer: int,
     Feed-forward dropout fires when an `rng` is given."""
     params = dta.params
     h, attn = masked_attention(q, k_heads, v_heads, dta, layer, mask_diagonal)
-    x = ad.layer_norm(q + h, params[f"enc{layer}.ln1.g"], params[f"enc{layer}.ln1.b"], LN_EPS)
-    inner = ad.elu(_affine(x, params, f"enc{layer}.ffn.f1"))
-    if rng is not None:
-        inner = ad.dropout(inner, dta.config.dropout, rng)
-    ffn = _affine(inner, params, f"enc{layer}.ffn.f2")
-    out = ad.layer_norm(x + ffn, params[f"enc{layer}.ln2.g"], params[f"enc{layer}.ln2.b"], LN_EPS)
+    x = ad.layer_norm(h, params[f"enc{layer}.ln1.g"], params[f"enc{layer}.ln1.b"], LN_EPS,
+                      residual=q)
+    ffn = ad.ffn(x, params[f"enc{layer}.ffn.f1.w"], params[f"enc{layer}.ffn.f1.b"],
+                 params[f"enc{layer}.ffn.f2.w"], params[f"enc{layer}.ffn.f2.b"],
+                 dta.config.dropout, rng)
+    out = ad.layer_norm(ffn, params[f"enc{layer}.ln2.g"], params[f"enc{layer}.ln2.b"], LN_EPS,
+                        residual=x)
     return out, attn
 
 
@@ -273,7 +265,7 @@ def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None,
     p_emb = embed_positions(pos_data, dta)
     s_emb = embed_source(x, dta)
     q, kv = init_inputs(p_emb, dta.params["pos_table"], s_emb)
-    k_heads = _to_heads(_dense(kv, dta.params["kv.k.w"]), cfg.n_heads)
+    k_heads = _to_heads(ad.linear(kv, dta.params["kv.k.w"]), cfg.n_heads)
     v_heads = _to_heads(_affine(kv, dta.params, "kv.v"), cfg.n_heads)
 
     attn_maps = [] if capture_attention else None
@@ -316,13 +308,13 @@ def project(q_final, dta: DtaParameters, train=False, rng=None) -> Tensor:
     params = dta.params
     state = dta.bn_state  # only _bn_train writes to it
     x = _flatten(q_final)
-    x = _dense(x, params["proj.fc1.w"])
+    x = ad.linear(x, params["proj.fc1.w"])
     bn = _bn_train if train else _bn_eval
     x = bn(x, params["proj.bn1.g"], params["proj.bn1.b"], state, "proj.bn1")
     x = ad.elu(x)
     if rng is not None:
         x = ad.dropout(x, dta.config.dropout, rng)
-    x = _dense(x, params["proj.fc2.w"])
+    x = ad.linear(x, params["proj.fc2.w"])
     x = bn(x, params["proj.bn2.g"], params["proj.bn2.b"], state, "proj.bn2")
     x = ad.elu(x)
     if rng is not None:

@@ -241,6 +241,206 @@ def test_dropout_semantics():
     assert np.array_equal(a, b)
 
 
+# -- fused ops against the composed chains they replace ----------------------
+
+def reference_linear(x, w, b=None):
+    """reshape -> matmul -> reshape (-> add): the affine chain `linear` replaces."""
+    if x.ndim == 2:
+        y = ad.matmul(x, w)
+    else:
+        *lead, d = x.shape
+        y = ad.reshape(ad.matmul(ad.reshape(x, (-1, d)), w), (*lead, w.shape[-1]))
+    return y if b is None else y + b
+
+
+def reference_dropout(a, rate, rng):
+    """Dropout as a product with a constant mask tensor (two tape nodes)."""
+    keep = (rng.random(a.shape, dtype=a.dtype) >= rate).astype(a.dtype)
+    keep /= (1.0 - rate)
+    return ad.mul(a, ad.Tensor(keep))
+
+
+def reference_ffn(x, w1, b1, w2, b2, rate, rng):
+    h = ad.elu(reference_linear(x, w1, b1))
+    if rng is not None and rate > 0:
+        h = reference_dropout(h, rate, rng)
+    return reference_linear(h, w2, b2)
+
+
+def run_bitwise(fn, arrays, dout):
+    """Output bytes and the gradient bytes of every input, fed `dout`."""
+    ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*ts)
+    out.backward(dout)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+
+def assert_bitwise(fused, reference, arrays, rng):
+    out_shape = fused(*[ad.Tensor(a) for a in arrays]).shape
+    dout = rng.normal(size=out_shape).astype(arrays[0].dtype)
+    got = run_bitwise(fused, arrays, dout)
+    want = run_bitwise(reference, arrays, dout)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"{'output' if i == 0 else f'gradient of input {i - 1}'} differs"
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)], ids=["2d", "3d"])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_gradient(x_shape, bias):
+    rng = np.random.default_rng(16)
+    ps = ad.ParameterSet()
+    ps.add("x", rng.normal(size=x_shape))
+    ps.add("w", rng.normal(size=(4, 3)))
+    if bias:
+        ps.add("b", rng.normal(size=3))
+    c = rng.normal(size=(*x_shape[:-1], 3))
+    b = ps["b"] if bias else None
+    fd_check(lambda: ad.tsum(ad.linear(ps["x"], ps["w"], b) * ad.Tensor(c)), ps)
+    out = ad.linear(ps["x"], ps["w"], b)
+    assert out.shape == (*x_shape[:-1], 3) and out._op == "linear"
+    assert set(map(id, out._parents)) == {id(ps[n]) for n in ps.names()}
+
+
+@pytest.mark.parametrize("x_shape", [(62, 32), (6, 62, 32)], ids=["2d", "3d"])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_float32_bitwise_equal_to_chain(x_shape, bias):
+    rng = np.random.default_rng(17)
+    arrays = [rng.normal(size=x_shape).astype(np.float32),
+              rng.normal(size=(32, 24)).astype(np.float32)]
+    if bias:
+        arrays.append(rng.normal(size=24).astype(np.float32))
+    assert_bitwise(ad.linear, reference_linear, arrays, rng)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_ffn_gradient(rate):
+    rng = np.random.default_rng(18)
+    ps = ad.ParameterSet()
+    ps.add("x", rng.normal(size=(2, 5, 4)))
+    ps.add("w1", rng.normal(size=(4, 6)))
+    ps.add("b1", rng.normal(size=6))
+    ps.add("w2", rng.normal(size=(6, 4)))
+    ps.add("b2", rng.normal(size=4))
+    c = rng.normal(size=(2, 5, 4))
+
+    def fn():  # the same mask on every call: the rng is re-seeded
+        out = ad.ffn(ps["x"], ps["w1"], ps["b1"], ps["w2"], ps["b2"], rate,
+                     np.random.default_rng(3))
+        return ad.tsum(out * ad.Tensor(c))
+    fd_check(fn, ps)
+    out = ad.ffn(ps["x"], ps["w1"], ps["b1"], ps["w2"], ps["b2"], rate, np.random.default_rng(3))
+    assert out._op == "ffn" and len(out._parents) == 5
+
+
+@pytest.mark.parametrize("rate,seeded", [(0.0, False), (0.0, True), (0.25, True)],
+                         ids=["no_rng", "rate0", "dropout"])
+def test_ffn_float32_bitwise_equal_to_chain(rate, seeded):
+    rng = np.random.default_rng(19)
+    arrays = [rng.normal(size=(6, 62, 32)).astype(np.float32),
+              rng.normal(size=(32, 64)).astype(np.float32),
+               rng.normal(size=64).astype(np.float32),
+               rng.normal(size=(64, 32)).astype(np.float32),
+               rng.normal(size=32).astype(np.float32)]
+    arrays[0][0, 0, :] = -1e6  # ELU saturates at -1 and its derivative at 0
+    draws = {}
+
+    def with_rng(op):
+        def run(*ts):
+            r = np.random.default_rng(5) if seeded else None
+            out = op(*ts, rate, r)
+            draws[op] = None if r is None else r.random()  # rng state after the op
+            return out
+        return run
+    assert_bitwise(with_rng(ad.ffn), with_rng(reference_ffn), arrays, rng)
+    assert draws[ad.ffn] == draws[reference_ffn]
+
+
+@pytest.mark.parametrize("a_shape,r_shape", [((2, 5, 6), (2, 5, 6)),
+                                             ((5, 6), (2, 5, 6)),
+                                             ((2, 5, 6), (5, 6))],
+                         ids=["batched", "batchless_a", "batchless_residual"])
+def test_layer_norm_residual_gradient(a_shape, r_shape):
+    rng = np.random.default_rng(20)
+    ps = ad.ParameterSet()
+    ps.add("a", rng.normal(size=a_shape))
+    ps.add("r", rng.normal(size=r_shape))
+    ps.add("g", rng.uniform(0.5, 1.5, size=6))
+    ps.add("b", rng.normal(size=6))
+    w = rng.normal(size=(2, 5, 6))
+    fd_check(lambda: ad.tsum(ad.layer_norm(ps["a"], ps["g"], ps["b"], residual=ps["r"])
+                             * ad.Tensor(w)), ps)
+    out = ad.layer_norm(ps["a"], ps["g"], ps["b"], residual=ps["r"])
+    assert out.shape == (2, 5, 6) and len(out._parents) == 4
+
+
+@pytest.mark.parametrize("r_shape", [(6, 62, 32), (62, 32)], ids=["batched", "batchless"])
+def test_layer_norm_residual_float32_bitwise_equal_to_sum(r_shape):
+    rng = np.random.default_rng(21)
+    arrays = [rng.normal(size=(6, 62, 32)).astype(np.float32),
+              rng.normal(size=r_shape).astype(np.float32),
+              rng.uniform(0.5, 1.5, size=32).astype(np.float32),
+              rng.normal(size=32).astype(np.float32)]
+    assert_bitwise(lambda a, r, g, b: ad.layer_norm(a, g, b, residual=r),
+                   lambda a, r, g, b: ad.layer_norm(r + a, g, b), arrays, rng)
+
+
+def test_dropout_is_one_node_bitwise_equal_to_mask_product():
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(8, 128)).astype(np.float32)
+    out = ad.dropout(ad.Tensor(x, requires_grad=True), 0.1, np.random.default_rng(4))
+    assert out._op == "dropout" and len(out._parents) == 1
+    draws = {}
+
+    def with_rng(op):
+        def run(t):
+            r = np.random.default_rng(4)
+            out = op(t, 0.1, r)
+            draws[op] = r.random()
+            return out
+        return run
+    assert_bitwise(with_rng(ad.dropout), with_rng(reference_dropout), [x], rng)
+    assert draws[ad.dropout] == draws[reference_dropout]
+
+
+# -- gradient hand-over -------------------------------------------------------
+
+@pytest.mark.parametrize("root", ["reshape", "swapaxes", "add_scalar", "add", "dropout",
+                                  "softmax"])
+def test_backward_leaves_root_grad_unchanged(root):
+    rng = np.random.default_rng(23)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    y = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out = {"reshape": lambda: ad.reshape(x, (4, 3)),
+           "swapaxes": lambda: ad.swapaxes(x, 0, 1),
+           "add_scalar": lambda: x + 2.0,
+           "add": lambda: x + y,
+           "dropout": lambda: ad.dropout(x, 0.5, np.random.default_rng(0)),
+           "softmax": lambda: ad.softmax(x)}[root]()
+    seed = rng.normal(size=out.shape)
+    out.backward(seed)
+    assert np.array_equal(out.grad, seed)
+    assert not np.shares_memory(out.grad, x.grad)
+    if root == "add":
+        assert not np.shares_memory(x.grad, y.grad)
+        assert np.array_equal(x.grad, seed) and np.array_equal(y.grad, seed)
+
+
+def test_self_add_and_reshape_add_gradients():
+    x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    ad.tsum((x + x) * ad.Tensor(np.full((2, 3), 3.0))).backward()
+    assert np.array_equal(x.grad, np.full((2, 3), 6.0))
+
+    x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    w = np.arange(6.0).reshape(2, 3) + 1.0
+    ad.tsum((ad.reshape(ad.reshape(x, (3, 2)), (2, 3)) + x) * ad.Tensor(w)).backward()
+    assert np.array_equal(x.grad, 2.0 * w)
+
+    x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    ad.tsum(ad.swapaxes(x, 0, 1) + ad.swapaxes(x, 0, 1)).backward()
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+
 def test_broadcast_add_mul_gradients():
     rng = np.random.default_rng(10)
     ps = ad.ParameterSet()

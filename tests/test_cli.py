@@ -9,18 +9,24 @@ import pytest
 
 from eegtransfer import cli
 from eegtransfer.config import ConfigError, RunConfig, load_run_config, run_config_from_dict
+from eegtransfer.data_io import apply_split, get_protocol, read_bank
 
+# Small enough for tier-1, big enough to learn: the default init scale, a
+# calibration lr and epoch budget that move the zero-initialised output layer,
+# and 6 trials per subject so ratio80 tests on trials 4 and 5 (labels 0 and 1)
 TINY_CONFIG = {
     "seed": 11,
     "model": {"n_layers": 1, "d_model": 8, "n_heads": 2, "ffn_hidden": 16,
               "n_channels": 8, "n_bands": 5, "proj_dims": [16, 16, 16],
-              "clf_hidden": [8, 8], "n_classes": 2, "init_scale": 0.05},
+              "clf_hidden": [8, 8], "n_classes": 2},
     "train": {"pretrain": {"batch_size": 16, "epochs": 2, "lr": 1e-3},
-              "calibrate": {"batch_size": 16, "epochs": 8, "lr": 1e-3},
-              "patience": 4, "k_per_class": 4},
+              "calibrate": {"batch_size": 16, "epochs": 20, "lr": 1e-2},
+              "patience": 10, "k_per_class": 4},
     "synth": {"n_subjects": 2, "n_classes": 2, "n_channels": 8,
-              "trials_per_subject": 4, "samples_per_trial": 8},
+              "trials_per_subject": 6, "samples_per_trial": 8},
 }
+TRIALS = TINY_CONFIG["synth"]["trials_per_subject"]
+WINDOWS = TINY_CONFIG["synth"]["samples_per_trial"]
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +109,7 @@ class TestPipeline:
         assert code == 0
         stdout = capsys.readouterr().out
         lines = stdout.strip().splitlines()
-        assert len(lines) == 4 * 8  # subject 1: 4 trials x 8 windows
+        assert len(lines) == TRIALS * WINDOWS  # every window of subject 1
         for line in lines:
             parts = line.split(",")
             assert len(parts) == 1 + 2  # label + one probability per class
@@ -122,9 +128,17 @@ class TestPipeline:
         assert text.splitlines()[1] == "subject,accuracy"
         report = json.loads((out / "report.json").read_text())
         assert set(report["per_subject"]) == {"0", "1"}
+        # the tiny run learns: LOSOCV accuracy beats chance on 2 classes
+        assert np.mean(list(report["per_subject"].values())) > 0.5
 
     def test_evaluate_subject_dependent_names_protocol(self, config_path, bank_dir,
                                                        tmp_path):
+        # every subject's ratio80 test split holds both classes
+        bank = read_bank(bank_dir)
+        for subject in bank.subjects():
+            target = bank.filter(lambda s: s.subject_id == subject)
+            test = apply_split(target, get_protocol("ratio80"))[1]
+            assert {s.label for s in test.samples} == {0, 1}
         out = tmp_path / "sd"
         assert cli.main(["evaluate", "--config", config_path, "--bank", bank_dir,
                          "--mode", "subject-dependent", "--out", str(out)]) == 0

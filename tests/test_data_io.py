@@ -1,6 +1,8 @@
 """Bank/checkpoint persistence, split protocols, synthetic generation."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +187,51 @@ def test_non_integer_raw_trial_field_raises(tmp_path, key):
         io.read_bank(tmp_path / "raw")
 
 
+def fail_nth_write(monkeypatch, n):
+    """Make the n-th file write (from 0) write half its content, then raise."""
+    count = [0]
+
+    def hook(real):
+        def write(self, data, *args, **kwargs):
+            k, count[0] = count[0], count[0] + 1
+            if k == n:
+                real(self, data[:len(data) // 2], *args, **kwargs)
+                raise OSError("injected: disk full")
+            return real(self, data, *args, **kwargs)
+        return write
+    monkeypatch.setattr(Path, "write_bytes", hook(Path.write_bytes))
+    monkeypatch.setattr(Path, "write_text", hook(Path.write_text))
+
+
+def file_tree(directory):
+    """Relative path -> bytes of every file under `directory`."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in Path(directory).rglob("*") if p.is_file()}
+
+
+RAW_SPEC = SynthSpec(n_subjects=1, n_classes=2, n_channels=4, trials_per_subject=2,
+                     samples_per_trial=3, seed=5, mode="timeseries")
+
+
+# a timeseries bank writes montage, features, two raw trials, then the manifest
+@pytest.mark.parametrize("fail_at", range(5))
+def test_failed_bank_write_leaves_earlier_bank(tmp_path, monkeypatch, fail_at):
+    directory = tmp_path / "bank"
+    earlier = io.gen_synthetic(RAW_SPEC)
+    io.write_bank(earlier, directory)
+    before = file_tree(directory)
+    newer = io.gen_synthetic(dataclasses.replace(RAW_SPEC, seed=6))
+    with monkeypatch.context() as mp:
+        fail_nth_write(mp, fail_at)
+        with pytest.raises(OSError, match="injected"):
+            io.write_bank(newer, directory)
+    assert file_tree(directory) == before  # bit for bit, and no temp file left
+    assert io.bank_equal(io.read_bank(directory), earlier)
+    io.write_bank(newer, directory)
+    assert set(file_tree(directory)) == set(before)
+    assert io.bank_equal(io.read_bank(directory), newer)
+
+
 def rewrite_header(path, edit):
     """Re-serialise a checkpoint after `edit(header)` changed its header."""
     blob = path.read_bytes()
@@ -212,6 +259,25 @@ class TestCheckpoints:
         a = M.encode(probe, small_bank.montage.positions, dta).q_final.data
         b = M.encode(probe, small_bank.montage.positions, loaded).q_final.data
         assert np.array_equal(a, b)
+
+    def test_failed_save_leaves_earlier_checkpoint(self, tmp_path, monkeypatch):
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path)
+        before = path.read_bytes()
+        newer = M.init_parameters(cfg, seed=4)
+        with monkeypatch.context() as mp:
+            fail_nth_write(mp, 0)
+            with pytest.raises(OSError, match="injected"):
+                io.save_checkpoint(newer, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert path.read_bytes() == before
+        loaded, _ = io.load_checkpoint(path)
+        for name, t in dta.params.items():
+            assert loaded.params[name].data.tobytes() == t.data.tobytes()
+        io.save_checkpoint(newer, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert path.read_bytes() != before
 
     def test_optimizer_state_round_trip(self, tmp_path):
         cfg, dta = self.make_model()

@@ -229,7 +229,7 @@ class TestEncode:
         p_emb = M.embed_positions(pos, zeroed)
         s_emb = M.embed_source(ad.Tensor(de[None]), zeroed)
         q, kv = M.init_inputs(p_emb, zeroed.params["pos_table"], s_emb)
-        kh = M._to_heads(M._dense(kv, zeroed.params["kv.k.w"]), TINY.n_heads)
+        kh = M._to_heads(ad.linear(kv, zeroed.params["kv.k.w"]), TINY.n_heads)
         vh = M._to_heads(M._affine(kv, zeroed.params, "kv.v"), TINY.n_heads)
         h, _ = M.masked_attention(q, kh, vh, zeroed, 0, mask_diagonal=True)
         x = ad.layer_norm(q + h, zeroed.params["enc0.ln1.g"],
