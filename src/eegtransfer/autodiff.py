@@ -14,13 +14,32 @@ what its hand-written backward reads.
 Gradients are exact, not approximated; the engine runs in float64 for checks
 and float32 for training.  A backward sweep consumes its graph (memory is
 released as the sweep proceeds), and :func:`no_grad` disables graph capture
-entirely for inference loops.  Graph construction is single-threaded per
-graph; independent graphs may be evaluated concurrently.
+entirely for inference loops.
+
+A graph is built and swept from one thread.  Inside the fused ops, the
+per-sample work (per batch entry and head in ``attention``, the row-wise
+passes of ``layer_norm``, ``ffn`` and ``linear``'s forward and input-gradient
+GEMMs) is cut into contiguous slices of the batch axis that run at once, one
+per CPU the process may use, when each slice is large enough to pay for the
+hand-off: the calling thread takes the first slice and a thread pool the
+others (numpy releases the GIL in its ufuncs and in matmul).
+When the process may use more than one CPU, OpenBLAS is pinned to one
+thread, since the slices keep the CPUs busy and BLAS threads would only spin
+beside them.  Results do not depend on the CPU count: each slice computes
+its batch entries exactly as the whole-array call does, and every sum across
+rows (weight, bias, gamma and beta gradients, the row means of
+``layer_norm``, the batch sum of a broadcast input's gradient) stays one
+whole-array call in the calling thread.  Dropout masks are drawn before any
+split.  A forked child drops the parent's pool and starts its own on first
+use.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -36,6 +55,101 @@ except (OSError, AttributeError):
 
 _finite_checks = False
 _grad_enabled = True
+
+# workers of the fused ops' row slices, the calling thread included
+_workers = len(os.sched_getaffinity(0))
+_pool = None
+# elements of batched[0] a slice needs: handing a slice to a pool thread
+# costs 0.1-0.2 ms on a 2-vCPU VM, and a calibration step of 48 samples whose
+# 48 x 62 x 64 hidden activations were cut in two ran slower than whole
+_MIN_SLICE_SIZE = 1 << 17
+
+
+def _pin_blas_to_one_thread():
+    """Set numpy's OpenBLAS to one thread; a no-op where the setter is missing."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        try:
+            setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+if _workers > 1:
+    _pin_blas_to_one_thread()
+
+
+def _set_workers(n):
+    """Use `n` workers from now on (process-pool initializers and tests)."""
+    global _workers, _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+    _workers = max(1, int(n))
+
+
+def _drop_pool():
+    """A forked child has none of the parent's pool threads."""
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _split(kernel, alloc, batched, *shared):
+    """Run `kernel` over contiguous slices of the batch axis; return its outputs.
+
+    The batch axis is the leading axis of batched[0] if it has three or more
+    dims (a 2-D array is one sample's rows x features).  Another `batched`
+    array with fewer dims or a length-1 leading axis broadcasts and goes
+    whole to every slice; None passes through.  As many slices as there are
+    workers run at once, the calling thread taking the first, but each
+    slice gets at least 2 batch entries and `_MIN_SLICE_SIZE` elements of
+    batched[0].  Below two slices, or when some `batched` array has more
+    dims than batched[0], this is just kernel(*batched, *shared), which
+    allocates its own outputs.  Otherwise alloc(*batched, *shared) allocates
+    the whole outputs (a tuple; None for one not wanted, and no `alloc` for
+    a kernel that works in place), each slice writes its rows through
+    kernel(*rows, *shared, *output_rows), and the outputs are returned, a
+    single one unpacked.  A kernel must treat each batch entry on its own,
+    so results do not depend on the cut.
+    """
+    global _pool
+    lead = batched[0]
+    n, nd = len(lead), lead.ndim
+    if (n < 4 or nd < 3 or _workers < 2 or lead.size < 2 * _MIN_SLICE_SIZE
+            or any(a is not None and a.ndim > nd for a in batched)):
+        return kernel(*batched, *shared)
+    parts = min(_workers, n // 2, lead.size // _MIN_SLICE_SIZE)
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="autodiff")
+    outs = () if alloc is None else alloc(*batched, *shared)
+    cuts = [n * i // parts for i in range(parts + 1)]
+    calls = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows = [a[lo:hi] if a is not None and a.ndim == nd and len(a) == n else a
+                for a in (*batched, *outs)]
+        calls.append((*rows[:len(batched)], *shared, *rows[len(batched):]))
+    futures = [_pool.submit(kernel, *args) for args in calls[1:]]
+    try:
+        kernel(*calls[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    return outs[0] if len(outs) == 1 else outs
+
+
+def _elementwise_out(*args):
+    """The output of an elementwise kernel: its array arguments' broadcast
+    shape and result dtype."""
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    return (np.empty(np.broadcast_shapes(*(a.shape for a in arrays)),
+                     dtype=np.result_type(*arrays)),)
 
 
 class AutodiffError(Exception):
@@ -394,16 +508,21 @@ def matmul(a, b):
     return out
 
 
-def _gemm(x2, w, b, lead):
-    """x2 @ w (+ b) for 2-D x2, written into a new (*lead, d_out) array that
-    owns its memory (a reshaped view would hide the allocation from memory
-    accounting that skips views)."""
-    y = np.empty((*lead, w.shape[-1]), dtype=np.result_type(x2, w))
-    y2 = y.reshape(x2.shape[0], w.shape[-1])
-    np.matmul(x2, w, out=y2)
+def _affine_rows(x, w, b, y=None):
+    """x @ w (+ b) over the last axis, written into `y` or into a new
+    (*lead, d_out) array that owns its memory (a reshaped view would hide
+    the allocation from memory accounting that skips views)."""
+    if y is None:
+        y = np.empty((*x.shape[:-1], w.shape[-1]), dtype=np.result_type(x, w))
+    y2 = y.reshape(-1, w.shape[-1])
+    np.matmul(x.reshape(-1, x.shape[-1]), w, out=y2)
     if b is not None:
         y2 += b
     return y
+
+
+def _affine_out(x, w, b):
+    return (np.empty((*x.shape[:-1], w.shape[-1]), dtype=np.result_type(x, w)),)
 
 
 def _weight_grads(g2, x2, w, b):
@@ -414,6 +533,12 @@ def _weight_grads(g2, x2, w, b):
         b._accumulate(g2.sum(axis=0), own=True)
 
 
+def _input_grad(x, g, w):
+    """Accumulate g @ wᵀ, the gradient of x @ w, into `x`."""
+    if x.requires_grad:
+        x._accumulate(_split(_affine_rows, _affine_out, (g,), w.T, None), own=True)
+
+
 def linear(x, w, b=None):
     """x @ w (+ b) over the last axis as one node.
 
@@ -422,18 +547,47 @@ def linear(x, w, b=None):
     """
     x, w = _wrap(x), _wrap(w)
     b = None if b is None else _wrap(b)
-    *lead, d = x.shape
-    x2 = x.data.reshape(-1, d)
-    out = _make(_gemm(x2, w.data, None if b is None else b.data, lead),
-                (x, w) if b is None else (x, w, b), "linear")
+    y = _split(_affine_rows, _affine_out, (x.data,), w.data, None if b is None else b.data)
+    out = _make(y, (x, w) if b is None else (x, w, b), "linear")
     if _tracked(out):
+        x2 = x.data.reshape(-1, x.shape[-1])
+
         def _bw():
-            g2 = out.grad.reshape(x2.shape[0], -1)
-            _weight_grads(g2, x2, w, b)
-            if x.requires_grad:
-                x._accumulate(np.matmul(g2, w.data.T).reshape(x.data.shape), own=True)
+            g = out.grad
+            _weight_grads(g.reshape(x2.shape[0], -1), x2, w, b)
+            _input_grad(x, g, w.data)
         out._backward = _bw
     return out
+
+
+def _ffn_rows(x, keep, w1, b1, w2, b2, rate, e=None, y=None):
+    """The ELU output e and the feed-forward output."""
+    e = _affine_rows(x, w1, b1, e)
+    _elu(e, out=e)
+    return e, _affine_rows(e if keep is None else e * _keep_scale(keep, rate, e.dtype),
+                           w2, b2, y)
+
+
+def _ffn_out(x, keep, w1, b1, w2, b2, rate):
+    e = _affine_out(x, w1, b1)[0]
+    return e, _affine_out(e, w2, b2)[0]
+
+
+def _dropout_rows(e, keep, rate, h=None):
+    return np.multiply(e, _keep_scale(keep, rate, e.dtype), out=h)
+
+
+def _ffn_hidden_grad_rows(g, e, keep, w2, rate, gh=None):
+    """The hidden layer's gradient: (g @ w2ᵀ) * dropout scale * ELU slope."""
+    gh = _affine_rows(g, w2.T, None, gh)
+    if keep is not None:
+        gh *= _keep_scale(keep, rate, e.dtype)
+    gh *= _elu_slope(e)
+    return gh
+
+
+def _ffn_hidden_grad_out(g, e, keep, w2, rate):
+    return _affine_out(g, w2.T, None)
 
 
 def ffn(x, w1, b1, w2, b2, rate, rng):
@@ -445,28 +599,25 @@ def ffn(x, w1, b1, w2, b2, rate, rng):
     when an `rng` is given and `rate` > 0.
     """
     x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
-    *lead, d = x.shape
-    x2 = x.data.reshape(-1, d)
-    e = np.matmul(x2, w1.data)
-    e += b1.data
-    _elu(e, out=e)
     keep = None
     if rng is not None and rate != 0.0:
-        keep = _keep_mask((*lead, e.shape[-1]), e.dtype, rate, rng).reshape(e.shape)
-    h = e if keep is None else e * _keep_scale(keep, rate, e.dtype)
-    out = _make(_gemm(h, w2.data, b2.data, lead), (x, w1, b1, w2, b2), "ffn")
+        keep = _keep_mask((*x.shape[:-1], w1.shape[-1]), np.result_type(x.data, w1.data),
+                          rate, rng)
+    e, y = _split(_ffn_rows, _ffn_out, (x.data, keep), w1.data, b1.data, w2.data, b2.data,
+                  rate)
+    out = _make(y, (x, w1, b1, w2, b2), "ffn")
     if _tracked(out):
+        x2 = x.data.reshape(-1, x.shape[-1])
+
         def _bw():
-            g2 = out.grad.reshape(x2.shape[0], -1)
-            scale = None if keep is None else _keep_scale(keep, rate, e.dtype)
-            _weight_grads(g2, e if scale is None else e * scale, w2, b2)
-            gh = np.matmul(g2, w2.data.T)
-            if scale is not None:
-                gh *= scale
-            gh *= _elu_slope(e)
-            _weight_grads(gh, x2, w1, b1)
-            if x.requires_grad:
-                x._accumulate(np.matmul(gh, w1.data.T).reshape(x.data.shape), own=True)
+            g = out.grad
+            rows = x2.shape[0]
+            h = e if keep is None else _split(_dropout_rows, _elementwise_out, (e, keep), rate)
+            _weight_grads(g.reshape(rows, -1), h.reshape(rows, -1), w2, b2)
+            del h  # freed before the hidden gradient takes its place
+            gh = _split(_ffn_hidden_grad_rows, _ffn_hidden_grad_out, (g, e, keep), w2.data, rate)
+            _weight_grads(gh.reshape(rows, -1), x2, w1, b1)
+            _input_grad(x, gh, w1.data)
         out._backward = _bw
     return out
 
@@ -525,6 +676,47 @@ def softmax(a, mask_diagonal=False):
     return out
 
 
+def _attention_rows(k, q, v, mask_diagonal, pt=None, o=None):
+    """The transposed probabilities Pᵀ and the output P v."""
+    pt = np.matmul(k, np.swapaxes(q, -1, -2), out=pt)  # (..., key, query)
+    *lead, m, n = pt.shape
+    if mask_diagonal:
+        pt.reshape(*lead, n * n)[..., ::n + 1] = -np.inf
+    pt -= np.max(pt, axis=-2, keepdims=True)
+    np.exp(pt, out=pt)
+    pt /= np.matmul(np.ones((1, m), dtype=pt.dtype), pt)
+    return pt, np.matmul(np.swapaxes(pt, -1, -2), v, out=o)
+
+
+def _attention_out(k, q, v, mask_diagonal):
+    lead = np.broadcast_shapes(k.shape[:-2], q.shape[:-2], v.shape[:-2])
+    pt = np.empty((*lead, k.shape[-2], q.shape[-2]), dtype=np.result_type(k, q))
+    return pt, np.empty((*lead, q.shape[-2], v.shape[-1]), dtype=np.result_type(pt, v))
+
+
+def _attention_grad_rows(g, o, pt, q, k, v, wanted, dv=None, dq=None, dk=None):
+    """The gradients of v, q and k, each where `wanted` asks for it."""
+    want_v, want_q, want_k = wanted
+    if want_v:
+        dv = np.matmul(pt, g, out=dv)
+    if want_q or want_k:
+        d = np.einsum("...i,...i->...", g, o)[..., None, :]
+        dst = np.matmul(v, np.swapaxes(g, -1, -2))  # dPᵀ
+        dst -= d
+        dst *= pt  # dSᵀ, the gradient of the transposed logits
+        if want_q:
+            dq = np.matmul(np.swapaxes(dst, -1, -2), k, out=dq)
+        if want_k:
+            dk = np.matmul(dst, q, out=dk)
+    return dv, dq, dk
+
+
+def _attention_grad_out(g, o, pt, q, k, v, wanted):
+    dt = np.result_type(g, pt, v)
+    return tuple(np.empty((*pt.shape[:-2], *t.shape[-2:]), dtype=np.result_type(dt, t))
+                 if want else None for t, want in zip((v, q, k), wanted))
+
+
 def attention(q, k, v, mask_diagonal=False):
     """softmax(q kᵀ) v over the last two axes as one node; returns (out, weights).
 
@@ -540,36 +732,23 @@ def attention(q, k, v, mask_diagonal=False):
     (FlashAttention, Dao et al. 2022).
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    pt = np.matmul(k.data, np.swapaxes(q.data, -1, -2))  # (..., key, query)
-    *lead, m, n = pt.shape
-    if mask_diagonal:
-        if m != n or n < 2:
-            raise AutodiffError(f"diagonal mask needs as many keys as queries, "
-                                f"n >= 2, got {m} keys for {n} queries")
-        pt.reshape(*lead, n * n)[..., ::n + 1] = -np.inf
-    pt -= np.max(pt, axis=-2, keepdims=True)
-    np.exp(pt, out=pt)
-    pt /= np.matmul(np.ones((1, m), dtype=pt.dtype), pt)
-    weights = np.swapaxes(pt, -1, -2)
-    out = _make(np.matmul(weights, v.data), (q, k, v), "attention")
+    m, n = k.shape[-2], q.shape[-2]
+    if mask_diagonal and (m != n or n < 2):
+        raise AutodiffError(f"diagonal mask needs as many keys as queries, "
+                            f"n >= 2, got {m} keys for {n} queries")
+    # the keys carry the batch axis; a batchless query is shared by every slice
+    pt, o = _split(_attention_rows, _attention_out, (k.data, q.data, v.data), mask_diagonal)
+    out = _make(o, (q, k, v), "attention")
     if _tracked(out):
         def _bw():
-            g = out.grad
-            if v.requires_grad:
-                v._accumulate(_unbroadcast(np.matmul(pt, g), v.data.shape), own=True)
-            if not (q.requires_grad or k.requires_grad):
-                return
-            d = np.einsum("...i,...i->...", g, out.data)[..., None, :]
-            dst = np.matmul(v.data, np.swapaxes(g, -1, -2))  # dPᵀ
-            dst -= d
-            dst *= pt  # dSᵀ, the gradient of the transposed logits
-            if q.requires_grad:
-                dq = np.matmul(np.swapaxes(dst, -1, -2), k.data)
-                q._accumulate(_unbroadcast(dq, q.data.shape), own=True)
-            if k.requires_grad:
-                k._accumulate(_unbroadcast(np.matmul(dst, q.data), k.data.shape), own=True)
+            grads = _split(_attention_grad_rows, _attention_grad_out,
+                           (out.grad, o, pt, q.data, k.data, v.data),
+                           tuple(t.requires_grad for t in (v, q, k)))
+            for t, grad in zip((v, q, k), grads):
+                if grad is not None:
+                    t._accumulate(_unbroadcast(grad, t.data.shape), own=True)
         out._backward = _bw
-    return out, weights
+    return out, np.swapaxes(pt, -1, -2)
 
 
 def logsumexp(a, axis=-1):
@@ -592,6 +771,26 @@ def _row_mean(x, avg):
     return np.matmul(x.reshape(-1, x.shape[-1]), avg).reshape(*x.shape[:-1], 1)
 
 
+def _center_rows(xhat, mu, sq=None):
+    """Subtract the row means in place; return the squares."""
+    xhat -= mu
+    return np.multiply(xhat, xhat, out=sq)
+
+
+def _norm_rows(xhat, inv, gamma, beta, val=None):
+    xhat *= inv
+    val = np.multiply(xhat, gamma, out=val)
+    val += beta
+    return val
+
+
+def _norm_input_grad_rows(dxhat, t, xhat, m1, m2, inv):
+    np.multiply(xhat, m2, out=t)
+    dxhat -= m1
+    dxhat -= t
+    dxhat *= inv
+
+
 def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
     """Normalize `a` (plus `residual`, when given) over the last axis, then
     scale and shift.
@@ -599,38 +798,42 @@ def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
     The sum `residual + a` is formed in the node's working buffer and both
     addends get its gradient (summed down to a batchless addend's shape).  A
     constant vector normalizes to zeros (the eps floor keeps the reciprocal
-    finite), so the output is just `beta`.
+    finite), so the output is just `beta`.  The row means are whole-array
+    GEMVs between the row-wise passes: OpenBLAS's GEMV kernels group rows,
+    so a GEMV over a slice could round differently.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     inputs = (a,) if residual is None else (_wrap(residual), a)
     d = a.shape[-1]
     avg = np.full((d, 1), 1.0 / d, dtype=a.dtype)
-    xhat = a.data.copy() if residual is None else inputs[0].data + a.data
-    xhat -= _row_mean(xhat, avg)
-    inv = _row_mean(xhat * xhat, avg)
+    if residual is None:
+        xhat = a.data.copy()
+    else:  # the addend with the batch axis first (addition commutes bit for bit)
+        r = inputs[0].data
+        xhat = _split(np.add, _elementwise_out, (r, a.data) if r.ndim >= a.ndim else (a.data, r))
+    sq = _split(_center_rows, _elementwise_out, (xhat, _row_mean(xhat, avg)))
+    inv = _row_mean(sq, avg)
+    del sq
     inv += eps
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
-    xhat *= inv
-    val = xhat * gamma.data
-    val += beta.data
+    val = _split(_norm_rows, _elementwise_out, (xhat, inv), gamma.data, beta.data)
     out = _make(val, (*inputs, gamma, beta), "layer_norm")
     if _tracked(out):
         def _bw():
             g = out.grad
             if gamma.requires_grad:
-                gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape), own=True)
+                gx = _split(np.multiply, _elementwise_out, (g, xhat))
+                gamma._accumulate(_unbroadcast(gx, gamma.data.shape), own=True)
+                del gx
             if beta.requires_grad:
                 beta._accumulate(_unbroadcast(g, beta.data.shape))
             if any(t.requires_grad for t in inputs):
-                dxhat = g * gamma.data
+                dxhat = _split(np.multiply, _elementwise_out, (g,), gamma.data)
                 m1 = _row_mean(dxhat, avg)
-                t = dxhat * xhat
+                t = _split(np.multiply, _elementwise_out, (dxhat, xhat))
                 m2 = _row_mean(t, avg)
-                np.multiply(xhat, m2, out=t)
-                dxhat -= m1
-                dxhat -= t
-                dxhat *= inv
+                _split(_norm_input_grad_rows, None, (dxhat, t, xhat, m1, m2, inv))
                 _share(dxhat, inputs)
         out._backward = _bw
     return out

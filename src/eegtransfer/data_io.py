@@ -216,20 +216,29 @@ def write_bank(bank: SampleBank, directory) -> None:
         }
         stage(directory / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=1), encoding="utf-8")
+    # raw trials of an earlier, larger bank in this directory
+    listed = {directory / r["file"] for r in raw_records}
+    for path in (directory / "raw").glob("t*.bin"):
+        if path not in listed:
+            path.unlink()
 
 
-def _manifest_get(manifest, key, where, kind=object):
-    if not isinstance(manifest, dict) or key not in manifest:
-        raise ManifestMismatchError(f"{where}: manifest is missing key {key!r}")
-    value = manifest[key]
+_RECORD_NOUN = {ManifestMismatchError: "manifest", CheckpointError: "checkpoint header"}
+
+
+def _require(record, key, where, error, kind=object):
+    """record[key], else `error` with a one-line message naming the key: when
+    `record` is not a dict, lacks `key` or holds a value that is not a `kind`."""
+    if not isinstance(record, dict) or key not in record:
+        raise error(f"{where}: {_RECORD_NOUN[error]} is missing key {key!r}")
+    value = record[key]
     if not isinstance(value, kind):
-        raise ManifestMismatchError(
-            f"{where}: {key} is {type(value).__name__}, expected {kind.__name__}")
+        raise error(f"{where}: {key} is {type(value).__name__}, expected {kind.__name__}")
     return value
 
 
 def _manifest_uint(manifest, key, where):
-    value = _manifest_get(manifest, key, where)
+    value = _require(manifest, key, where, ManifestMismatchError)
     if type(value) is not int or value < 0:
         raise ManifestMismatchError(
             f"{where}: {key} is {value!r}, expected a non-negative integer")
@@ -245,20 +254,23 @@ def read_bank(directory) -> SampleBank:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except ValueError as e:  # bad JSON or bad UTF-8
         raise ManifestMismatchError(f"{mpath}: not valid JSON ({e})") from None
-    version = _manifest_get(manifest, "format_version", str(mpath))
+
+    def get(key, kind=object):
+        return _require(manifest, key, str(mpath), ManifestMismatchError, kind)
+
+    version = get("format_version")
     if version != FORMAT_VERSION:
         raise ManifestMismatchError(f"unsupported format_version {version}")
-    counts = _manifest_get(manifest, "counts", str(mpath), dict)
+    counts = get("counts", dict)
     n_samples, n_ch, n_bands = (_manifest_uint(counts, k, f"{mpath} counts")
                                 for k in ("n_samples", "n_channels", "n_bands"))
-    dataset = _manifest_get(manifest, "dataset", str(mpath), str)
-    classes, bands, index = (_manifest_get(manifest, k, str(mpath), list)
-                             for k in ("classes", "bands", "samples"))
+    dataset = get("dataset", str)
+    classes, bands, index = (get(k, list) for k in ("classes", "bands", "samples"))
     if len(index) != n_samples:
         raise ManifestMismatchError(
             f"counts.n_samples={n_samples} but index table has {len(index)} rows")
 
-    montage = load_montage(directory / _manifest_get(manifest, "montage_file", str(mpath), str))
+    montage = load_montage(directory / get("montage_file", str))
     if len(montage) != n_ch:
         raise ManifestMismatchError(
             f"montage has {len(montage)} channels, manifest says {n_ch}")
@@ -291,11 +303,10 @@ def read_bank(directory) -> SampleBank:
             raise NonFinitePayloadError(f"{FEATURES_NAME}: sample {i}: {e}") from None
 
     raw_trials = []
-    records = (_manifest_get(manifest, "raw_trials", str(mpath), list)
-               if "raw_trials" in manifest else [])
+    records = get("raw_trials", list) if "raw_trials" in manifest else []
     for i, rec in enumerate(records):
         where = f"{mpath} raw_trials[{i}]"
-        fname = _manifest_get(rec, "file", where, str)
+        fname = _require(rec, "file", where, ManifestMismatchError, str)
         n_rch, n_rs, subject, session, trial, label = (
             _manifest_uint(rec, k, where)
             for k in ("channels", "samples", "subject", "session", "trial", "label"))
@@ -361,12 +372,6 @@ def save_checkpoint(dta: DtaParameters, path, optimizer=None) -> None:
         stage(path).write_bytes(bytes(out))
 
 
-def _header_get(header, key, path):
-    if not isinstance(header, dict) or key not in header:
-        raise CheckpointError(f"{path}: checkpoint header is missing key {key!r}")
-    return header[key]
-
-
 def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None):
     """Load (DtaParameters, AdamState | None); optionally cast to `dtype`.
 
@@ -389,13 +394,13 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header ({e})") from None
     body = blob[hstart + hlen:]
-    version = _header_get(header, "format_version", path)
+    version = _require(header, "format_version", path, CheckpointError)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format_version {version}")
 
     try:
-        config = _from_dict(ModelConfig, _header_get(header, "model_config", path),
-                            "model_config")
+        config = _from_dict(ModelConfig, _require(header, "model_config", path,
+                                                  CheckpointError), "model_config")
     except ConfigError as e:
         raise CheckpointError(f"{path}: bad checkpoint {e}") from None
     if expected_config is not None and config != expected_config:
@@ -404,8 +409,8 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
 
     stored = {}
     payload_end = 0
-    for rec in _header_get(header, "arrays", path):
-        name, kind, dt, shape, offset = (_header_get(rec, k, path) for k in
+    for rec in _require(header, "arrays", path, CheckpointError):
+        name, kind, dt, shape, offset = (_require(rec, k, path, CheckpointError) for k in
                                          ("name", "kind", "dtype", "shape", "offset"))
         itemsize = 8 if dt == "<f8" else 4
         nbytes = int(np.prod(shape, dtype=np.int64)) * itemsize if shape else itemsize
@@ -435,7 +440,8 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
     opt = None
     if header.get("optimizer"):
         keys = ("lr", "beta1", "beta2", "eps", "weight_decay", "step")
-        opt = AdamState(**{k: _header_get(header["optimizer"], k, path) for k in keys})
+        opt = AdamState(**{k: _require(header["optimizer"], k, path, CheckpointError)
+                           for k in keys})
         for (kind, name), arr in stored.items():
             if kind == "opt_m":
                 opt.m[name] = arr.astype(cast) if cast else arr.copy()

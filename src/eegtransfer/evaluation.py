@@ -12,6 +12,7 @@ its randomness from (seed, subject).
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -130,7 +131,10 @@ def losocv(bank: SampleBank, mconf: ModelConfig, tconf: TrainConfig,
     args = [(bank, s, mconf, tconf, aconf, protocol, from_scratch, log)
             for s in subjects]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fold processes share the CPUs: each splits its ops over its share
+        share = max(1, len(os.sched_getaffinity(0)) // jobs)
+        with ProcessPoolExecutor(max_workers=jobs, initializer=ad._set_workers,
+                                 initargs=(share,)) as pool:
             folds = list(pool.map(_losocv_fold, args))
     else:
         folds = [_losocv_fold(a) for a in args]

@@ -1,5 +1,9 @@
 """Gradient engine tests: every primitive against central finite differences."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -383,6 +387,67 @@ def test_layer_norm_residual_float32_bitwise_equal_to_sum(r_shape):
               rng.normal(size=32).astype(np.float32)]
     assert_bitwise(lambda a, r, g, b: ad.layer_norm(a, g, b, residual=r),
                    lambda a, r, g, b: ad.layer_norm(r + a, g, b), arrays, rng)
+
+
+def _split_op_cases():
+    """Each fused op that splits its rows, on a batch of 4 (2 slices at 2
+    workers): name -> (parameter shapes, objective of the ParameterSet)."""
+    def ffn(ps):  # the same mask on every call: the rng is re-seeded
+        return ad.ffn(ps["x"], ps["w1"], ps["b1"], ps["w2"], ps["b2"], 0.3,
+                      np.random.default_rng(3))
+
+    def attention(mask):
+        return lambda ps: ad.attention(ps["q"], ps["k"], ps["v"], mask)[0]
+
+    def layer_norm(ps):
+        return ad.layer_norm(ps["a"], ps["g"], ps["b"], residual=ps["r"])
+    kv = {"k": (4, 2, 5, 3), "v": (4, 2, 5, 3)}
+    ln = {"g": (6,), "b": (6,)}
+    return {
+        "linear": ({"x": (4, 3, 5), "w": (5, 2), "b": (2,)},
+                   lambda ps: ad.linear(ps["x"], ps["w"], ps["b"])),
+        "ffn": ({"x": (4, 3, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 5), "b2": (5,)}, ffn),
+        "attention": ({"q": (4, 2, 5, 3), **kv}, attention(False)),
+        "attention_masked": ({"q": (4, 2, 5, 3), **kv}, attention(True)),
+        "attention_batchless_q": ({"q": (2, 5, 3), **kv}, attention(True)),
+        "layer_norm": ({"a": (4, 3, 6), "r": (4, 3, 6), **ln}, layer_norm),
+        "layer_norm_batchless_a": ({"a": (3, 6), "r": (4, 3, 6), **ln}, layer_norm),
+        "layer_norm_batchless_residual": ({"a": (4, 3, 6), "r": (3, 6), **ln}, layer_norm),
+    }
+
+
+@pytest.mark.parametrize("case", list(_split_op_cases()))
+def test_split_fused_op_gradient_at_2_workers(case, set_workers):
+    shapes, op = _split_op_cases()[case]
+    rng = np.random.default_rng(23)
+    ps = ad.ParameterSet()
+    for name, shape in shapes.items():
+        ps.add(name, rng.uniform(0.5, 1.5, size=shape) if name == "g"
+               else rng.normal(size=shape))
+    set_workers(2)
+    c = rng.normal(size=op(ps).shape)
+    assert ad._pool is not None  # the rows were split
+    fd_check(lambda: ad.tsum(op(ps) * ad.Tensor(c)), ps)
+
+
+def test_forked_child_runs_split_ops(set_workers):
+    set_workers(2)
+    x, w = ad.Tensor(np.arange(60.0).reshape(4, 3, 5)), ad.Tensor(np.ones((5, 2)))
+    want = ad.linear(x, w).data  # starts the pool in this process
+    assert ad._pool is not None
+    pid = os.fork()
+    if pid == 0:  # the child has none of the pool's threads
+        os._exit(0 if np.array_equal(ad.linear(x, w).data, want) else 1)
+    deadline = time.monotonic() + 30
+    done, status = os.waitpid(pid, os.WNOHANG)
+    while not done:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in a split op")
+        time.sleep(0.05)
+        done, status = os.waitpid(pid, os.WNOHANG)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_dropout_is_one_node_bitwise_equal_to_mask_product():

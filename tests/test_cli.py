@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
+import faulthandler
 import json
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eegtransfer import autodiff as ad
 from eegtransfer import cli
 from eegtransfer.config import ConfigError, RunConfig, load_run_config, run_config_from_dict
 from eegtransfer.data_io import apply_split, get_protocol, read_bank
@@ -153,6 +155,25 @@ class TestPipeline:
         assert cli.main(["evaluate", "--config", config_path, "--bank", bank_dir,
                          "--out", str(out2), "--jobs", "1"]) == 0
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+    def test_evaluate_jobs_2_byte_identical_to_jobs_1(self, config_path, bank_dir,
+                                                       tmp_path, set_workers):
+        # a pretrain in this process starts the fused ops' thread pool, so
+        # the fold processes are forked from a process that has one
+        set_workers(2)
+        assert cli.main(["pretrain", "--config", config_path, "--bank", bank_dir,
+                         "--out", str(tmp_path / "pre")]) == 0
+        assert ad._pool is not None
+        outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+        faulthandler.dump_traceback_later(300, exit=True)  # a hung fold ends the run
+        try:
+            for jobs, out in zip((1, 2), outs):
+                assert cli.main(["evaluate", "--config", config_path, "--bank", bank_dir,
+                                 "--out", str(out), "--jobs", str(jobs)]) == 0
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        for name in ("report.json", "report.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_robustness_and_connectivity_and_export(self, config_path, bank_dir,
                                                     pretrained_dir, tmp_path):

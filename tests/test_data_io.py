@@ -232,6 +232,19 @@ def test_failed_bank_write_leaves_earlier_bank(tmp_path, monkeypatch, fail_at):
     assert io.bank_equal(io.read_bank(directory), newer)
 
 
+def test_smaller_bank_overwrite_removes_stale_raw_files(tmp_path):
+    directory = tmp_path / "bank"
+    io.write_bank(io.gen_synthetic(dataclasses.replace(RAW_SPEC, trials_per_subject=3)),
+                  directory)
+    assert sorted(p.name for p in (directory / "raw").iterdir()) == ["t0.bin", "t1.bin",
+                                                                      "t2.bin"]
+    smaller = io.gen_synthetic(dataclasses.replace(RAW_SPEC, trials_per_subject=1))
+    assert len(smaller.raw_trials) == 1
+    io.write_bank(smaller, directory)
+    assert [p.name for p in (directory / "raw").iterdir()] == ["t0.bin"]
+    assert io.bank_equal(io.read_bank(directory), smaller)
+
+
 def rewrite_header(path, edit):
     """Re-serialise a checkpoint after `edit(header)` changed its header."""
     blob = path.read_bytes()

@@ -364,3 +364,30 @@ class TestParameters:
         assert f32.dtype == np.float32
         for name in dta.params.names():
             assert f32.params[name].data.shape == dta.params[name].data.shape
+
+
+def test_pretrain_step_bitwise_equal_at_1_2_3_workers(set_workers):
+    """A masked pretrain step with dropout on 5 samples per view: 3 workers
+    cut the 10 encoder rows 3/3/4, and loss, z, every gradient and the
+    dropout rng state come out byte for byte as with 1 or 2 workers."""
+    cfg = ModelConfig(n_layers=2)  # reference widths: 62 channels, d_model 32, 4 heads
+    rng = np.random.default_rng(4)
+    pos = rng.normal(size=(62, 3))
+    pos /= np.linalg.norm(pos, axis=1, keepdims=True)
+    x = rng.normal(size=(10, 62, 5))
+    labels = np.array([0, 1, 2, 0, 1])
+    runs = []
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        dta = M.init_parameters(cfg, seed=3, dtype=np.float32)
+        rng_dropout = np.random.default_rng(7)
+        enc = M.encode(x, pos, dta, mask_diagonal=True, rng=rng_dropout)
+        z = M.project(enc.q_final, dta, train=True, rng=rng_dropout)
+        loss = ls.contrastive_loss(ls.ContrastiveBatch(
+            ad.narrow(z, 0, 5), ad.narrow(z, 5, 5), labels, labels))
+        loss.backward()
+        assert (ad._pool is not None) == (workers > 1)  # the split path ran
+        runs.append((loss.data.tobytes(), z.data.tobytes(), rng_dropout.bit_generator.state,
+                     {n: g.tobytes() for n, g in dta.params.gradients().items()}))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
