@@ -9,7 +9,10 @@ dropout, linear), dot-product ``attention`` with an optional diagonal mask
 and ``layer_norm`` with an optional residual), plus the last-axis softmax
 that attention is tested against and a finite-difference :func:`grad_check`
 used throughout the test suite.  A fused op is one tape node that keeps only
-what its hand-written backward reads.
+what its hand-written backward reads; ``attention`` keeps no n x n array at
+all, only each query's softmax max and sum, and its backward rebuilds the
+probabilities from them, bit for bit, a cache-sized tile of batch entries
+at a time.
 
 Gradients are exact, not approximated; the engine runs in float64 for checks
 and float32 for training.  A backward sweep consumes its graph (memory is
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
@@ -63,6 +68,10 @@ _pool = None
 # costs 0.1-0.2 ms on a 2-vCPU VM, and a calibration step of 48 samples whose
 # 48 x 62 x 64 hidden activations were cut in two ran slower than whole
 _MIN_SLICE_SIZE = 1 << 17
+# bytes of Pᵀ in one tile of `attention`'s batch entries, so that the tile's
+# n x n passes run on cache-resident data: 17 entries of 4 heads x 62 x 62
+# in float32
+_TILE_BYTES = 1 << 20
 
 
 def _pin_blas_to_one_thread():
@@ -100,7 +109,7 @@ def _drop_pool():
 os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _split(kernel, alloc, batched, *shared):
+def _split(kernel, alloc, batched, *shared, size=None):
     """Run `kernel` over contiguous slices of the batch axis; return its outputs.
 
     The batch axis is the leading axis of batched[0] if it has three or more
@@ -108,12 +117,14 @@ def _split(kernel, alloc, batched, *shared):
     array with fewer dims or a length-1 leading axis broadcasts and goes
     whole to every slice; None passes through.  As many slices as there are
     workers run at once, the calling thread taking the first, but each
-    slice gets at least 2 batch entries and `_MIN_SLICE_SIZE` elements of
-    batched[0].  Below two slices, or when some `batched` array has more
-    dims than batched[0], this is just kernel(*batched, *shared), which
-    allocates its own outputs.  Otherwise alloc(*batched, *shared) allocates
-    the whole outputs (a tuple; None for one not wanted, and no `alloc` for
-    a kernel that works in place), each slice writes its rows through
+    slice gets at least 2 batch entries and `_MIN_SLICE_SIZE` of the call's
+    `size` elements: those of batched[0] unless the caller counts its work
+    in larger arrays (`attention`, in its n x n probabilities).  Below two
+    slices, or when some `batched` array has more dims than batched[0],
+    this is just kernel(*batched, *shared), which allocates its own
+    outputs.  Otherwise alloc(*batched, *shared) allocates the whole
+    outputs (a tuple; None for one not wanted, and no `alloc` for a kernel
+    that works in place), each slice writes its rows through
     kernel(*rows, *shared, *output_rows), and the outputs are returned, a
     single one unpacked.  A kernel must treat each batch entry on its own,
     so results do not depend on the cut.
@@ -121,18 +132,18 @@ def _split(kernel, alloc, batched, *shared):
     global _pool
     lead = batched[0]
     n, nd = len(lead), lead.ndim
-    if (n < 4 or nd < 3 or _workers < 2 or lead.size < 2 * _MIN_SLICE_SIZE
+    size = lead.size if size is None else size
+    if (n < 4 or nd < 3 or _workers < 2 or size < 2 * _MIN_SLICE_SIZE
             or any(a is not None and a.ndim > nd for a in batched)):
         return kernel(*batched, *shared)
-    parts = min(_workers, n // 2, lead.size // _MIN_SLICE_SIZE)
+    parts = min(_workers, n // 2, size // _MIN_SLICE_SIZE)
     if _pool is None:
         _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="autodiff")
     outs = () if alloc is None else alloc(*batched, *shared)
     cuts = [n * i // parts for i in range(parts + 1)]
     calls = []
     for lo, hi in zip(cuts, cuts[1:]):
-        rows = [a[lo:hi] if a is not None and a.ndim == nd and len(a) == n else a
-                for a in (*batched, *outs)]
+        rows = _rows((*batched, *outs), lo, hi, n, nd)
         calls.append((*rows[:len(batched)], *shared, *rows[len(batched):]))
     futures = [_pool.submit(kernel, *args) for args in calls[1:]]
     try:
@@ -142,6 +153,13 @@ def _split(kernel, alloc, batched, *shared):
     for f in futures:
         f.result()
     return outs[0] if len(outs) == 1 else outs
+
+
+def _rows(arrays, lo, hi, n, nd):
+    """Batch entries lo:hi of each of `arrays` that has the batch axis (`nd`
+    dims, `n` entries); the others as they are."""
+    return [a[lo:hi] if a is not None and a.ndim == nd and len(a) == n else a
+            for a in arrays]
 
 
 def _elementwise_out(*args):
@@ -676,59 +694,122 @@ def softmax(a, mask_diagonal=False):
     return out
 
 
-def _attention_rows(k, q, v, mask_diagonal, pt=None, o=None):
-    """The transposed probabilities Pᵀ and the output P v."""
-    pt = np.matmul(k, np.swapaxes(q, -1, -2), out=pt)  # (..., key, query)
+def _tile_cuts(arrays, m, n):
+    """Cuts 0 = c0 < c1 < ... = b of the batch axis into tiles of whole batch
+    entries, each holding at most `_TILE_BYTES` of an m x n array per entry
+    and head (one entry at least).
+
+    The batch axis is the leading axis of arrays[0] if it has three or more
+    dims, and `_rows` slices it as `_split` does.  A batch that fits one
+    tile, or has no batch axis, or has an array with more dims than
+    arrays[0], is the one tile [0, b].
+    """
+    lead = arrays[0]
+    b = len(lead)
+    per = max(1, _TILE_BYTES // max(1, math.prod(lead.shape[1:-2]) * m * n * lead.itemsize))
+    if lead.ndim < 3 or b <= per or any(a.ndim > lead.ndim for a in arrays if a is not None):
+        return [0, b]
+    parts = -(-b // per)
+    return [b * i // parts for i in range(parts + 1)]
+
+
+def _probs_t(k, q, mask_diagonal, mx=None, sm=None):
+    """Pᵀ = softmax over keys of the transposed logits k qᵀ (..., key, query),
+    with each query's logit max and exp sum it was normalised by.
+
+    Given a forward's `mx` and `sm`, Pᵀ is rebuilt from them: the same float
+    ops on the same values, so bit for bit the forward's Pᵀ.
+    """
+    pt = np.matmul(k, np.swapaxes(q, -1, -2))
     *lead, m, n = pt.shape
     if mask_diagonal:
         pt.reshape(*lead, n * n)[..., ::n + 1] = -np.inf
-    pt -= np.max(pt, axis=-2, keepdims=True)
+    if mx is None:
+        mx = np.max(pt, axis=-2, keepdims=True)
+    pt -= mx
     np.exp(pt, out=pt)
-    pt /= np.matmul(np.ones((1, m), dtype=pt.dtype), pt)
-    return pt, np.matmul(np.swapaxes(pt, -1, -2), v, out=o)
+    if sm is None:
+        sm = np.matmul(np.ones((1, m), dtype=pt.dtype), pt)
+    pt /= sm
+    return pt, mx, sm
+
+
+def _attention_rows(k, q, v, mask_diagonal, o=None, mx=None, sm=None):
+    """The output P v and each query's logit max and exp sum (the backward
+    rebuilds Pᵀ from them), a tile of batch entries at a time."""
+    m, n = k.shape[-2], q.shape[-2]
+    cuts = _tile_cuts((k, q, v), m, n)
+    if o is None:
+        if len(cuts) == 2:  # one tile of whole arrays: no buffers to fill
+            pt, mx, sm = _probs_t(k, q, mask_diagonal)
+            return np.matmul(np.swapaxes(pt, -1, -2), v), mx, sm
+        o, mx, sm = _attention_out(k, q, v, mask_diagonal)
+    for lo, hi in zip(cuts, cuts[1:]):
+        kt, qt, vt, ot, mxt, smt = _rows((k, q, v, o, mx, sm), lo, hi, len(k), k.ndim)
+        pt, mxt[...], smt[...] = _probs_t(kt, qt, mask_diagonal)
+        np.matmul(np.swapaxes(pt, -1, -2), vt, out=ot)
+        del pt  # freed before the next tile's is made
+    return o, mx, sm
 
 
 def _attention_out(k, q, v, mask_diagonal):
     lead = np.broadcast_shapes(k.shape[:-2], q.shape[:-2], v.shape[:-2])
-    pt = np.empty((*lead, k.shape[-2], q.shape[-2]), dtype=np.result_type(k, q))
-    return pt, np.empty((*lead, q.shape[-2], v.shape[-1]), dtype=np.result_type(pt, v))
+    dt = np.result_type(k, q)
+    stat = np.empty((*lead, 1, q.shape[-2]), dtype=dt)
+    return (np.empty((*lead, q.shape[-2], v.shape[-1]), dtype=np.result_type(dt, v)),
+            stat, stat.copy())
 
 
-def _attention_grad_rows(g, o, pt, q, k, v, wanted, dv=None, dq=None, dk=None):
-    """The gradients of v, q and k, each where `wanted` asks for it."""
+def _attention_grad_rows(g, o, mx, sm, q, k, v, mask_diagonal, wanted, dv=None, dq=None,
+                         dk=None):
+    """The gradients of v, q and k, each where `wanted` asks for it, a tile of
+    batch entries at a time on its rebuilt Pᵀ."""
+    if dv is None and dq is None and dk is None:
+        dv, dq, dk = _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, wanted)
     want_v, want_q, want_k = wanted
-    if want_v:
-        dv = np.matmul(pt, g, out=dv)
-    if want_q or want_k:
-        d = np.einsum("...i,...i->...", g, o)[..., None, :]
-        dst = np.matmul(v, np.swapaxes(g, -1, -2))  # dPᵀ
-        dst -= d
-        dst *= pt  # dSᵀ, the gradient of the transposed logits
-        if want_q:
-            dq = np.matmul(np.swapaxes(dst, -1, -2), k, out=dq)
-        if want_k:
-            dk = np.matmul(dst, q, out=dk)
+    arrays = (g, o, mx, sm, q, k, v, dv, dq, dk)
+    cuts = _tile_cuts(arrays, k.shape[-2], q.shape[-2])
+    for lo, hi in zip(cuts, cuts[1:]):
+        gt, ot, mxt, smt, qt, kt, vt, dvt, dqt, dkt = _rows(arrays, lo, hi, len(g), g.ndim)
+        pt = _probs_t(kt, qt, mask_diagonal, mxt, smt)[0]
+        if want_v:
+            np.matmul(pt, gt, out=dvt)
+        if want_q or want_k:
+            d = np.einsum("...i,...i->...", gt, ot)[..., None, :]
+            dst = np.matmul(vt, np.swapaxes(gt, -1, -2))  # dPᵀ
+            dst -= d
+            dst *= pt  # dSᵀ, the gradient of the transposed logits
+            if want_q:
+                np.matmul(np.swapaxes(dst, -1, -2), kt, out=dqt)
+            if want_k:
+                np.matmul(dst, qt, out=dkt)
+            del dst
+        del pt  # this tile's n x n arrays go before the next tile's are made
     return dv, dq, dk
 
 
-def _attention_grad_out(g, o, pt, q, k, v, wanted):
-    dt = np.result_type(g, pt, v)
-    return tuple(np.empty((*pt.shape[:-2], *t.shape[-2:]), dtype=np.result_type(dt, t))
+def _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, wanted):
+    dt = np.result_type(g, mx, v)
+    return tuple(np.empty((*mx.shape[:-2], *t.shape[-2:]), dtype=np.result_type(dt, t))
                  if want else None for t, want in zip((v, q, k), wanted))
 
 
-def attention(q, k, v, mask_diagonal=False):
+def attention(q, k, v, mask_diagonal=False, return_weights=False):
     """softmax(q kᵀ) v over the last two axes as one node; returns (out, weights).
 
-    `weights` is the (..., query, key) probability array.  With the mask on,
-    the query and key counts must be equal: -inf is written onto the
-    diagonal of the logits before the max, as in :func:`softmax`, so
-    self-weights come out exactly 0.  Leading axes broadcast (a query
-    without the batch axis is shared by every batch element).
+    `weights` is the (..., query, key) probability array when
+    `return_weights` asks for it, else None.  With the mask on, the query
+    and key counts must be equal: -inf is written onto the diagonal of the
+    logits before the max, as in :func:`softmax`, so self-weights come out
+    exactly 0.  Leading axes broadcast (a query without the batch axis is
+    shared by every batch element).
 
-    The probabilities are held transposed, keys on axis -2, so the row max
-    and row sum reduce over an outer axis; the backward keeps only them and
-    uses D = rowsum(dO * O) in place of the n x n softmax row-dot
+    The probabilities are formed transposed, keys on axis -2, so the max and
+    sum over keys reduce over an outer axis, and a tile of batch entries at
+    a time (`_TILE_BYTES` of them), so each tile's n x n passes run in
+    cache.  The node keeps only each query's max and sum, not the
+    probabilities: the backward rebuilds each tile's Pᵀ from them, bit for
+    bit, and uses D = rowsum(dO * O) in place of the n x n softmax row-dot
     (FlashAttention, Dao et al. 2022).
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
@@ -736,19 +817,25 @@ def attention(q, k, v, mask_diagonal=False):
     if mask_diagonal and (m != n or n < 2):
         raise AutodiffError(f"diagonal mask needs as many keys as queries, "
                             f"n >= 2, got {m} keys for {n} queries")
-    # the keys carry the batch axis; a batchless query is shared by every slice
-    pt, o = _split(_attention_rows, _attention_out, (k.data, q.data, v.data), mask_diagonal)
+    # the keys carry the batch axis; a batchless query is shared by every
+    # slice.  The work is counted in elements of Pᵀ
+    size = math.prod(k.shape[:-1]) * n
+    o, mx, sm = _split(_attention_rows, _attention_out, (k.data, q.data, v.data),
+                       mask_diagonal, size=size)
     out = _make(o, (q, k, v), "attention")
+    weights = None
+    if return_weights:
+        weights = np.swapaxes(_probs_t(k.data, q.data, mask_diagonal, mx, sm)[0], -1, -2)
     if _tracked(out):
         def _bw():
             grads = _split(_attention_grad_rows, _attention_grad_out,
-                           (out.grad, o, pt, q.data, k.data, v.data),
-                           tuple(t.requires_grad for t in (v, q, k)))
+                           (out.grad, o, mx, sm, q.data, k.data, v.data), mask_diagonal,
+                           tuple(t.requires_grad for t in (v, q, k)), size=size)
             for t, grad in zip((v, q, k), grads):
                 if grad is not None:
                     t._accumulate(_unbroadcast(grad, t.data.shape), own=True)
         out._backward = _bw
-    return out, np.swapaxes(pt, -1, -2)
+    return out, weights
 
 
 def logsumexp(a, axis=-1):
@@ -840,10 +927,36 @@ def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
 
 
 def _keep_mask(shape, dtype, rate, rng):
-    """The boolean keep mask of inverted dropout: one uniform draw from `rng`."""
+    """The boolean keep mask of inverted dropout: one uniform draw from `rng`.
+
+    It is rng.random(shape, dtype) >= rate, drawn in that dtype (float64 for
+    any other), and leaves `rng` in the same state.  For a PCG64 generator
+    the mask is read straight off the raw 64-bit words, which skips the
+    floats: numpy makes a float64 of a word as (word >> 11) * 2**-53, and a
+    float32 of each 32-bit half, low half first, as (half >> 8) * 2**-24, so
+    the test becomes an integer compare against the rate scaled up and
+    rounded up.  A float32 draw with an odd count, or with a half-word left
+    over from an earlier draw, takes the float path.
+    """
     if not 0.0 <= rate < 1.0:
         raise AutodiffError(f"dropout rate {rate} outside [0, 1)")
     draw_dtype = dtype if dtype in (np.float32, np.float64) else np.float64
+    bitgen = rng.bit_generator
+    count = math.prod(shape)
+    if type(bitgen) is np.random.PCG64 and sys.byteorder == "little":
+        if draw_dtype == np.float64:
+            words = bitgen.random_raw(count)
+            words >>= 11
+            return (words >= math.ceil(rate * 2.0 ** 53)).reshape(shape)
+        if count % 2 == 0 and not bitgen.state["has_uint32"]:
+            words = bitgen.random_raw(count // 2)
+            if count:  # the float path leaves the last high half in the state
+                state = bitgen.state
+                state["uinteger"] = int(words[-1] >> 32)
+                bitgen.state = state
+            halves = words.view(np.uint32)
+            halves >>= 8
+            return (halves >= math.ceil(float(np.float32(rate)) * 2.0 ** 24)).reshape(shape)
     return rng.random(shape, dtype=draw_dtype) >= rate
 
 

@@ -207,7 +207,7 @@ def _from_heads(x):
 
 
 def masked_attention(q, k_heads, v_heads, dta: DtaParameters, layer: int,
-                     mask_diagonal: bool):
+                     mask_diagonal: bool, return_weights=False):
     """Multi-head attention over channels; pretraining masks the diagonal.
 
     The scaled query heads, the shared key/value heads and the mask go to
@@ -215,7 +215,9 @@ def masked_attention(q, k_heads, v_heads, dta: DtaParameters, layer: int,
     on, diagonal logits are driven to -inf before the softmax, so the
     post-softmax self-weight is exactly zero and each row is a convex
     combination of the *other* channels' values.  Returns the output
-    projection and the (B, heads, query, key) attention weights array.
+    projection and, when `return_weights` asks for it, the (B, heads,
+    query, key) attention weights array (else None): the op does not keep
+    the weights, so building them costs a second pass over the logits.
     """
     params = dta.params
     cfg = dta.config
@@ -225,16 +227,19 @@ def masked_attention(q, k_heads, v_heads, dta: DtaParameters, layer: int,
     # fold the 1/sqrt(d_head) scale into the (much smaller) query tensor
     qh = _to_heads(_affine(q, params, f"enc{layer}.q") * (1.0 / math.sqrt(cfg.d_head)),
                    cfg.n_heads)
-    mixed, attn = ad.attention(qh, k_heads, v_heads, mask_diagonal=mask_diagonal)
+    mixed, attn = ad.attention(qh, k_heads, v_heads, mask_diagonal=mask_diagonal,
+                               return_weights=return_weights)
     return _affine(_from_heads(mixed), params, f"enc{layer}.out"), attn
 
 
 def encoder_layer(q, k_heads, v_heads, dta: DtaParameters, layer: int,
-                  mask_diagonal: bool, rng):
+                  mask_diagonal: bool, rng, return_weights=False):
     """One block: attention, residual + norm, feed-forward, residual + norm.
-    Feed-forward dropout fires when an `rng` is given."""
+    Feed-forward dropout fires when an `rng` is given; the attention weights
+    come back as :func:`masked_attention` returns them."""
     params = dta.params
-    h, attn = masked_attention(q, k_heads, v_heads, dta, layer, mask_diagonal)
+    h, attn = masked_attention(q, k_heads, v_heads, dta, layer, mask_diagonal,
+                               return_weights)
     x = ad.layer_norm(h, params[f"enc{layer}.ln1.g"], params[f"enc{layer}.ln1.b"], LN_EPS,
                       residual=q)
     ffn = ad.ffn(x, params[f"enc{layer}.ffn.f1.w"], params[f"enc{layer}.ffn.f1.b"],
@@ -252,7 +257,9 @@ def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None,
     `de` is (B, n, bands), (n, bands), or a Tensor.  `mask_diagonal` removes
     the attention diagonal (contrastive pretraining); calibration and
     prediction leave it off.  Dropout fires only when an `rng` is given.
-    Output q_final is (B, n, d_model).
+    Output q_final is (B, n, d_model).  `capture_attention` asks every layer
+    for its (B, heads, n, n) weights, each rebuilt from the logits after
+    the layer's attention has run; without it none is built.
     """
     cfg = dta.config
     x = de if isinstance(de, Tensor) else Tensor(np.asarray(de, dtype=dta.dtype))
@@ -270,7 +277,8 @@ def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None,
 
     attn_maps = [] if capture_attention else None
     for layer in range(cfg.n_layers):
-        q, attn = encoder_layer(q, k_heads, v_heads, dta, layer, mask_diagonal, rng)
+        q, attn = encoder_layer(q, k_heads, v_heads, dta, layer, mask_diagonal, rng,
+                                capture_attention)
         if capture_attention:
             attn_maps.append(attn)
     return EncoderOutput(q_final=q, attention=attn_maps)

@@ -19,3 +19,11 @@ def set_workers(monkeypatch):
     before = ad._workers
     yield ad._set_workers
     ad._set_workers(before)
+
+
+@pytest.fixture
+def attention_tile(monkeypatch):
+    """Sets the bytes of Pᵀ in one tile of `attention`'s batch entries for the
+    test; the size in force before it is restored after it."""
+    from eegtransfer import autodiff as ad
+    return lambda nbytes: monkeypatch.setattr(ad, "_TILE_BYTES", nbytes)

@@ -3,6 +3,7 @@
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,7 +148,8 @@ def test_attention_matches_chain_and_gradient(mask, q_shape):
     ps.add("q", rng.normal(size=q_shape))
     ps.add("k", rng.normal(size=(2, 3, 5, 4)))
     ps.add("v", rng.normal(size=(2, 3, 5, 4)))
-    out, weights = ad.attention(ps["q"], ps["k"], ps["v"], mask_diagonal=mask)
+    out, weights = ad.attention(ps["q"], ps["k"], ps["v"], mask_diagonal=mask,
+                                return_weights=True)
     want = reference_attention(ps["q"], ps["k"], ps["v"], mask)
     assert out.shape == weights.shape[:-1] + (4,) == (2, 3, 5, 4)
     assert np.allclose(out.data, want.data, rtol=0, atol=1e-12)
@@ -166,7 +168,7 @@ def test_attention_masked_float32_self_weights_exactly_zero():
     q, k, v = (rng.normal(size=(4, 2, 7, 3)).astype(np.float32) for _ in range(3))
     q[..., 0, :] = k[..., 0, :] * 50.0  # a dominant self-logit is still removed
     out, weights = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v),
-                                mask_diagonal=True)
+                                mask_diagonal=True, return_weights=True)
     assert out.dtype == weights.dtype == np.float32
     assert np.all(weights[..., np.arange(7), np.arange(7)] == 0.0)
 
@@ -178,8 +180,53 @@ def test_attention_mask_needs_square_logits():
     one = ad.Tensor(np.zeros((2, 1, 4)))
     with pytest.raises(ad.AutodiffError, match="n >= 2"):
         ad.attention(one, one, one, mask_diagonal=True)
-    out, weights = ad.attention(q, kv, kv)  # unmasked cross-attention is fine
+    # unmasked cross-attention is fine
+    out, weights = ad.attention(q, kv, kv, return_weights=True)
     assert weights.shape == (2, 3, 5) and out.shape == (2, 3, 4)
+
+
+def run_attention(q, k, v, mask, dout):
+    """Output and q, k, v gradient bytes of a tracked attention fed `dout`."""
+    ts = [ad.Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
+    out, weights = ad.attention(*ts, mask_diagonal=mask)
+    assert weights is None  # built only when asked for
+    out.backward(dout)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("q_shape", [(5, 2, 6, 3), (2, 6, 3)], ids=["batched_q", "batchless_q"])
+def test_attention_tiles_bitwise_equal_to_whole_batch(dtype, mask, q_shape, attention_tile):
+    rng = np.random.default_rng(24)
+    q = rng.normal(size=q_shape).astype(dtype)
+    k, v, dout = (rng.normal(size=(5, 2, 6, 3)).astype(dtype) for _ in range(3))
+    whole = run_attention(q, k, v, mask, dout)
+    # two entries' worth of Pᵀ per tile: the 5 entries run as tiles of 1, 2, 2
+    attention_tile(2 * 2 * 6 * 6 * np.dtype(dtype).itemsize)
+    assert ad._tile_cuts((k, q, v), 6, 6) == [0, 1, 3, 5]
+    assert run_attention(q, k, v, mask, dout) == whole
+
+
+def test_attention_forward_keeps_no_probabilities(set_workers):
+    """A tracked masked forward at B = 64, cut in two slices, holds less than
+    one (64, 4, 62, 62) array, at its peak and after it returns."""
+    set_workers(2)  # the peak grows with the slices that run at once
+    rng = np.random.default_rng(25)
+    q, k, v = (ad.Tensor(rng.normal(size=(64, 4, 62, 8)).astype(np.float32),
+                         requires_grad=True) for _ in range(3))
+    probs_bytes = 64 * 4 * 62 * 62 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out, _ = ad.attention(q, k, v, mask_diagonal=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert held - before < probs_bytes
+    assert peak - before < probs_bytes
 
 
 def test_logsumexp_matches_reference_and_gradient():
@@ -466,6 +513,25 @@ def test_dropout_is_one_node_bitwise_equal_to_mask_product():
         return run
     assert_bitwise(with_rng(ad.dropout), with_rng(reference_dropout), [x], rng)
     assert draws[ad.dropout] == draws[reference_dropout]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("start", ["even", "odd", "buffered"])
+def test_keep_mask_equals_float_draw(dtype, start):
+    """The mask off raw generator words equals rng.random(shape) >= rate, and
+    the generator ends in the same state."""
+    shape = (5, 3) if start == "odd" else (4, 62, 6)
+    for rate in (0.1, 0.3, 0.5, 1.0 - 1e-9):
+        rngs = [np.random.default_rng(27), np.random.default_rng(27)]
+        if start == "buffered":  # leaves half a word in each generator
+            for r in rngs:
+                r.random(3, dtype=np.float32)
+        got = ad._keep_mask(shape, np.dtype(dtype), rate, rngs[0])
+        want = rngs[1].random(shape, dtype=dtype) >= rate
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert np.array_equal(rngs[0].random(3, dtype=np.float32),
+                              rngs[1].random(3, dtype=np.float32))
 
 
 # -- gradient hand-over -------------------------------------------------------

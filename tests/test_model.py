@@ -96,7 +96,8 @@ class TestMaskedAttention:
         q = ad.Tensor(rng.normal(size=(1, 2, 8)))
         k = M._to_heads(ad.Tensor(rng.normal(size=(1, 2, 8))), 2)
         v = M._to_heads(ad.Tensor(rng.normal(size=(1, 2, 8))), 2)
-        _, attn = M.masked_attention(q, k, v, d2, 0, mask_diagonal=True)
+        _, attn = M.masked_attention(q, k, v, d2, 0, mask_diagonal=True,
+                                     return_weights=True)
         # with the diagonal removed each row has one column left
         assert np.allclose(attn[:, :, 0, 1], 1.0)
         assert np.allclose(attn[:, :, 1, 0], 1.0)
@@ -113,7 +114,8 @@ class TestMaskedAttention:
         q = ad.Tensor(rng.normal(size=(1, 3, 8)))
         k = M._to_heads(ad.Tensor(rng.normal(size=(1, 3, 8))), 1)
         v = M._to_heads(ad.Tensor(rng.normal(size=(1, 3, 8))), 1)
-        _, attn = M.masked_attention(q, k, v, d3, 0, mask_diagonal=True)
+        _, attn = M.masked_attention(q, k, v, d3, 0, mask_diagonal=True,
+                                     return_weights=True)
         off = attn[0, 0][~np.eye(3, dtype=bool)]
         assert np.allclose(off, 0.5, atol=1e-7)
         assert np.all(np.diag(attn[0, 0]) == 0.0)
