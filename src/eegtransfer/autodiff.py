@@ -5,14 +5,14 @@ remembers its parents and how to push gradients back to them.  The op set is
 exactly what the model and losses call (elementwise add/mul/power, ELU,
 softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum/mean,
 logsumexp and four fused ops: ``linear`` (x @ w + b), ``ffn`` (linear, ELU,
-dropout, linear), dot-product ``attention`` with an optional diagonal mask
-and ``layer_norm`` with an optional residual), plus the last-axis softmax
-that attention is tested against and a finite-difference :func:`grad_check`
-used throughout the test suite.  A fused op is one tape node that keeps only
-what its hand-written backward reads; ``attention`` keeps no n x n array at
-all, only each query's softmax max and sum, and its backward rebuilds the
-probabilities from them, bit for bit, a cache-sized tile of batch entries
-at a time.
+dropout, linear), multi-head ``attention`` (head split, query scale and head
+merge inside) with an optional diagonal mask and ``layer_norm`` with an
+optional residual), plus the last-axis softmax that attention is tested
+against and a finite-difference :func:`grad_check` used throughout the test
+suite.  A fused op is one tape node that keeps only what its hand-written
+backward reads; ``attention`` keeps no n x n array at all, only each query's
+softmax max and sum, and its backward rebuilds the probabilities from them,
+bit for bit, a cache-sized tile of batch entries at a time.
 
 Gradients are exact, not approximated; the engine runs in float64 for checks
 and float32 for training.  A backward sweep consumes its graph (memory is
@@ -309,18 +309,6 @@ class Tensor:
         if isinstance(other, (int, float)):
             return add(self, -other)
         return add(self, -_wrap(other))
-
-    def __rsub__(self, other):
-        return add(-self, other) if isinstance(other, (int, float)) \
-            else add(_wrap(other), -self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        return mul(self, power(_wrap(other), -1.0))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
@@ -734,6 +722,18 @@ def _probs_t(k, q, mask_diagonal, mx=None, sm=None):
     return pt, mx, sm
 
 
+def _heads(x, n_heads):
+    """The (..., heads, n, d_head) view of a (..., n, heads * d_head) array."""
+    *lead, n, d = x.shape
+    return np.swapaxes(x.reshape(*lead, n, n_heads, d // n_heads), -3, -2)
+
+
+def _merge_heads(x):
+    """`_heads` undone: a view, or a copy for the one-tile forward's output."""
+    x = np.swapaxes(x, -3, -2)
+    return x.reshape(*x.shape[:-2], -1)
+
+
 def _attention_rows(k, q, v, mask_diagonal, o=None, mx=None, sm=None):
     """The output P v and each query's logit max and exp sum (the backward
     rebuilds Pᵀ from them), a tile of batch entries at a time."""
@@ -756,8 +756,8 @@ def _attention_out(k, q, v, mask_diagonal):
     lead = np.broadcast_shapes(k.shape[:-2], q.shape[:-2], v.shape[:-2])
     dt = np.result_type(k, q)
     stat = np.empty((*lead, 1, q.shape[-2]), dtype=dt)
-    return (np.empty((*lead, q.shape[-2], v.shape[-1]), dtype=np.result_type(dt, v)),
-            stat, stat.copy())
+    o = np.empty((*lead[:-1], q.shape[-2], lead[-1], v.shape[-1]), dtype=np.result_type(dt, v))
+    return np.swapaxes(o, -3, -2), stat, stat.copy()  # heads views merge for free
 
 
 def _attention_grad_rows(g, o, mx, sm, q, k, v, mask_diagonal, wanted, dv=None, dq=None,
@@ -789,20 +789,22 @@ def _attention_grad_rows(g, o, mx, sm, q, k, v, mask_diagonal, wanted, dv=None, 
 
 
 def _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, wanted):
+    *lead, h = mx.shape[:-2]
     dt = np.result_type(g, mx, v)
-    return tuple(np.empty((*mx.shape[:-2], *t.shape[-2:]), dtype=np.result_type(dt, t))
+    return tuple(np.swapaxes(np.empty((*lead, t.shape[-2], h, t.shape[-1]),
+                                      dtype=np.result_type(dt, t)), -3, -2)
                  if want else None for t, want in zip((v, q, k), wanted))
 
 
-def attention(q, k, v, mask_diagonal=False, return_weights=False):
-    """softmax(q kᵀ) v over the last two axes as one node; returns (out, weights).
+def attention(q, k, v, n_heads, mask_diagonal=False, return_weights=False):
+    """Multi-head softmax(q kᵀ / sqrt(d_head)) v as one node; returns (out, weights).
 
-    `weights` is the (..., query, key) probability array when
+    q, k, v and out are (..., n, n_heads * d_head), split into heads as
+    views.  `weights` is the (..., heads, query, key) probability array when
     `return_weights` asks for it, else None.  With the mask on, the query
     and key counts must be equal: -inf is written onto the diagonal of the
     logits before the max, as in :func:`softmax`, so self-weights come out
-    exactly 0.  Leading axes broadcast (a query without the batch axis is
-    shared by every batch element).
+    exactly 0.  Leading axes broadcast (a batchless query is shared by all).
 
     The probabilities are formed transposed, keys on axis -2, so the max and
     sum over keys reduce over an outer axis, and a tile of batch entries at
@@ -817,21 +819,26 @@ def attention(q, k, v, mask_diagonal=False, return_weights=False):
     if mask_diagonal and (m != n or n < 2):
         raise AutodiffError(f"diagonal mask needs as many keys as queries, "
                             f"n >= 2, got {m} keys for {n} queries")
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+    qh, kh, vh = (_heads(a, n_heads) for a in (q.data * scale, k.data, v.data))
     # the keys carry the batch axis; a batchless query is shared by every
     # slice.  The work is counted in elements of Pᵀ
-    size = math.prod(k.shape[:-1]) * n
-    o, mx, sm = _split(_attention_rows, _attention_out, (k.data, q.data, v.data),
-                       mask_diagonal, size=size)
-    out = _make(o, (q, k, v), "attention")
+    size = math.prod(kh.shape[:-1]) * n
+    o, mx, sm = _split(_attention_rows, _attention_out, (kh, qh, vh), mask_diagonal, size=size)
+    out = _make(_merge_heads(o), (q, k, v), "attention")
     weights = None
     if return_weights:
-        weights = np.swapaxes(_probs_t(k.data, q.data, mask_diagonal, mx, sm)[0], -1, -2)
+        weights = np.swapaxes(_probs_t(kh, qh, mask_diagonal, mx, sm)[0], -1, -2)
     if _tracked(out):
         def _bw():
-            grads = _split(_attention_grad_rows, _attention_grad_out,
-                           (out.grad, o, mx, sm, q.data, k.data, v.data), mask_diagonal,
-                           tuple(t.requires_grad for t in (v, q, k)), size=size)
-            for t, grad in zip((v, q, k), grads):
+            dv, dq, dk = (None if g is None else _merge_heads(g) for g in _split(
+                _attention_grad_rows, _attention_grad_out,
+                (_heads(out.grad, n_heads), o, mx, sm, qh, kh, vh), mask_diagonal,
+                tuple(t.requires_grad for t in (v, q, k)), size=size))
+            if dq is not None:  # scaled once summed down to the query's shape
+                dq = _unbroadcast(dq, q.data.shape)
+                dq *= scale
+            for t, grad in zip((v, q, k), (dv, dq, dk)):
                 if grad is not None:
                     t._accumulate(_unbroadcast(grad, t.data.shape), own=True)
         out._backward = _bw

@@ -37,22 +37,22 @@ class ModelConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "proj_dims", tuple(self.proj_dims))
-        object.__setattr__(self, "clf_hidden", tuple(self.clf_hidden))
-        dims = (self.n_layers, self.d_model, self.n_heads, self.ffn_hidden,
-                self.n_channels, self.n_bands, self.n_classes,
-                *self.proj_dims, *self.clf_hidden)
-        if any(d <= 0 for d in dims):
-            raise ConfigError("all model dimensions must be positive")
+        dims = {name: getattr(self, name) for name in (
+            "n_layers", "d_model", "n_heads", "ffn_hidden", "n_channels", "n_bands", "n_classes")}
+        for name, length in (("proj_dims", 3), ("clf_hidden", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or len(value) != length:
+                raise ConfigError(f"{name} must list {length} dimensions, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+            dims.update((f"{name}[{i}]", d) for i, d in enumerate(value))
+        for name, d in dims.items():
+            if type(d) is not int or d <= 0:
+                raise ConfigError(f"{name} must be a positive integer, got {d!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @property
-    def d_head(self):
-        return self.d_model // self.n_heads
 
 
 @dataclass(frozen=True)

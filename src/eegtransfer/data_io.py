@@ -237,11 +237,11 @@ def _require(record, key, where, error, kind=object):
     return value
 
 
-def _manifest_uint(manifest, key, where):
-    value = _require(manifest, key, where, ManifestMismatchError)
+def _manifest_uint(record, key, where, error):
+    """record[key] as a non-negative int, else `error` as `_require` raises it."""
+    value = _require(record, key, where, error)
     if type(value) is not int or value < 0:
-        raise ManifestMismatchError(
-            f"{where}: {key} is {value!r}, expected a non-negative integer")
+        raise error(f"{where}: {key} is {value!r}, expected a non-negative integer")
     return value
 
 
@@ -262,7 +262,7 @@ def read_bank(directory) -> SampleBank:
     if version != FORMAT_VERSION:
         raise ManifestMismatchError(f"unsupported format_version {version}")
     counts = get("counts", dict)
-    n_samples, n_ch, n_bands = (_manifest_uint(counts, k, f"{mpath} counts")
+    n_samples, n_ch, n_bands = (_manifest_uint(counts, k, f"{mpath} counts", ManifestMismatchError)
                                 for k in ("n_samples", "n_channels", "n_bands"))
     dataset = get("dataset", str)
     classes, bands, index = (get(k, list) for k in ("classes", "bands", "samples"))
@@ -308,7 +308,7 @@ def read_bank(directory) -> SampleBank:
         where = f"{mpath} raw_trials[{i}]"
         fname = _require(rec, "file", where, ManifestMismatchError, str)
         n_rch, n_rs, subject, session, trial, label = (
-            _manifest_uint(rec, k, where)
+            _manifest_uint(rec, k, where, ManifestMismatchError)
             for k in ("channels", "samples", "subject", "session", "trial", "label"))
         rblob = (directory / fname).read_bytes()
         if rblob[:len(MAGIC_RAW)] != MAGIC_RAW:
@@ -376,8 +376,10 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
     """Load (DtaParameters, AdamState | None); optionally cast to `dtype`.
 
     Raises CheckpointError on bad magic, truncation, bytes past the last
-    array, a missing header key, a model config this version does not know,
-    or a config that does not match `expected_config`.
+    array, a missing header key, an array record whose dtype is not <f4 or
+    <f8 or whose shape entries or offset are not non-negative integers, a
+    model config this version does not know or accept, or a config that
+    does not match `expected_config`.
     """
     from .training import AdamState
 
@@ -409,9 +411,16 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
 
     stored = {}
     payload_end = 0
-    for rec in _require(header, "arrays", path, CheckpointError):
-        name, kind, dt, shape, offset = (_require(rec, k, path, CheckpointError) for k in
-                                         ("name", "kind", "dtype", "shape", "offset"))
+    for i, rec in enumerate(_require(header, "arrays", path, CheckpointError, list)):
+        where = f"{path} arrays[{i}]"
+        name, kind = (_require(rec, k, where, CheckpointError, str) for k in ("name", "kind"))
+        dt = _require(rec, "dtype", where, CheckpointError)
+        if dt not in ("<f4", "<f8"):
+            raise CheckpointError(f"{where}: dtype is {dt!r}, expected '<f4' or '<f8'")
+        dims = {f"shape[{j}]": d
+                for j, d in enumerate(_require(rec, "shape", where, CheckpointError, list))}
+        shape = [_manifest_uint(dims, k, where, CheckpointError) for k in dims]
+        offset = _manifest_uint(rec, "offset", where, CheckpointError)
         itemsize = 8 if dt == "<f8" else 4
         nbytes = int(np.prod(shape, dtype=np.int64)) * itemsize if shape else itemsize
         end = offset + nbytes

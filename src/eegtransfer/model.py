@@ -194,52 +194,36 @@ def init_inputs(p_emb: Tensor, pos_table: Tensor, s_emb: Tensor):
     return q1, kv
 
 
-def _to_heads(x, n_heads):
-    *lead, n, d = x.shape
-    x = ad.reshape(x, (*lead, n, n_heads, d // n_heads))
-    return ad.swapaxes(x, -3, -2)
-
-
-def _from_heads(x):
-    x = ad.swapaxes(x, -3, -2)
-    *lead, n, h, dh = x.shape
-    return ad.reshape(x, (*lead, n, h * dh))
-
-
-def masked_attention(q, k_heads, v_heads, dta: DtaParameters, layer: int,
-                     mask_diagonal: bool, return_weights=False):
+def masked_attention(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: bool,
+                     return_weights=False):
     """Multi-head attention over channels; pretraining masks the diagonal.
 
-    The scaled query heads, the shared key/value heads and the mask go to
-    the fused :func:`autodiff.attention` op (one tape node).  With the mask
-    on, diagonal logits are driven to -inf before the softmax, so the
-    post-softmax self-weight is exactly zero and each row is a convex
-    combination of the *other* channels' values.  Returns the output
-    projection and, when `return_weights` asks for it, the (B, heads,
-    query, key) attention weights array (else None): the op does not keep
-    the weights, so building them costs a second pass over the logits.
+    The query projection, the shared (B, n, d_model) keys and values and the
+    mask go to the fused :func:`autodiff.attention` op (one tape node, head
+    split and 1/sqrt(d_head) scale included).  With the mask on, diagonal
+    logits are driven to -inf before the softmax, so the post-softmax
+    self-weight is exactly zero and each row is a convex combination of the
+    *other* channels' values.  Returns the output projection and, when
+    `return_weights` asks for it, the (B, heads, query, key) attention
+    weights array (else None): the op does not keep the weights, so building
+    them costs a second pass over the logits.
     """
     params = dta.params
-    cfg = dta.config
-    n = q.shape[-2]
-    if mask_diagonal and n < 2:
+    if mask_diagonal and q.shape[-2] < 2:
         raise ModelError("diagonal masking needs at least 2 channels")
-    # fold the 1/sqrt(d_head) scale into the (much smaller) query tensor
-    qh = _to_heads(_affine(q, params, f"enc{layer}.q") * (1.0 / math.sqrt(cfg.d_head)),
-                   cfg.n_heads)
-    mixed, attn = ad.attention(qh, k_heads, v_heads, mask_diagonal=mask_diagonal,
-                               return_weights=return_weights)
-    return _affine(_from_heads(mixed), params, f"enc{layer}.out"), attn
+    mixed, attn = ad.attention(_affine(q, params, f"enc{layer}.q"), k, v, dta.config.n_heads,
+                               mask_diagonal=mask_diagonal, return_weights=return_weights)
+    return _affine(mixed, params, f"enc{layer}.out"), attn
 
 
-def encoder_layer(q, k_heads, v_heads, dta: DtaParameters, layer: int,
-                  mask_diagonal: bool, rng, return_weights=False):
-    """One block: attention, residual + norm, feed-forward, residual + norm.
-    Feed-forward dropout fires when an `rng` is given; the attention weights
-    come back as :func:`masked_attention` returns them."""
+def encoder_layer(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: bool, rng,
+                  return_weights=False):
+    """One block of six tape nodes: query linear, attention, output linear,
+    residual + norm, feed-forward, residual + norm.  Feed-forward dropout
+    fires when an `rng` is given; the attention weights come back as
+    :func:`masked_attention` returns them."""
     params = dta.params
-    h, attn = masked_attention(q, k_heads, v_heads, dta, layer, mask_diagonal,
-                               return_weights)
+    h, attn = masked_attention(q, k, v, dta, layer, mask_diagonal, return_weights)
     x = ad.layer_norm(h, params[f"enc{layer}.ln1.g"], params[f"enc{layer}.ln1.b"], LN_EPS,
                       residual=q)
     ffn = ad.ffn(x, params[f"enc{layer}.ffn.f1.w"], params[f"enc{layer}.ffn.f1.b"],
@@ -257,7 +241,8 @@ def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None,
     `de` is (B, n, bands), (n, bands), or a Tensor.  `mask_diagonal` removes
     the attention diagonal (contrastive pretraining); calibration and
     prediction leave it off.  Dropout fires only when an `rng` is given.
-    Output q_final is (B, n, d_model).  `capture_attention` asks every layer
+    Output q_final is (B, n, d_model), as are the keys and values every
+    layer's attention node takes.  `capture_attention` asks every layer
     for its (B, heads, n, n) weights, each rebuilt from the logits after
     the layer's attention has run; without it none is built.
     """
@@ -272,13 +257,12 @@ def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None,
     p_emb = embed_positions(pos_data, dta)
     s_emb = embed_source(x, dta)
     q, kv = init_inputs(p_emb, dta.params["pos_table"], s_emb)
-    k_heads = _to_heads(ad.linear(kv, dta.params["kv.k.w"]), cfg.n_heads)
-    v_heads = _to_heads(_affine(kv, dta.params, "kv.v"), cfg.n_heads)
+    k = ad.linear(kv, dta.params["kv.k.w"])
+    v = _affine(kv, dta.params, "kv.v")
 
     attn_maps = [] if capture_attention else None
     for layer in range(cfg.n_layers):
-        q, attn = encoder_layer(q, k_heads, v_heads, dta, layer, mask_diagonal, rng,
-                                capture_attention)
+        q, attn = encoder_layer(q, k, v, dta, layer, mask_diagonal, rng, capture_attention)
         if capture_attention:
             attn_maps.append(attn)
     return EncoderOutput(q_final=q, attention=attn_maps)

@@ -10,7 +10,7 @@ import pytest
 from eegtransfer import data_io as io
 from eegtransfer import model as M
 from eegtransfer import training as T
-from eegtransfer.config import ModelConfig, SynthSpec
+from eegtransfer.config import ConfigError, ModelConfig, SynthSpec, run_config_from_dict
 from eegtransfer.dsp import extract_de
 
 SMALL = SynthSpec(n_subjects=2, n_classes=3, n_channels=8, trials_per_subject=3,
@@ -384,6 +384,47 @@ class TestCheckpoints:
         io.save_checkpoint(dta, path)
         rewrite_header(path, lambda h: h["model_config"].update(n_heads=3))
         with pytest.raises(io.CheckpointError, match="n_heads"):
+            io.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("proj_dims", [8, 8]), ("clf_hidden", [4, 4, 4]), ("proj_dims", 8),
+        ("n_layers", 2.5), ("proj_dims", [8, 8.0, 8]), ("n_heads", True)])
+    def test_malformed_model_config_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key) as err:
+            run_config_from_dict({"model": {key: value}})
+        assert "\n" not in str(err.value)
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path)
+        rewrite_header(path, lambda h: h["model_config"].update({key: value}))
+        with pytest.raises(io.CheckpointError, match=key) as err:
+            io.load_checkpoint(path)
+        assert "\n" not in str(err.value)
+
+    def corrupt_array_record(self, tmp_path, key, value):
+        """A saved checkpoint whose first array record holds `value` at `key`."""
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path)
+        rewrite_header(path, lambda h: h["arrays"][0].update({key: value}))
+        return path
+
+    @pytest.mark.parametrize("value", ["<i2", "zz", "<f2", 4])
+    def test_array_dtype_other_than_f4_or_f8_rejected(self, tmp_path, value):
+        path = self.corrupt_array_record(tmp_path, "dtype", value)
+        with pytest.raises(io.CheckpointError, match="dtype"):
+            io.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [-8, "0", 1.0, None])
+    def test_array_offset_not_a_non_negative_integer_rejected(self, tmp_path, value):
+        path = self.corrupt_array_record(tmp_path, "offset", value)
+        with pytest.raises(io.CheckpointError, match="offset"):
+            io.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [[-1, 8], "ab", [8, "8"], [2.0]])
+    def test_array_shape_not_non_negative_integers_rejected(self, tmp_path, value):
+        path = self.corrupt_array_record(tmp_path, "shape", value)
+        with pytest.raises(io.CheckpointError, match="shape"):
             io.load_checkpoint(path)
 
 

@@ -94,8 +94,8 @@ class TestMaskedAttention:
         d2 = M.init_parameters(cfg, seed=3)
         rng = np.random.default_rng(3)
         q = ad.Tensor(rng.normal(size=(1, 2, 8)))
-        k = M._to_heads(ad.Tensor(rng.normal(size=(1, 2, 8))), 2)
-        v = M._to_heads(ad.Tensor(rng.normal(size=(1, 2, 8))), 2)
+        k = ad.Tensor(rng.normal(size=(1, 2, 8)))
+        v = ad.Tensor(rng.normal(size=(1, 2, 8)))
         _, attn = M.masked_attention(q, k, v, d2, 0, mask_diagonal=True,
                                      return_weights=True)
         # with the diagonal removed each row has one column left
@@ -112,8 +112,8 @@ class TestMaskedAttention:
         d3.params["enc0.q.w"].data = np.zeros_like(d3.params["enc0.q.w"].data)
         rng = np.random.default_rng(4)
         q = ad.Tensor(rng.normal(size=(1, 3, 8)))
-        k = M._to_heads(ad.Tensor(rng.normal(size=(1, 3, 8))), 1)
-        v = M._to_heads(ad.Tensor(rng.normal(size=(1, 3, 8))), 1)
+        k = ad.Tensor(rng.normal(size=(1, 3, 8)))
+        v = ad.Tensor(rng.normal(size=(1, 3, 8)))
         _, attn = M.masked_attention(q, k, v, d3, 0, mask_diagonal=True,
                                      return_weights=True)
         off = attn[0, 0][~np.eye(3, dtype=bool)]
@@ -231,14 +231,14 @@ class TestEncode:
         p_emb = M.embed_positions(pos, zeroed)
         s_emb = M.embed_source(ad.Tensor(de[None]), zeroed)
         q, kv = M.init_inputs(p_emb, zeroed.params["pos_table"], s_emb)
-        kh = M._to_heads(ad.linear(kv, zeroed.params["kv.k.w"]), TINY.n_heads)
-        vh = M._to_heads(M._affine(kv, zeroed.params, "kv.v"), TINY.n_heads)
-        h, _ = M.masked_attention(q, kh, vh, zeroed, 0, mask_diagonal=True)
+        k = ad.linear(kv, zeroed.params["kv.k.w"])
+        v = M._affine(kv, zeroed.params, "kv.v")
+        h, _ = M.masked_attention(q, k, v, zeroed, 0, mask_diagonal=True)
         x = ad.layer_norm(q + h, zeroed.params["enc0.ln1.g"],
                           zeroed.params["enc0.ln1.b"], M.LN_EPS)
         want = ad.layer_norm(x, zeroed.params["enc0.ln2.g"],
                              zeroed.params["enc0.ln2.b"], M.LN_EPS).data
-        got, _ = M.encoder_layer(q, kh, vh, zeroed, 0, True, None)
+        got, _ = M.encoder_layer(q, k, v, zeroed, 0, True, None)
         assert np.allclose(got.data, want, atol=1e-12)
 
     def test_dropout_fires_only_with_rng(self, tiny):
@@ -262,6 +262,41 @@ class TestEncode:
         assert out.q_final.shape == (4, 6, TINY.d_model)
         with pytest.raises(M.ModelError):
             M.encode(rng.normal(size=(4, 7, 5)), pos, dta)
+
+    def test_layers_are_six_fused_nodes_each_after_key_value_linears(self, tiny):
+        """A masked pretrain step's graph holds, between the kv.k/kv.v
+        linears and the encoder output, only each layer's query linear,
+        attention, output linear, two layer norms and feed-forward."""
+        dta, pos = tiny
+        dta = dta.copy()  # train-mode projection writes batch-norm state
+        rng = np.random.default_rng(16)
+        enc = M.encode(rand_de(rng, batch=4), pos, dta, mask_diagonal=True, rng=rng)
+        z = M.project(enc.q_final, dta, train=True, rng=rng)
+        labels = np.array([0, 1])
+        loss = ls.contrastive_loss(
+            ls.ContrastiveBatch(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels))
+
+        def graph(root):
+            nodes, stack = {}, [root]
+            while stack:
+                t = stack.pop()
+                if id(t) not in nodes:
+                    nodes[id(t)] = t
+                    stack.extend(t._parents)
+            return nodes
+
+        kv_weights = (dta.params["kv.k.w"], dta.params["kv.v.w"])
+        kv_linears = [t for t in graph(loss).values()
+                      if any(p is w for p in t._parents for w in kv_weights)]
+        assert [t._op for t in kv_linears] == ["linear", "linear"]
+        upstream = {}
+        for t in kv_linears:
+            upstream.update(graph(t))
+        between = [t._op for i, t in graph(enc.q_final).items()
+                   if i not in upstream and t._parents]  # parameters are leaves
+        layers = TINY.n_layers
+        assert sorted(between) == sorted(["linear"] * 2 * layers + ["attention"] * layers
+                                         + ["layer_norm"] * 2 * layers + ["ffn"] * layers)
 
 
 class TestHeads:
