@@ -3,7 +3,8 @@
 A bank is a directory: ``manifest.json`` (dataset metadata, counts and the
 sample index table), ``features.bin`` (magic ``CLDTAFB1`` followed by
 N x channels x bands float32 little-endian, row-major in index order),
-``montage.csv`` and optionally ``raw/t<id>.bin`` files (magic ``CLDTARW1``,
+``montage.csv`` (every row ending in a newline, so a file cut inside its last
+row is caught) and optionally ``raw/t<id>.bin`` files (magic ``CLDTARW1``,
 float64 sampling rate, then channels x samples float32).  Payloads are raw
 little-endian floats so round-trips are bit-exact.
 
@@ -32,7 +33,7 @@ from . import dsp
 from .config import ConfigError, ModelConfig, SynthSpec, _from_dict
 from .dsp import DEFAULT_BANDS, FeatureSample, RawTrial
 from .model import DtaParameters, init_parameters
-from .montage import ChannelMontage, default_montage, load_montage, save_montage
+from .montage import ChannelMontage, MontageError, default_montage, parse_montage, save_montage
 
 FORMAT_VERSION = 1
 MAGIC_FEATURES = b"CLDTAFB1"
@@ -51,6 +52,10 @@ class BankError(ValueError):
     pass
 
 
+class MissingFileError(BankError):
+    pass
+
+
 class BadMagicError(BankError):
     pass
 
@@ -64,6 +69,10 @@ class ManifestMismatchError(BankError):
 
 
 class NonFinitePayloadError(BankError):
+    pass
+
+
+class BadMontageError(BankError):
     pass
 
 
@@ -245,13 +254,21 @@ def _manifest_uint(record, key, where, error):
     return value
 
 
+def _read_file(directory, name):
+    """The bytes of `directory / name`, else MissingFileError naming it."""
+    try:
+        return (directory / name).read_bytes()
+    except OSError as e:
+        raise MissingFileError(f"{name}: cannot read ({e.strerror}) in {directory}") from None
+
+
 def read_bank(directory) -> SampleBank:
+    """Load a bank; any fault in its files raises a one-line BankError
+    subclass naming the file."""
     directory = Path(directory)
     mpath = directory / MANIFEST_NAME
-    if not mpath.exists():
-        raise BankError(f"no {MANIFEST_NAME} in {directory}")
     try:
-        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+        manifest = json.loads(_read_file(directory, MANIFEST_NAME).decode("utf-8"))
     except ValueError as e:  # bad JSON or bad UTF-8
         raise ManifestMismatchError(f"{mpath}: not valid JSON ({e})") from None
 
@@ -260,7 +277,7 @@ def read_bank(directory) -> SampleBank:
 
     version = get("format_version")
     if version != FORMAT_VERSION:
-        raise ManifestMismatchError(f"unsupported format_version {version}")
+        raise ManifestMismatchError(f"{mpath}: unsupported format_version {version}")
     counts = get("counts", dict)
     n_samples, n_ch, n_bands = (_manifest_uint(counts, k, f"{mpath} counts", ManifestMismatchError)
                                 for k in ("n_samples", "n_channels", "n_bands"))
@@ -268,14 +285,23 @@ def read_bank(directory) -> SampleBank:
     classes, bands, index = (get(k, list) for k in ("classes", "bands", "samples"))
     if len(index) != n_samples:
         raise ManifestMismatchError(
-            f"counts.n_samples={n_samples} but index table has {len(index)} rows")
+            f"{mpath}: counts.n_samples={n_samples} but index table has {len(index)} rows")
 
-    montage = load_montage(directory / get("montage_file", str))
+    mname = get("montage_file", str)
+    mtext = _read_file(directory, mname)
+    if not mtext.endswith(b"\n"):  # save_montage ends every row with one
+        raise TruncatedPayloadError(f"{mname}: last row does not end with a newline")
+    try:
+        montage = parse_montage(mtext.decode("utf-8"), mname)
+    except UnicodeDecodeError:
+        raise BadMontageError(f"{mname}: not valid UTF-8") from None
+    except MontageError as e:
+        raise BadMontageError(str(e)) from None
     if len(montage) != n_ch:
         raise ManifestMismatchError(
-            f"montage has {len(montage)} channels, manifest says {n_ch}")
+            f"{mname}: montage has {len(montage)} channels, manifest says {n_ch}")
 
-    blob = (directory / FEATURES_NAME).read_bytes()
+    blob = _read_file(directory, FEATURES_NAME)
     if blob[:len(MAGIC_FEATURES)] != MAGIC_FEATURES:
         raise BadMagicError(f"{FEATURES_NAME}: bad magic {blob[:8]!r}")
     body = blob[len(MAGIC_FEATURES):]
@@ -310,11 +336,15 @@ def read_bank(directory) -> SampleBank:
         n_rch, n_rs, subject, session, trial, label = (
             _manifest_uint(rec, k, where, ManifestMismatchError)
             for k in ("channels", "samples", "subject", "session", "trial", "label"))
-        rblob = (directory / fname).read_bytes()
+        rblob = _read_file(directory, fname)
         if rblob[:len(MAGIC_RAW)] != MAGIC_RAW:
             raise BadMagicError(f"{fname}: bad magic {rblob[:8]!r}")
         rbody = rblob[len(MAGIC_RAW):]
+        if len(rbody) < 8:
+            raise TruncatedPayloadError(f"{fname}: sampling rate cut short")
         fs = float(np.frombuffer(rbody[:8], dtype="<f8")[0])
+        if not (math.isfinite(fs) and fs > 0):
+            raise NonFinitePayloadError(f"{fname}: sampling rate {fs} is not positive and finite")
         data_bytes = rbody[8:]
         expected = n_rch * n_rs * 4
         if len(data_bytes) < expected:
@@ -324,9 +354,15 @@ def read_bank(directory) -> SampleBank:
             raise ManifestMismatchError(
                 f"{fname}: {len(data_bytes)} data bytes exceed manifest shape")
         data = np.frombuffer(data_bytes, dtype="<f4").reshape(n_rch, n_rs)
-        raw_trials.append(RawTrial(subject, session, trial, label, fs, data))
+        try:
+            raw_trials.append(RawTrial(subject, session, trial, label, fs, data))
+        except dsp.DspError as e:  # no channels or no samples
+            raise ManifestMismatchError(f"{where}: {e}") from None
 
-    return SampleBank(dataset, tuple(classes), tuple(bands), montage, samples, raw_trials)
+    try:
+        return SampleBank(dataset, tuple(classes), tuple(bands), montage, samples, raw_trials)
+    except BankError as e:  # a label outside the classes, or a channel count
+        raise ManifestMismatchError(f"{mpath}: {e}") from None
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -375,15 +411,18 @@ def save_checkpoint(dta: DtaParameters, path, optimizer=None) -> None:
 def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None):
     """Load (DtaParameters, AdamState | None); optionally cast to `dtype`.
 
-    Raises CheckpointError on bad magic, truncation, bytes past the last
-    array, a missing header key, an array record whose dtype is not <f4 or
-    <f8 or whose shape entries or offset are not non-negative integers, a
-    model config this version does not know or accept, or a config that
-    does not match `expected_config`.
+    Raises CheckpointError on an unreadable file, bad magic, truncation,
+    bytes past the last array, a missing header key, an array record whose
+    dtype is not <f4 or <f8 or whose shape entries or offset are not
+    non-negative integers, a model config this version does not know or
+    accept, or a config that does not match `expected_config`.
     """
     from .training import AdamState
 
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read ({e.strerror})") from None
     if blob[:len(MAGIC_CHECKPOINT)] != MAGIC_CHECKPOINT:
         raise CheckpointError(f"{path}: bad magic {blob[:8]!r}")
     if len(blob) < len(MAGIC_CHECKPOINT) + 4:

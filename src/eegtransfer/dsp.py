@@ -3,16 +3,18 @@
 All operations are pure: filters are zero-phase (forward-backward), feature
 windows are non-overlapping, and per-trial processing can run in parallel
 across trials.  Filtering uses 4th-order Butterworth band-pass sections and a
-Q=30 IIR notch from scipy.signal.
+Q=30 IIR notch from scipy.signal.  scipy.signal is imported on the first filter
+call, so a process that only trains on or predicts from DE features never loads
+it, and each band-pass is designed once per (low, high, fs) and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 from .montage import ChannelMontage, nearest_neighbor
 
@@ -123,23 +125,52 @@ def _check_band(low, high, fs):
         raise DspError(f"band ({low}, {high}) Hz invalid for fs={fs} Hz")
 
 
+def _signal():
+    """scipy.signal, imported here rather than at module load."""
+    from scipy import signal
+    return signal
+
+
+@functools.lru_cache(maxsize=32)
+def _bandpass_design(low, high, fs):
+    """Read-only second-order sections of the band-pass and the pad length
+    sosfiltfilt uses by default for them."""
+    sos = _signal().butter(BUTTER_ORDER, [low, high], btype="bandpass", fs=fs, output="sos")
+    sos.setflags(write=False)
+    padlen = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()))
+    return sos, int(padlen)
+
+
+def _filter_input(data, padlen, what):
+    """`data` as float64, else DspError when it is not longer than the
+    filter's pad length or holds non-finite values."""
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[-1] if data.ndim else 0
+    if n <= padlen:
+        raise DspError(f"{what} needs at least {padlen + 1} samples per channel, got {n}")
+    if not np.all(np.isfinite(data)):
+        raise DspError(f"{what} input contains non-finite values")
+    return data
+
+
 def bandpass(data, low, high, fs):
     """Zero-phase 4th-order Butterworth band-pass, per channel."""
-    data = np.asarray(data, dtype=np.float64)
     _check_band(low, high, fs)
-    if not np.all(np.isfinite(data)):
-        raise DspError("bandpass input contains non-finite values")
-    sos = signal.butter(BUTTER_ORDER, [low, high], btype="bandpass", fs=fs, output="sos")
-    return signal.sosfiltfilt(sos, data, axis=-1)
+    sos, padlen = _bandpass_design(float(low), float(high), float(fs))
+    data = _filter_input(data, padlen, "bandpass")
+    # scipy's sosfilt needs a writable design
+    return _signal().sosfiltfilt(sos.copy(), data, axis=-1, padlen=padlen)
 
 
 def notch(data, f0, fs):
     """Zero-phase second-order IIR notch at f0 with quality factor 30."""
-    data = np.asarray(data, dtype=np.float64)
     if not 0 < f0 < fs / 2:
         raise DspError(f"notch frequency {f0} Hz outside (0, {fs / 2}) Hz")
+    signal = _signal()
     b, a = signal.iirnotch(f0, NOTCH_Q, fs=fs)
-    return signal.filtfilt(b, a, data, axis=-1)
+    padlen = 3 * max(len(a), len(b))  # filtfilt's default
+    data = _filter_input(data, padlen, "notch")
+    return signal.filtfilt(b, a, data, axis=-1, padlen=padlen)
 
 
 # -- differential entropy ---------------------------------------------------

@@ -81,42 +81,52 @@ class ChannelSubsetMap:
 
 
 def load_montage(path) -> ChannelMontage:
-    """Load a ``name,x,y,z`` CSV; near-unit positions are renormalized.
-
-    Positions with norm inside [0.5, 2.0] are projected back onto the unit
-    sphere; zero or out-of-range norms are rejected as data errors.
-    """
+    """Load a ``name,x,y,z`` CSV file (see `parse_montage`)."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"montage file not found: {path}")
-    text = path.read_text(encoding="utf-8").strip()
+    return parse_montage(path.read_text(encoding="utf-8"), path)
+
+
+def parse_montage(text, where) -> ChannelMontage:
+    """The montage in ``name,x,y,z`` CSV `text`; near-unit positions are
+    renormalized.
+
+    Positions with norm inside [0.5, 2.0] are projected back onto the unit
+    sphere; zero or out-of-range norms are rejected as data errors.  Every
+    MontageError message starts with `where`.
+    """
+    text = text.strip()
     if not text:
-        raise MontageError(f"montage file is empty: {path}")
+        raise MontageError(f"{where}: montage file is empty")
     lines = text.splitlines()
     header = [h.strip().lower() for h in lines[0].split(",")]
     if header != ["name", "x", "y", "z"]:
-        raise MontageError(f"expected header 'name,x,y,z', got {lines[0]!r}")
+        raise MontageError(f"{where}: expected header 'name,x,y,z', got {lines[0]!r}")
     if len(lines) < 2:
-        raise MontageError(f"montage file has no channel rows: {path}")
+        raise MontageError(f"{where}: montage file has no channel rows")
     names = []
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
-            raise MontageError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+            raise MontageError(f"{where}:{lineno}: expected 4 fields, got {len(parts)}")
         name = parts[0]
         try:
             vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
         except ValueError:
-            raise MontageError(f"{path}:{lineno}: non-numeric coordinate") from None
+            raise MontageError(f"{where}:{lineno}: non-numeric coordinate") from None
         norm = float(np.linalg.norm(vec))
         if not np.isfinite(norm) or norm < RENORM_RANGE[0] or norm > RENORM_RANGE[1]:
             raise MontageError(
-                f"{path}:{lineno}: position norm {norm:.4g} outside {RENORM_RANGE}")
+                f"{where}:{lineno}: position norm {norm:.4g} outside {RENORM_RANGE}")
         names.append(name)
         # renormalize only when needed, so load(save(m)) is bit-idempotent
         rows.append(vec if abs(norm - 1.0) <= NORM_TOL else vec / norm)
-    return ChannelMontage(tuple(names), np.array(rows))
+    try:
+        return ChannelMontage(tuple(names), np.array(rows))
+    except MontageError as e:
+        raise MontageError(f"{where}: {e}") from None
 
 
 def save_montage(montage: ChannelMontage, path) -> None:

@@ -2,7 +2,11 @@
 
 import faulthandler
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +122,33 @@ class TestPipeline:
             probs = [float(p) for p in parts[1:]]
             assert abs(sum(probs) - 1.0) < 1e-6
             assert int(parts[0]) == int(np.argmax(probs))
+
+    def test_scipy_signal_loads_only_when_a_filter_runs(self, config_path, bank_dir,
+                                                         tmp_path):
+        # pretrain, calibrate and predict on DE features never filter, so a
+        # fresh process running them never imports scipy.signal
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from eegtransfer import cli, dsp
+            cfg, bank, out = sys.argv[1:]
+            assert cli.main(["pretrain", "--config", cfg, "--bank", bank, "--out", out]) == 0
+            assert cli.main(["calibrate", "--config", cfg, "--bank", bank, "--checkpoint",
+                             out + "/pretrained.ckpt", "--subject", "0", "--out", out]) == 0
+            assert cli.main(["predict", "--bank", bank, "--checkpoint",
+                             out + "/calibrated.ckpt", "--subject", "1"]) == 0
+            assert "scipy.signal" not in sys.modules, "loaded without a filter"
+            dsp.bandpass(np.ones((1, 100)), 8.0, 13.0, 200.0)
+            assert "scipy.signal" in sys.modules, "not loaded by bandpass"
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", script, config_path, bank_dir,
+                               str(tmp_path)], env=env, capture_output=True, text=True,
+                              timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        assert len(proc.stdout.splitlines()) == TRIALS * WINDOWS
 
     def test_evaluate_writes_stamped_report(self, config_path, bank_dir, tmp_path):
         out = tmp_path / "eval"

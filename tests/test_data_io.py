@@ -83,7 +83,8 @@ class TestBankRoundTrip:
         with pytest.raises(io.ManifestMismatchError):
             io.read_bank(tmp_path / "bank")
 
-    @pytest.mark.parametrize("key", ["dataset", "classes", "bands", "counts.n_samples",
+    @pytest.mark.parametrize("key", ["format_version", "dataset", "classes", "bands",
+                                     "montage_file", "samples", "counts.n_samples",
                                      "counts.n_channels", "counts.n_bands"])
     def test_missing_manifest_key_raises(self, small_bank, tmp_path, key):
         io.write_bank(small_bank, tmp_path / "bank")
@@ -160,8 +161,17 @@ BANK_FAULTS = {
                      io.ManifestMismatchError, "samples row 1"),
     "string_count": (_edit_manifest(lambda m: m["counts"].update(n_samples="24")),
                      io.ManifestMismatchError, "n_samples is '24'"),
+    "label_outside_classes": (_edit_manifest(lambda m: m["samples"][1].__setitem__(4, 3)),
+                              io.ManifestMismatchError,
+                              r"manifest\.json: sample label 3 outside 3 classes"),
     "nan_in_payload": (_nan_payload, io.NonFinitePayloadError,
                        r"features\.bin: sample 3"),
+    "montage_bad_header": (lambda bank: (bank / "montage.csv").write_text("nm,x,y,z\n"),
+                           io.BadMontageError, r"montage\.csv: expected header"),
+    "montage_bad_row": (lambda bank: (bank / "montage.csv").write_text("name,x,y,z\nA,0,0\n"),
+                        io.BadMontageError, r"montage\.csv:2: expected 4 fields"),
+    "montage_not_utf8": (lambda bank: (bank / "montage.csv").write_bytes(b"name,x,y,z\n\xff\n"),
+                         io.BadMontageError, r"montage\.csv: not valid UTF-8"),
 }
 
 
@@ -173,6 +183,53 @@ def test_malformed_bank_raises_typed_error(small_bank, tmp_path, fault):
     with pytest.raises(error, match=message) as exc:
         io.read_bank(tmp_path / "bank")
     assert isinstance(exc.value, io.BankError) and "\n" not in str(exc.value)
+
+
+def load_error(load, target):
+    """The exception `load(target)` raises, or None when it loads."""
+    try:
+        load(target)
+    except Exception as e:  # the caller checks its type
+        return e
+    return None
+
+
+def assert_damage_never_loads(load, target, path, error):
+    """Cut the file at `path` at every offset, then delete it: each time
+    `load(target)` must raise a one-line `error` naming the file."""
+    blob = path.read_bytes()
+    for cut in [*range(len(blob)), None]:
+        if cut is None:
+            path.unlink()
+        else:
+            path.write_bytes(blob[:cut])
+        e = load_error(load, target)
+        where = f"{path.name} {'deleted' if cut is None else f'cut at {cut}'}"
+        assert isinstance(e, error), f"{where}: {e!r}"
+        assert path.name in str(e) and "\n" not in str(e), f"{where}: {e}"
+    path.write_bytes(blob)
+
+
+BANK_ERRORS = (io.MissingFileError, io.BadMagicError, io.TruncatedPayloadError,
+               io.ManifestMismatchError, io.NonFinitePayloadError, io.BadMontageError)
+TINY_BANKS = {
+    "features": SynthSpec(n_subjects=1, n_classes=2, n_channels=2, trials_per_subject=2,
+                          samples_per_trial=2, seed=7),
+    "timeseries": SynthSpec(n_subjects=1, n_classes=2, n_channels=1, trials_per_subject=2,
+                            samples_per_trial=1, seed=7, mode="timeseries"),
+}
+
+
+@pytest.mark.parametrize("kind", list(TINY_BANKS))
+def test_damaged_bank_file_never_loads(tmp_path, kind):
+    bank = io.gen_synthetic(TINY_BANKS[kind])
+    directory = tmp_path / "bank"
+    io.write_bank(bank, directory)
+    names = sorted(file_tree(directory))
+    assert len(names) == (3 if kind == "features" else 5)
+    for name in names:
+        assert_damage_never_loads(io.read_bank, directory, directory / name, BANK_ERRORS)
+    assert io.bank_equal(io.read_bank(directory), bank)
 
 
 @pytest.mark.parametrize("key", ["channels", "samples", "subject", "session", "trial",
@@ -243,6 +300,37 @@ def test_smaller_bank_overwrite_removes_stale_raw_files(tmp_path):
     io.write_bank(smaller, directory)
     assert [p.name for p in (directory / "raw").iterdir()] == ["t0.bin"]
     assert io.bank_equal(io.read_bank(directory), smaller)
+
+
+def _raw_fs(value):
+    def apply(bank):
+        f = bank / "raw" / "t1.bin"
+        blob = f.read_bytes()
+        f.write_bytes(blob[:8] + np.array(value, dtype="<f8").tobytes() + blob[16:])
+    return apply
+
+
+def _empty_raw_trial(bank):
+    _edit_manifest(lambda m: m["raw_trials"][1].update(samples=0))(bank)
+    f = bank / "raw" / "t1.bin"
+    f.write_bytes(f.read_bytes()[:16])  # magic and sampling rate only
+
+
+RAW_FAULTS = {
+    "nan_fs": (_raw_fs(np.nan), io.NonFinitePayloadError, r"raw/t1\.bin: sampling rate nan"),
+    "zero_fs": (_raw_fs(0.0), io.NonFinitePayloadError, r"raw/t1\.bin: sampling rate 0\.0"),
+    "no_samples": (_empty_raw_trial, io.ManifestMismatchError,
+                   r"raw_trials\[1\]: trial data must be"),
+}
+
+
+@pytest.mark.parametrize("fault", list(RAW_FAULTS))
+def test_malformed_raw_trial_raises_typed_error(tmp_path, fault):
+    corrupt, error, message = RAW_FAULTS[fault]
+    io.write_bank(io.gen_synthetic(RAW_SPEC), tmp_path / "raw")
+    corrupt(tmp_path / "raw")
+    with pytest.raises(error, match=message):
+        io.read_bank(tmp_path / "raw")
 
 
 def rewrite_header(path, edit):
@@ -336,6 +424,14 @@ class TestCheckpoints:
         with pytest.raises(io.CheckpointError, match="magic"):
             io.load_checkpoint(path)
 
+    def test_damaged_checkpoint_never_loads(self, tmp_path):
+        cfg = ModelConfig(n_layers=1, d_model=4, n_heads=1, ffn_hidden=4, n_channels=2,
+                          n_bands=5, proj_dims=(4, 4, 4), clf_hidden=(2, 2), n_classes=2)
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(M.init_parameters(cfg, seed=3), path)
+        assert_damage_never_loads(io.load_checkpoint, path, path, io.CheckpointError)
+        io.load_checkpoint(path, cfg)
+
     def test_trailing_payload_byte_rejected(self, tmp_path):
         cfg, dta = self.make_model()
         path = tmp_path / "model.ckpt"
@@ -353,7 +449,9 @@ class TestCheckpoints:
         with pytest.raises(io.CheckpointError, match=repr(key)):
             io.load_checkpoint(path)
 
-    @pytest.mark.parametrize("section,key", [("arrays", "shape"), ("optimizer", "step")])
+    @pytest.mark.parametrize("section,key", [
+        *(("arrays", k) for k in ("name", "kind", "dtype", "shape", "offset")),
+        *(("optimizer", k) for k in ("lr", "beta1", "beta2", "eps", "weight_decay", "step"))])
     def test_missing_nested_header_key_rejected(self, tmp_path, section, key):
         cfg, dta = self.make_model()
         path = tmp_path / "model.ckpt"

@@ -39,6 +39,16 @@ def designed_notch_gain(freq, f0, fs=FS):
     return float(np.abs(h[0]) ** 2)
 
 
+def make_trial(data, fs=FS, label=0):
+    return dsp.RawTrial(0, 0, 0, label, fs, data)
+
+
+def default_montage_head(n):
+    """The first `n` channels of the bundled montage."""
+    ref = default_montage()
+    return ChannelMontage(ref.names[:n], ref.positions[:n])
+
+
 class TestFilters:
     def test_bandpass_passes_in_band_tone(self):
         x = sine(10.0)
@@ -88,6 +98,26 @@ class TestFilters:
         with pytest.raises(dsp.DspError):
             dsp.notch(np.zeros((1, 400)), 120.0, FS)
 
+    def test_notch_rejects_non_finite(self):
+        bad = np.zeros((1, 400))
+        bad[0, 10] = np.inf
+        with pytest.raises(dsp.DspError, match="non-finite"):
+            dsp.notch(bad, 50.0, FS)
+
+    @pytest.mark.parametrize("run,minimum", [
+        (lambda x: dsp.bandpass(x, 8.0, 13.0, FS), 28),
+        (lambda x: dsp.notch(x, 50.0, FS), 10),
+        (lambda x: dsp.preprocess_trial(make_trial(x), default_montage_head(2)), 28),
+        (lambda x: dsp.extract_de(make_trial(x), window_s=0.05, tail_s=None), 28),
+    ], ids=["bandpass", "notch", "preprocess_trial", "extract_de"])
+    def test_input_not_longer_than_pad_length_rejected(self, run, minimum):
+        # forward-backward filtering pads each end; input no longer than the
+        # pad is a DspError naming its length and the minimum
+        x = np.random.default_rng(8).normal(size=(2, minimum))
+        with pytest.raises(dsp.DspError, match=rf"at least {minimum} samples.*got {minimum - 1}$"):
+            run(x[:, :-1])
+        run(x)
+
     def test_zero_phase_no_group_delay(self):
         x = sine(10.0)
         y = dsp.bandpass(x, 8.0, 13.0, FS)
@@ -96,6 +126,34 @@ class TestFilters:
         lags = signal.correlation_lags(len(xc), len(yc))
         corr = signal.correlate(yc, xc)
         assert lags[int(np.argmax(corr))] == 0
+
+
+class TestDesignCache:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bandpass_bitwise_equal_to_fresh_design(self, dtype):
+        x = np.random.default_rng(1).normal(size=(3, 600)).astype(dtype)
+        for _, low, high in dsp.DEFAULT_BANDS.bands + (("pre", 0.01, 48.0),):
+            sos = signal.butter(dsp.BUTTER_ORDER, [low, high], btype="bandpass", fs=FS,
+                                output="sos")
+            expected = signal.sosfiltfilt(sos, x.astype(np.float64), axis=-1)
+            assert np.array_equal(dsp.bandpass(x, low, high, FS), expected)
+
+    def test_repeat_band_hits_cache(self):
+        x = np.random.default_rng(2).normal(size=(2, 400))
+        first = dsp.bandpass(x, 7.25, 11.5, FS)
+        before = dsp._bandpass_design.cache_info()
+        again = dsp.bandpass(x, 7.25, 11.5, FS)
+        after = dsp._bandpass_design.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert np.array_equal(first, again)
+        assert after.maxsize is not None  # bounded
+
+    def test_cached_design_unchanged_by_filtering(self):
+        sos, _ = dsp._bandpass_design(8.0, 13.0, FS)
+        before = sos.tobytes()
+        dsp.bandpass(np.random.default_rng(3).normal(size=(2, 400)), 8.0, 13.0, FS)
+        assert not sos.flags.writeable
+        assert sos.tobytes() == before
 
 
 class TestDifferentialEntropy:
@@ -136,8 +194,6 @@ class TestDifferentialEntropy:
             assert got == pytest.approx(math.log(a), abs=1e-9)
 
 
-def make_trial(data, fs=FS, label=0):
-    return dsp.RawTrial(0, 0, 0, label, fs, data)
 
 
 class TestExtractDe:
@@ -233,8 +289,7 @@ class TestLdsSmooth:
 
 class TestArtifactHeuristics:
     def small_montage(self, n=6):
-        ref = default_montage()
-        return ChannelMontage(ref.names[:n], ref.positions[:n])
+        return default_montage_head(n)
 
     def test_flatline_channel_flagged(self):
         rng = np.random.default_rng(9)
