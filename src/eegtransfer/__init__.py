@@ -10,12 +10,12 @@ from .config import ModelConfig, RunConfig, SynthSpec, TrainConfig, load_run_con
 from .data_io import (SampleBank, SplitProtocol, apply_split, gen_synthetic,
                       load_checkpoint, read_bank, save_checkpoint, write_bank)
 from .dsp import (BandSpec, FeatureSample, RawTrial, bandpass,
-                  differential_entropy, extract_de, lds_smooth, notch)
+                  differential_entropy, extract_de, lds_smooth, notch, stack_samples)
 from .evaluation import EvalReport, connectivity, icd_ics, losocv
 from .model import DtaParameters, EncoderOutput, classify, encode, init_parameters, project
 from .montage import ChannelMontage, ChannelSubsetMap, default_montage, load_montage
-from .losses import ContrastiveBatch, contrastive_loss, cosine_similarity, cross_entropy
+from .losses import contrastive_loss, cosine_similarity, cross_entropy
 from .training import (AdamState, CalibrationResult, PretrainResult, adam_step,
-                       calibrate, predict, pretrain)
+                       calibrate, predict, predict_batch, pretrain)
 
 __version__ = "0.1.0"

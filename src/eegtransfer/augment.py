@@ -81,23 +81,19 @@ def _apply_mask(feats, prob, rng):
     return out
 
 
-def make_views(batch, config: AugmentConfig, rng):
-    """Build the two contrastive views of a batch of feature samples.
+def make_views(feats, labels, config: AugmentConfig, rng):
+    """Build the two contrastive views of a (N, channels, bands) feature stack.
 
-    `batch` is a list of FeatureSample (or (de, label) pairs).  Returns
-    (view_a, view_b, labels) where the views are (N, channels, bands) arrays
-    index-aligned with the batch and both carry the batch labels: view_a is
-    the same-label mixup, view_b the channel-masked batch.  Both draw from
-    `rng`, mixup first.
+    Returns (view_a, view_b), index-aligned with `feats` and both carrying
+    its `labels`: view_a is the same-label mixup, view_b the channel-masked
+    stack.  Both draw from `rng`, mixup first.
     """
-    if len(batch) == 0:
+    feats = np.asarray(feats, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(feats) == 0:
         raise AugmentError("empty batch")
-    if hasattr(batch[0], "de"):
-        feats = np.stack([np.asarray(s.de, dtype=np.float64) for s in batch])
-        labels = np.array([s.label for s in batch], dtype=np.int64)
-    else:
-        feats = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-        labels = np.array([lab for _, lab in batch], dtype=np.int64)
+    if labels.shape != (len(feats),):
+        raise AugmentError(f"{len(feats)} samples but labels of shape {labels.shape}")
     view_a = _apply_mixup(feats, labels, config.mixup_alpha, rng)
     view_b = _apply_mask(feats, config.mask_prob, rng)
-    return view_a, view_b, labels
+    return view_a, view_b

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import data_io, evaluation, losses, model, training
 from .autodiff import finite_checks, grad_check
-from .config import RunConfig, config_hash, load_run_config, to_dict
+from .config import RunConfig, config_hash, load_run_config
+from .dsp import stack_samples
 
 GRAD_CHECK_LIMIT = 1e-4
 
@@ -48,10 +49,6 @@ def _out_dir(args):
     return out
 
 
-def _load_bank(args):
-    return data_io.read_bank(args.bank)
-
-
 def _parse_sweep(text, cast):
     return [cast(tok) for tok in text.split(",") if tok.strip()]
 
@@ -69,7 +66,7 @@ def _cmd_gen_synth(args, cfg: RunConfig):
 
 
 def _cmd_extract_features(args, cfg: RunConfig):
-    bank = _load_bank(args)
+    bank = data_io.read_bank(args.bank)
     feat = data_io.extract_bank_features(
         bank, smooth=not args.no_smooth, preprocess=args.preprocess,
         reject_segments=args.reject_segments)
@@ -81,7 +78,7 @@ def _cmd_extract_features(args, cfg: RunConfig):
 
 
 def _cmd_pretrain(args, cfg: RunConfig):
-    bank = _load_bank(args)
+    bank = data_io.read_bank(args.bank)
     result = training.pretrain(bank, bank.montage, cfg.model, cfg.train,
                                cfg.augment, log=True)
     out = _out_dir(args)
@@ -93,7 +90,7 @@ def _cmd_pretrain(args, cfg: RunConfig):
 
 
 def _cmd_calibrate(args, cfg: RunConfig):
-    bank = _load_bank(args)
+    bank = data_io.read_bank(args.bank)
     dta, _ = data_io.load_checkpoint(args.checkpoint, dtype=np.float32)
     target = bank.filter(lambda s: s.subject_id == args.subject)
     if not target.samples:
@@ -117,14 +114,14 @@ def _cmd_calibrate(args, cfg: RunConfig):
 
 
 def _cmd_predict(args, cfg: RunConfig):
-    bank = _load_bank(args)
+    bank = data_io.read_bank(args.bank)
     dta, _ = data_io.load_checkpoint(args.checkpoint)
     samples = bank.samples
     if args.subject is not None:
         samples = [s for s in samples if s.subject_id == args.subject]
     if not samples:
         raise ValueError("no samples to predict")
-    feats = np.stack([s.de for s in samples]).astype(np.float64)
+    feats, _ = stack_samples(samples)
     labels, probs = training.predict_batch(dta, feats, bank.montage)
     for lab, p in zip(labels, probs):
         print(f"{lab}," + ",".join(f"{v:.9g}" for v in p))
@@ -132,7 +129,7 @@ def _cmd_predict(args, cfg: RunConfig):
 
 
 def _cmd_evaluate(args, cfg: RunConfig):
-    bank = _load_bank(args)
+    bank = data_io.read_bank(args.bank)
     protocol = data_io.get_protocol(cfg.protocol) if cfg.protocol else None
     if args.mode == "subject-dependent" and protocol is None:
         protocol = data_io.get_protocol("ratio80")
@@ -158,7 +155,7 @@ def _cmd_evaluate(args, cfg: RunConfig):
 
 
 def _cmd_robustness(args, cfg: RunConfig):
-    bank = _load_bank(args)
+    bank = data_io.read_bank(args.bank)
     dta, _ = data_io.load_checkpoint(args.checkpoint)
     samples = bank.samples
     if args.subject is not None:
@@ -183,7 +180,7 @@ def _cmd_robustness(args, cfg: RunConfig):
 
 
 def _cmd_connectivity(args, cfg: RunConfig):
-    bank = _load_bank(args)
+    bank = data_io.read_bank(args.bank)
     dta, _ = data_io.load_checkpoint(args.checkpoint)
     result = evaluation.connectivity(dta, bank.samples, bank.montage)
     out = _out_dir(args)
@@ -198,7 +195,7 @@ def _cmd_connectivity(args, cfg: RunConfig):
 
 
 def _cmd_export_features(args, cfg: RunConfig):
-    bank = _load_bank(args)
+    bank = data_io.read_bank(args.bank)
     encoded = calibrated = None
     if args.checkpoint:
         encoded, _ = data_io.load_checkpoint(args.checkpoint)
@@ -226,8 +223,7 @@ def _cmd_grad_check(args, cfg: RunConfig):
         # batch-mean subtraction leaves no parameter without influence
         za = model.project(model.encode(feats_a, pos, dta, mask_diagonal=True).q_final, dta)
         zb = model.project(model.encode(feats_b, pos, dta, mask_diagonal=True).q_final, dta)
-        return losses.contrastive_loss(
-            losses.ContrastiveBatch(za, zb, labels, labels))
+        return losses.contrastive_loss(za, zb, labels, labels)
 
     def cross_entropy_head():
         enc = model.encode(feats_a, pos, dta)
@@ -248,11 +244,9 @@ def _cmd_grad_check(args, cfg: RunConfig):
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_common(sp, *, config=True, seed=True):
-    if config:
-        sp.add_argument("--config", help="JSON run config")
-    if seed:
-        sp.add_argument("--seed", type=int, help="override every seed in the config")
+def _add_common(sp):
+    sp.add_argument("--config", help="JSON run config")
+    sp.add_argument("--seed", type=int, help="override every seed in the config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,8 +351,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_run_config(getattr(args, "config", None),
-                              seed=getattr(args, "seed", None))
+        cfg = load_run_config(args.config, seed=args.seed)
         cfg = _apply_overrides(cfg, args)
         return args.handler(args, cfg)
     except BrokenPipeError:

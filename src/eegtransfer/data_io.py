@@ -128,9 +128,7 @@ class SampleBank:
 
     def feature_array(self):
         """(N, channels, bands) float64 stack plus (N,) labels."""
-        feats = np.stack([s.de for s in self.samples]).astype(np.float64)
-        labels = np.array([s.label for s in self.samples], dtype=np.int64)
-        return feats, labels
+        return dsp.stack_samples(self.samples)
 
 
 def bank_equal(a: SampleBank, b: SampleBank) -> bool:
@@ -336,6 +334,7 @@ def read_bank(directory) -> SampleBank:
         n_rch, n_rs, subject, session, trial, label = (
             _manifest_uint(rec, k, where, ManifestMismatchError)
             for k in ("channels", "samples", "subject", "session", "trial", "label"))
+        manifest_fs = _require(rec, "fs", where, ManifestMismatchError)
         rblob = _read_file(directory, fname)
         if rblob[:len(MAGIC_RAW)] != MAGIC_RAW:
             raise BadMagicError(f"{fname}: bad magic {rblob[:8]!r}")
@@ -345,6 +344,9 @@ def read_bank(directory) -> SampleBank:
         fs = float(np.frombuffer(rbody[:8], dtype="<f8")[0])
         if not (math.isfinite(fs) and fs > 0):
             raise NonFinitePayloadError(f"{fname}: sampling rate {fs} is not positive and finite")
+        if manifest_fs != fs:
+            raise ManifestMismatchError(
+                f"{fname}: sampling rate {fs} but manifest says {manifest_fs!r}")
         data_bytes = rbody[8:]
         expected = n_rch * n_rs * 4
         if len(data_bytes) < expected:

@@ -118,6 +118,15 @@ class FeatureSample:
             raise DspError("de contains non-finite values")
 
 
+def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(N, channels, bands) float64 feature stack plus (N,) int64 labels."""
+    if len(samples) == 0:
+        raise DspError("no samples to stack")
+    feats = np.stack([s.de for s in samples]).astype(np.float64)
+    labels = np.array([s.label for s in samples], dtype=np.int64)
+    return feats, labels
+
+
 # -- filtering -------------------------------------------------------------
 
 def _check_band(low, high, fs):

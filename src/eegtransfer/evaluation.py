@@ -12,6 +12,7 @@ its randomness from (seed, subject).
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from . import training as tr
 from .augment import AugmentConfig
 from .config import ModelConfig, TrainConfig
 from .data_io import SampleBank, SplitProtocol, apply_split
+from .dsp import stack_samples
 from .montage import ChannelMontage
 from .training import SOURCE_CALIBRATION_K
 
@@ -86,28 +88,24 @@ def _losocv_fold(args):
         start = result.params
         losses = result.epoch_losses
 
-    if tconf.k_per_class > 0:
-        pool = target.samples
-        if protocol is not None:
-            pool = apply_split(target, protocol)[0].samples
-        rng = np.random.default_rng(np.random.SeedSequence([tconf.seed, subject, 1]))
-        labeled, rest = draw_labeled(pool, tconf.k_per_class, mconf.n_classes, rng)
-        if protocol is not None:
-            test_samples = apply_split(target, protocol)[1].samples
-        else:
-            test_samples = rest
-    else:
+    rng = np.random.default_rng(np.random.SeedSequence([tconf.seed, subject, 1]))
+    if tconf.k_per_class == 0:
         # strictly subject-independent: calibration labels come from the
         # source subjects; the whole target set is the test set
-        rng = np.random.default_rng(np.random.SeedSequence([tconf.seed, subject, 1]))
         labeled, _ = draw_labeled(source.samples, SOURCE_CALIBRATION_K,
                                   mconf.n_classes, rng)
         test_samples = target.samples
+    elif protocol is None:
+        labeled, test_samples = draw_labeled(target.samples, tconf.k_per_class,
+                                             mconf.n_classes, rng)
+    else:
+        train, test = apply_split(target, protocol)
+        labeled, _ = draw_labeled(train.samples, tconf.k_per_class, mconf.n_classes, rng)
+        test_samples = test.samples
 
     cal = tr.calibrate(start, labeled, bank.montage, tconf,
                        seed=np.random.SeedSequence([tconf.seed, subject, 2]), log=log)
-    feats = np.stack([s.de for s in test_samples]).astype(np.float64)
-    labels = np.array([s.label for s in test_samples])
+    feats, labels = stack_samples(test_samples)
     acc = tr.evaluate_accuracy(cal.params, feats, labels, bank.montage)
     return {
         "subject": subject,
@@ -201,15 +199,20 @@ def apply_electrode_failure(feats, failed, montage: ChannelMontage, mode):
     return out
 
 
+def _sweep_stack(samples):
+    if len(samples) == 0:
+        raise EvalError("a robustness sweep needs at least one sample")
+    return stack_samples(samples)
+
+
 def electrode_failure_sweep(dta: m.DtaParameters, samples, montage: ChannelMontage,
                             m_list, mode, rng):
     """Accuracy after disabling `m` seeded-random channels, per m."""
-    feats = np.stack([s.de for s in samples]).astype(np.float64)
-    labels = np.array([s.label for s in samples])
+    feats, labels = _sweep_stack(samples)
     n = len(montage)
     results = []
     for count in m_list:
-        if count >= n:
+        if not 0 <= count < n:
             raise EvalError(f"cannot fail {count} of {n} channels")
         if count == 0:
             acc = tr.evaluate_accuracy(dta, feats, labels, montage)
@@ -225,8 +228,7 @@ def noise_sweep(dta: m.DtaParameters, samples, montage: ChannelMontage,
                 k_list, rng):
     """Accuracy with zero-mean Gaussian noise of variance k x the
     per-feature sample variance added to the features, per multiplier k."""
-    feats = np.stack([s.de for s in samples]).astype(np.float64)
-    labels = np.array([s.label for s in samples])
+    feats, labels = _sweep_stack(samples)
     scale = np.sqrt(feats.var(axis=0))  # per (channel, band)
     results = []
     for k in k_list:
@@ -247,17 +249,12 @@ class ConnectivityResult:
     threshold: float               # mean + 1.8 std over off-diagonal entries
 
 
-def channel_representations(dta: m.DtaParameters, samples,
-                            montage: ChannelMontage, batch_size=512):
+def channel_representations(dta: m.DtaParameters, samples, montage: ChannelMontage):
     """Per-channel final-layer representation averaged over samples (test mode)."""
-    feats = np.stack([s.de for s in samples]).astype(np.float64)
-    total = None
-    with ad.no_grad():
-        for start in range(0, feats.shape[0], batch_size):
-            enc = m.encode(feats[start:start + batch_size], montage.positions, dta)
-            part = enc.q_final.data.sum(axis=0)
-            total = part if total is None else total + part
-    return total / feats.shape[0]
+    feats, _ = stack_samples(samples)
+    chunk_sums = tr.encode_in_chunks(dta, feats, montage,
+                                     lambda q, _: q.data.sum(axis=0, keepdims=True))
+    return functools.reduce(np.add, chunk_sums) / feats.shape[0]
 
 
 def connectivity_from_representations(reps) -> ConnectivityResult:
@@ -296,13 +293,8 @@ def connectivity(dta: m.DtaParameters, samples, montage: ChannelMontage,
 
 # -- feature export ----------------------------------------------------------------
 
-def _projected(dta, feats, montage, batch_size=512):
-    outs = []
-    with ad.no_grad():
-        for start in range(0, feats.shape[0], batch_size):
-            enc = m.encode(feats[start:start + batch_size], montage.positions, dta)
-            outs.append(m.project(enc.q_final, dta).data)
-    return np.concatenate(outs, axis=0)
+def _projected(q_final, dta):
+    return m.project(q_final, dta).data
 
 
 def export_features(bank: SampleBank, path, encoded: m.DtaParameters | None = None,
@@ -318,10 +310,9 @@ def export_features(bank: SampleBank, path, encoded: m.DtaParameters | None = No
         raise EvalError("cannot export an empty bank")
     feats, _ = bank.feature_array()
     stages = [("raw", feats.reshape(feats.shape[0], -1))]
-    if encoded is not None:
-        stages.append(("encoded", _projected(encoded, feats, bank.montage)))
-    if calibrated is not None:
-        stages.append(("calibrated", _projected(calibrated, feats, bank.montage)))
+    for stage, dta in (("encoded", encoded), ("calibrated", calibrated)):
+        if dta is not None:
+            stages.append((stage, tr.encode_in_chunks(dta, feats, bank.montage, _projected)))
     width = max(mat.shape[1] for _, mat in stages)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

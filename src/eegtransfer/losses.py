@@ -9,8 +9,6 @@ similar to several samples at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -22,23 +20,6 @@ NORM_FLOOR = 1e-30
 
 class LossError(ValueError):
     pass
-
-
-@dataclass
-class ContrastiveBatch:
-    """Projected views (N x dim each) with their class labels."""
-
-    z_a: object
-    z_b: object
-    labels_a: np.ndarray
-    labels_b: np.ndarray
-    tau: float = DEFAULT_TEMPERATURE
-
-    def __post_init__(self):
-        self.labels_a = np.asarray(self.labels_a, dtype=np.int64)
-        self.labels_b = np.asarray(self.labels_b, dtype=np.int64)
-        if self.tau <= 0:
-            raise LossError(f"temperature must be positive, got {self.tau}")
 
 
 def cosine_similarity(u, v) -> float:
@@ -63,24 +44,29 @@ def _row_normalize(z):
     return z * ad.power(norms_sq, -0.5)
 
 
-def contrastive_loss(batch: ContrastiveBatch) -> Tensor:
+def contrastive_loss(z_a, z_b, labels_a, labels_b, tau=DEFAULT_TEMPERATURE) -> Tensor:
     """Mean binary cross-entropy over temperature-scaled pairwise cosines.
 
-    Targets are 1 where the pair's labels match and 0 otherwise.  Returns a
-    scalar Tensor; gradients flow to z_a and z_b when they are Tensors that
-    require grad.
+    `z_a` and `z_b` are matching (N, dim) projected views with their class
+    labels.  Targets are 1 where the pair's labels match and 0 otherwise.
+    Returns a scalar Tensor; gradients flow to z_a and z_b when they are
+    Tensors that require grad.
     """
-    z_a = _as_tensor(batch.z_a)
-    z_b = _as_tensor(batch.z_b)
+    if tau <= 0:
+        raise LossError(f"temperature must be positive, got {tau}")
+    z_a = _as_tensor(z_a)
+    z_b = _as_tensor(z_b)
+    labels_a = np.asarray(labels_a, dtype=np.int64)
+    labels_b = np.asarray(labels_b, dtype=np.int64)
     if z_a.shape != z_b.shape or z_a.ndim != 2 or z_a.shape[0] < 1:
         raise LossError(f"views must be matching (N, dim), got {z_a.shape} and {z_b.shape}")
-    if len(batch.labels_a) != z_a.shape[0] or len(batch.labels_b) != z_b.shape[0]:
+    if len(labels_a) != z_a.shape[0] or len(labels_b) != z_b.shape[0]:
         raise LossError("label count does not match view rows")
 
     za = _row_normalize(z_a)
     zb = _row_normalize(z_b)
-    x = ad.matmul(za, ad.swapaxes(zb, -1, -2)) * (1.0 / batch.tau)
-    y = (batch.labels_a[:, None] == batch.labels_b[None, :]).astype(x.data.dtype)
+    x = ad.matmul(za, ad.swapaxes(zb, -1, -2)) * (1.0 / tau)
+    y = (labels_a[:, None] == labels_b[None, :]).astype(x.data.dtype)
     # softplus(x) - x*y == -[y ln(sig(x)) + (1-y) ln(1 - sig(x))], stably
     return ad.tmean(ad.softplus(x) - x * Tensor(y))
 

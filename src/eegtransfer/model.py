@@ -82,6 +82,17 @@ def _glorot(rng, fan_in, fan_out, scale):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _classifier_arrays(config: ModelConfig, rng) -> dict:
+    """A fresh float64 classifier head: Glorot hidden layers drawn from `rng`
+    (fc1 then fc2), zero biases and a zero output layer."""
+    flat = config.n_channels * config.d_model
+    h1, h2 = config.clf_hidden
+    return {"clf.fc1.w": _glorot(rng, flat, h1, config.init_scale), "clf.fc1.b": np.zeros(h1),
+            "clf.fc2.w": _glorot(rng, h1, h2, config.init_scale), "clf.fc2.b": np.zeros(h2),
+            "clf.fc3.w": np.zeros((h2, config.n_classes)),
+            "clf.fc3.b": np.zeros(config.n_classes)}
+
+
 def init_parameters(config: ModelConfig, seed=0, dtype=np.float64) -> DtaParameters:
     """Fresh parameters; the final classifier layer starts at zero so a
     freshly attached head predicts uniformly."""
@@ -125,11 +136,8 @@ def init_parameters(config: ModelConfig, seed=0, dtype=np.float64) -> DtaParamet
     ps.add("proj.bn2.b", np.zeros(p2))
     aff("proj.fc3", p2, p3)
 
-    h1, h2 = config.clf_hidden
-    aff("clf.fc1", flat, h1)
-    aff("clf.fc2", h1, h2)
-    ps.add("clf.fc3.w", np.zeros((h2, config.n_classes)))
-    ps.add("clf.fc3.b", np.zeros(config.n_classes))
+    for name, value in _classifier_arrays(config, rng).items():
+        ps.add(name, value)
 
     bn_state = {
         "proj.bn1.mean": np.zeros(p1), "proj.bn1.var": np.ones(p1),
@@ -141,17 +149,8 @@ def init_parameters(config: ModelConfig, seed=0, dtype=np.float64) -> DtaParamet
 
 def reinit_classifier(dta: DtaParameters, seed) -> None:
     """Fresh classifier head in place (hidden layers random, output zero)."""
-    rng = np.random.default_rng(seed)
-    cfg = dta.config
-    flat = cfg.n_channels * cfg.d_model
-    h1, h2 = cfg.clf_hidden
-    dt = dta.dtype
-    dta.params["clf.fc1.w"].data = _glorot(rng, flat, h1, cfg.init_scale).astype(dt)
-    dta.params["clf.fc1.b"].data = np.zeros(h1, dtype=dt)
-    dta.params["clf.fc2.w"].data = _glorot(rng, h1, h2, cfg.init_scale).astype(dt)
-    dta.params["clf.fc2.b"].data = np.zeros(h2, dtype=dt)
-    dta.params["clf.fc3.w"].data = np.zeros((h2, cfg.n_classes), dtype=dt)
-    dta.params["clf.fc3.b"].data = np.zeros(cfg.n_classes, dtype=dt)
+    for name, value in _classifier_arrays(dta.config, np.random.default_rng(seed)).items():
+        dta.params[name].data = value.astype(dta.dtype)
 
 
 # -- building blocks ---------------------------------------------------------

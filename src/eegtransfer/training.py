@@ -20,11 +20,13 @@ from . import model as m
 from .augment import AugmentConfig, make_views
 from .autodiff import ParameterSet
 from .config import ModelConfig, TrainConfig
-from .losses import ContrastiveBatch, contrastive_loss, cross_entropy, softmax_probs
+from .dsp import stack_samples
+from .losses import contrastive_loss, cross_entropy, softmax_probs
 from .montage import ChannelMontage
 
 VALIDATION_FRACTION = 0.2
 SOURCE_CALIBRATION_K = 20  # per-class draw when no target samples are allowed
+INFERENCE_CHUNK = 512  # samples per no-grad encoder pass
 
 
 class TrainError(ValueError):
@@ -108,16 +110,15 @@ def pretrain(bank, montage: ChannelMontage, mconf: ModelConfig,
     dropout, train-mode projection, pairwise contrastive loss at the default
     temperature, Adam update.  Parameters are float32.
     """
-    samples = list(bank.samples)
-    if not samples:
+    if not bank.samples:
         raise TrainError("cannot pretrain on an empty bank")
-    labels_present = {s.label for s in samples}
-    if len(labels_present) < 2:
+    feats, labels = stack_samples(bank.samples)
+    if len(np.unique(labels)) < 2:
         raise TrainError("pretraining needs at least 2 labels (no negative pairs)")
     batch_size = tconf.pretrain.batch_size
-    if len(samples) < batch_size:
+    if len(labels) < batch_size:
         raise TrainError(
-            f"bank has {len(samples)} samples, fewer than one batch of {batch_size}")
+            f"bank has {len(labels)} samples, fewer than one batch of {batch_size}")
 
     s_init, s_shuffle, s_augment, s_dropout = np.random.SeedSequence(
         tconf.seed).spawn(4)
@@ -129,18 +130,16 @@ def pretrain(bank, montage: ChannelMontage, mconf: ModelConfig,
     opt = AdamState(lr=tconf.pretrain.lr, weight_decay=tconf.weight_decay)
     train_names = dta.encoder_names() + dta.projector_names()
     pos = montage.positions
-    feats = np.stack([s.de for s in samples]).astype(np.float64)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    n_batches = len(samples) // batch_size
+    n_batches = len(labels) // batch_size
 
     epoch_losses = []
     for epoch in range(tconf.pretrain.epochs):
-        perm = rng_shuffle.permutation(len(samples))
+        perm = rng_shuffle.permutation(len(labels))
         batch_losses = []
         for b in range(n_batches):
             idx = perm[b * batch_size:(b + 1) * batch_size]
-            pairs = list(zip(feats[idx], labels[idx]))
-            view_a, view_b, batch_labels = make_views(pairs, aconf, rng_augment)
+            batch_labels = labels[idx]
+            view_a, view_b = make_views(feats[idx], batch_labels, aconf, rng_augment)
             dta.params.zero_grad()
             # one pass over both views; batch-norm statistics span the pair
             both = np.concatenate([view_a, view_b], axis=0)
@@ -148,7 +147,7 @@ def pretrain(bank, montage: ChannelMontage, mconf: ModelConfig,
             z = m.project(enc.q_final, dta, train=True, rng=rng_dropout)
             z_a = ad.narrow(z, 0, batch_size)
             z_b = ad.narrow(z, batch_size, batch_size)
-            loss = contrastive_loss(ContrastiveBatch(z_a, z_b, batch_labels, batch_labels))
+            loss = contrastive_loss(z_a, z_b, batch_labels, batch_labels)
             loss.backward()
             adam_step(dta.params, opt, train_names)
             batch_losses.append(float(loss.data))
@@ -188,11 +187,9 @@ def _stratified_split(labels, n_classes, rng):
 
 
 def evaluate_accuracy(dta: m.DtaParameters, feats, labels,
-                      montage: ChannelMontage, batch_size=512) -> float:
+                      montage: ChannelMontage) -> float:
     """Fraction of correct test-mode predictions over a feature stack."""
-    if len(feats) == 0:
-        raise TrainError("cannot evaluate on an empty set")
-    preds = predict_batch(dta, feats, montage, batch_size=batch_size)[0]
+    preds = predict_batch(dta, feats, montage)[0]
     return float(np.mean(preds == np.asarray(labels)))
 
 
@@ -209,8 +206,7 @@ def calibrate(pretrained: m.DtaParameters, labeled, montage: ChannelMontage,
     if len(labeled) == 0:
         raise TrainError("empty calibration set")
     cfg = pretrained.config
-    feats = np.stack([np.asarray(s.de, dtype=np.float64) for s in labeled])
-    labels = np.array([s.label for s in labeled], dtype=np.int64)
+    feats, labels = stack_samples(labeled)
     present = set(labels.tolist())
     missing = [c for c in range(cfg.n_classes) if c not in present]
     if missing:
@@ -261,22 +257,30 @@ def calibrate(pretrained: m.DtaParameters, labeled, montage: ChannelMontage,
 
 # -- prediction ----------------------------------------------------------------
 
-def predict_batch(dta: m.DtaParameters, feats, montage: ChannelMontage,
-                  batch_size=512):
-    """Test-mode argmax labels and softmax probabilities for a feature stack."""
+def encode_in_chunks(dta: m.DtaParameters, feats, montage: ChannelMontage, head):
+    """Test-mode encoding of a (N, channels, bands) feature stack under
+    no_grad, INFERENCE_CHUNK samples at a time.  `head(q_final, dta)` turns
+    each chunk's encoder output into an array; the arrays come back
+    concatenated along their first axis, in chunk order."""
     feats = np.asarray(feats)
     if feats.ndim != 3 or feats.shape[1] != len(montage):
         raise TrainError(
             f"features must be (N, {len(montage)}, bands), got {feats.shape}")
+    if feats.shape[0] == 0:
+        raise TrainError("no samples to encode")
     pos = montage.positions
-    probs = []
     with ad.no_grad():
-        for start in range(0, feats.shape[0], batch_size):
-            chunk = feats[start:start + batch_size]
-            enc = m.encode(chunk, pos, dta)
-            logits = m.classify(enc.q_final, dta)
-            probs.append(softmax_probs(logits.data))
-    probs = np.concatenate(probs, axis=0)
+        return np.concatenate([head(m.encode(feats[i:i + INFERENCE_CHUNK], pos, dta).q_final, dta)
+                               for i in range(0, feats.shape[0], INFERENCE_CHUNK)])
+
+
+def _class_probs(q_final, dta):
+    return softmax_probs(m.classify(q_final, dta).data)
+
+
+def predict_batch(dta: m.DtaParameters, feats, montage: ChannelMontage):
+    """Test-mode argmax labels and softmax probabilities for a feature stack."""
+    probs = encode_in_chunks(dta, feats, montage, _class_probs)
     return probs.argmax(axis=1), probs
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eegtransfer import augment as ag
-from eegtransfer.dsp import FeatureSample
+from eegtransfer.dsp import FeatureSample, stack_samples
 
 
 def test_mixup_endpoints_and_midpoint():
@@ -85,20 +85,17 @@ def test_make_views_bitwise_equal_to_reference(seed):
     rng = np.random.default_rng(100 + seed)
     batch = make_batch([0, 1, 0, 2, 1, 0, 1, 1], rng)  # label 2 has no partner
     cfg = ag.AugmentConfig(mixup_alpha=0.3 + 0.1 * seed, mask_prob=0.25)
-    raw = np.stack([s.de for s in batch]).astype(np.float64)
-    labels = np.array([s.label for s in batch])
+    raw, labels = stack_samples(batch)
     want_a, want_b = reference_views(raw, labels, cfg, np.random.default_rng(seed))
-    for views in (batch, [(s.de, s.label) for s in batch]):
-        va, vb, got_labels = ag.make_views(views, cfg, np.random.default_rng(seed))
-        assert np.array_equal(va, want_a) and np.array_equal(vb, want_b)
-        assert got_labels.tolist() == labels.tolist()
+    va, vb = ag.make_views(raw, labels, cfg, np.random.default_rng(seed))
+    assert np.array_equal(va, want_a) and np.array_equal(vb, want_b)
 
 
 def test_make_views_single_sample_per_label_falls_back():
     rng = np.random.default_rng(5)
     batch = make_batch([0, 1, 2], rng)
-    va, _, _ = ag.make_views(batch, ag.AugmentConfig(), np.random.default_rng(0))
-    raw = np.stack([s.de for s in batch]).astype(np.float64)
+    raw, labels = stack_samples(batch)
+    va, _ = ag.make_views(raw, labels, ag.AugmentConfig(), np.random.default_rng(0))
     assert np.array_equal(va, raw)
 
 
@@ -107,32 +104,38 @@ def test_make_views_mixup_stays_within_label():
     # construct label-dependent constants so any cross-label mixing is visible
     batch = [FeatureSample(0, 0, i, 0, lab, np.full((3, 2), float(lab)))
              for i, lab in enumerate([0, 0, 1, 1, 1])]
-    va, _, labels = ag.make_views(batch, ag.AugmentConfig(), np.random.default_rng(1))
+    feats, labels = stack_samples(batch)
+    va, _ = ag.make_views(feats, labels, ag.AugmentConfig(), np.random.default_rng(1))
     for row, lab in zip(va, labels):
         assert np.allclose(row, float(lab))
 
 
 def test_make_views_seeded_reproducibility():
     rng = np.random.default_rng(7)
-    batch = make_batch([0, 0, 1, 1, 2, 2], rng)
+    feats, labels = stack_samples(make_batch([0, 0, 1, 1, 2, 2], rng))
     cfg = ag.AugmentConfig()
-    va1, vb1, _ = ag.make_views(batch, cfg, np.random.default_rng(99))
-    va2, vb2, _ = ag.make_views(batch, cfg, np.random.default_rng(99))
+    va1, vb1 = ag.make_views(feats, labels, cfg, np.random.default_rng(99))
+    va2, vb2 = ag.make_views(feats, labels, cfg, np.random.default_rng(99))
     assert np.array_equal(va1, va2)
     assert np.array_equal(vb1, vb2)
 
 
 def test_make_views_empty_batch():
     with pytest.raises(ag.AugmentError):
-        ag.make_views([], ag.AugmentConfig(), np.random.default_rng(0))
+        ag.make_views(np.zeros((0, 4, 5)), [], ag.AugmentConfig(), np.random.default_rng(0))
+
+
+def test_make_views_label_count_mismatch():
+    with pytest.raises(ag.AugmentError):
+        ag.make_views(np.zeros((3, 4, 5)), [0, 1], ag.AugmentConfig(), np.random.default_rng(0))
 
 
 def test_augmentation_keeps_values_finite():
     rng = np.random.default_rng(8)
-    batch = make_batch([0, 0, 1, 1] * 4, rng)
+    feats, labels = stack_samples(make_batch([0, 0, 1, 1] * 4, rng))
     cfg = ag.AugmentConfig()
     for seed in range(20):
-        va, vb, _ = ag.make_views(batch, cfg, np.random.default_rng(seed))
+        va, vb = ag.make_views(feats, labels, cfg, np.random.default_rng(seed))
         assert np.all(np.isfinite(va))
         assert np.all(np.isfinite(vb))
 

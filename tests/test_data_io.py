@@ -17,6 +17,10 @@ SMALL = SynthSpec(n_subjects=2, n_classes=3, n_channels=8, trials_per_subject=3,
                   samples_per_trial=4, seed=11)
 
 
+TINY_RAW = SynthSpec(n_subjects=1, n_classes=2, n_channels=4, trials_per_subject=2,
+                    samples_per_trial=3, seed=5, mode="timeseries")
+
+
 @pytest.fixture()
 def small_bank():
     return io.gen_synthetic(SMALL)
@@ -100,12 +104,9 @@ class TestBankRoundTrip:
             io.read_bank(tmp_path / "bank")
 
     @pytest.mark.parametrize("key", ["file", "channels", "samples", "subject",
-                                     "session", "trial", "label"])
+                                     "session", "trial", "label", "fs"])
     def test_missing_raw_trial_key_raises(self, tmp_path, key):
-        spec = SynthSpec(n_subjects=1, n_classes=2, n_channels=4,
-                         trials_per_subject=2, samples_per_trial=3, seed=5,
-                         mode="timeseries")
-        io.write_bank(io.gen_synthetic(spec), tmp_path / "raw")
+        io.write_bank(io.gen_synthetic(TINY_RAW), tmp_path / "raw")
         mpath = tmp_path / "raw" / "manifest.json"
         manifest = json.loads(mpath.read_text())
         del manifest["raw_trials"][1][key]
@@ -144,6 +145,12 @@ def _nan_payload(bank):
     f.write_bytes(bytes(blob))
 
 
+def _raw_fs_mismatch(bank):
+    """Replace the bank by a raw-trial bank whose second record says 123 Hz."""
+    io.write_bank(io.gen_synthetic(TINY_RAW), bank)
+    _edit_manifest(lambda m: m["raw_trials"][1].update(fs=123.0))(bank)
+
+
 BANK_FAULTS = {
     "corrupt_json": (_corrupt_json, io.ManifestMismatchError,
                      r"manifest\.json: not valid JSON"),
@@ -164,6 +171,9 @@ BANK_FAULTS = {
     "label_outside_classes": (_edit_manifest(lambda m: m["samples"][1].__setitem__(4, 3)),
                               io.ManifestMismatchError,
                               r"manifest\.json: sample label 3 outside 3 classes"),
+    "raw_fs_differs_from_manifest": (
+        _raw_fs_mismatch, io.ManifestMismatchError,
+        r"raw/t1\.bin: sampling rate 200\.0 but manifest says 123\.0"),
     "nan_in_payload": (_nan_payload, io.NonFinitePayloadError,
                        r"features\.bin: sample 3"),
     "montage_bad_header": (lambda bank: (bank / "montage.csv").write_text("nm,x,y,z\n"),

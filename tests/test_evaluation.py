@@ -156,6 +156,23 @@ class TestRobustness:
                           np.random.default_rng(1))
 
 
+SWEEP_FAULTS = {
+    "noise_no_samples": lambda dta, bank, rng: E.noise_sweep(
+        dta, [], bank.montage, [1.0], rng),
+    "failure_no_samples": lambda dta, bank, rng: E.electrode_failure_sweep(
+        dta, [], bank.montage, [1], "zero", rng),
+    "failure_negative_count": lambda dta, bank, rng: E.electrode_failure_sweep(
+        dta, bank.samples[:4], bank.montage, [-1], "zero", rng),
+}
+
+
+@pytest.mark.parametrize("fault", list(SWEEP_FAULTS))
+def test_empty_or_invalid_sweep_raises_eval_error(tiny_bank, tiny_model, fault):
+    with pytest.raises(E.EvalError) as exc:
+        SWEEP_FAULTS[fault](tiny_model, tiny_bank, np.random.default_rng(0))
+    assert "\n" not in str(exc.value)
+
+
 class TestConnectivity:
     def test_two_orthogonal_groups_exact_edges(self):
         # two parallel pairs plus two isolated channels, all groups mutually

@@ -26,9 +26,8 @@ class TestCosine:
 
 def single_pair(u, v, same_label, tau=0.5):
     labels_b = np.array([0]) if same_label else np.array([1])
-    return ls.contrastive_loss(ls.ContrastiveBatch(
-        np.array([u], dtype=float), np.array([v], dtype=float),
-        np.array([0]), labels_b, tau))
+    return ls.contrastive_loss(np.array([u], dtype=float), np.array([v], dtype=float),
+                               np.array([0]), labels_b, tau)
 
 
 class TestContrastiveLoss:
@@ -49,18 +48,18 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(0)
         za, zb = rng.normal(size=(6, 8)), rng.normal(size=(6, 8))
         la, lb = rng.integers(0, 3, 6), rng.integers(0, 3, 6)
-        ab = ls.contrastive_loss(ls.ContrastiveBatch(za, zb, la, lb))
-        ba = ls.contrastive_loss(ls.ContrastiveBatch(zb, za, lb, la))
+        ab = ls.contrastive_loss(za, zb, la, lb)
+        ba = ls.contrastive_loss(zb, za, lb, la)
         assert float(ab.data) == pytest.approx(float(ba.data), abs=1e-12)
 
     def test_row_scale_invariance(self):
         rng = np.random.default_rng(1)
         za, zb = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
         la, lb = rng.integers(0, 2, 5), rng.integers(0, 2, 5)
-        base = float(ls.contrastive_loss(ls.ContrastiveBatch(za, zb, la, lb)).data)
+        base = float(ls.contrastive_loss(za, zb, la, lb).data)
         za2 = za.copy()
         za2[2] *= 37.5
-        scaled = float(ls.contrastive_loss(ls.ContrastiveBatch(za2, zb, la, lb)).data)
+        scaled = float(ls.contrastive_loss(za2, zb, la, lb).data)
         assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_loss_decreases_as_positive_pair_aligns(self):
@@ -69,7 +68,7 @@ class TestContrastiveLoss:
         prev = None
         for angle in (1.5, 1.0, 0.5, 0.1):
             za = np.array([[math.cos(angle), math.sin(angle)]])
-            cur = float(ls.contrastive_loss(ls.ContrastiveBatch(za, zb, labels, labels)).data)
+            cur = float(ls.contrastive_loss(za, zb, labels, labels).data)
             if prev is not None:
                 assert cur < prev
             prev = cur
@@ -78,7 +77,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(2)
         za, zb = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
         la, lb = rng.integers(0, 2, 4), rng.integers(0, 2, 4)
-        got = float(ls.contrastive_loss(ls.ContrastiveBatch(za, zb, la, lb, 0.5)).data)
+        got = float(ls.contrastive_loss(za, zb, la, lb, 0.5).data)
         total = 0.0
         for i in range(4):
             for j in range(4):
@@ -92,7 +91,7 @@ class TestContrastiveLoss:
         za = np.array([[0.0, 0.0], [1.0, 0.0]])
         zb = np.ones((2, 2))
         with pytest.raises(ls.LossError):
-            ls.contrastive_loss(ls.ContrastiveBatch(za, zb, [0, 1], [0, 1]))
+            ls.contrastive_loss(za, zb, [0, 1], [0, 1])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -103,13 +102,13 @@ class TestContrastiveLoss:
         lb = rng.integers(0, 2, 4)
 
         def f():
-            return ls.contrastive_loss(ls.ContrastiveBatch(ps["za"], ps["zb"], la, lb))
+            return ls.contrastive_loss(ps["za"], ps["zb"], la, lb)
 
         assert ad.grad_check(f, ps) < 1e-5
 
     def test_invalid_temperature(self):
         with pytest.raises(ls.LossError):
-            ls.ContrastiveBatch(np.ones((1, 2)), np.ones((1, 2)), [0], [0], tau=0.0)
+            ls.contrastive_loss(np.ones((1, 2)), np.ones((1, 2)), [0], [0], tau=0.0)
 
 
 class TestCrossEntropy:

@@ -273,8 +273,7 @@ class TestEncode:
         enc = M.encode(rand_de(rng, batch=4), pos, dta, mask_diagonal=True, rng=rng)
         z = M.project(enc.q_final, dta, train=True, rng=rng)
         labels = np.array([0, 1])
-        loss = ls.contrastive_loss(
-            ls.ContrastiveBatch(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels))
+        loss = ls.contrastive_loss(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels)
 
         def graph(root):
             nodes, stack = {}, [root]
@@ -420,8 +419,7 @@ def test_pretrain_step_bitwise_equal_at_1_2_3_workers(set_workers):
         rng_dropout = np.random.default_rng(7)
         enc = M.encode(x, pos, dta, mask_diagonal=True, rng=rng_dropout)
         z = M.project(enc.q_final, dta, train=True, rng=rng_dropout)
-        loss = ls.contrastive_loss(ls.ContrastiveBatch(
-            ad.narrow(z, 0, 5), ad.narrow(z, 5, 5), labels, labels))
+        loss = ls.contrastive_loss(ad.narrow(z, 0, 5), ad.narrow(z, 5, 5), labels, labels)
         loss.backward()
         assert (ad._pool is not None) == (workers > 1)  # the split path ran
         runs.append((loss.data.tobytes(), z.data.tobytes(), rng_dropout.bit_generator.state,

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from eegtransfer import autodiff as ad
+from eegtransfer import evaluation as E
 from eegtransfer import model as M
 from eegtransfer import training as T
 from eegtransfer.augment import AugmentConfig
@@ -12,6 +14,7 @@ from eegtransfer.autodiff import ParameterSet
 from eegtransfer.config import ModelConfig, StageConfig, TrainConfig
 from eegtransfer.data_io import gen_synthetic
 from eegtransfer.config import SynthSpec
+from eegtransfer.dsp import stack_samples
 
 TINY_MODEL = ModelConfig(n_layers=2, d_model=8, n_heads=2, ffn_hidden=16,
                          n_channels=8, n_bands=5, proj_dims=(16, 32, 16),
@@ -259,3 +262,37 @@ class TestPredict:
     def test_channel_mismatch_rejected(self, tiny_bank, model):
         with pytest.raises(T.TrainError):
             T.predict(model, np.zeros((5, 5)), tiny_bank.montage)
+
+    def test_empty_stack_rejected(self, tiny_bank, model):
+        with pytest.raises(T.TrainError, match="no samples"):
+            T.predict_batch(model, np.zeros((0, 8, 5)), tiny_bank.montage)
+
+    def test_inference_chunks_cover_every_sample_once_in_order(self, tiny_bank, model,
+                                                               monkeypatch):
+        samples = tiny_bank.samples[:17]
+        feats, _ = stack_samples(samples)
+        dta = model.astype(np.float64)
+        encode, seen = M.encode, []
+
+        def spy(de, pos, dta, **kw):
+            seen.append(np.array(de))
+            return encode(de, pos, dta, **kw)
+
+        monkeypatch.setattr(T, "INFERENCE_CHUNK", 7)
+        monkeypatch.setattr(M, "encode", spy)
+        labels, probs = T.predict_batch(dta, feats, tiny_bank.montage)
+        reps = E.channel_representations(dta, samples, tiny_bank.montage)
+        assert [len(c) for c in seen] == [7, 7, 3] * 2
+        assert np.array_equal(np.concatenate(seen[:3]), feats)
+        assert np.array_equal(np.concatenate(seen[3:]), feats)
+
+        monkeypatch.setattr(M, "encode", encode)
+        assert probs.dtype == np.float64
+        for s, label, p in zip(samples, labels, probs):
+            one_label, one_probs = T.predict(dta, s, tiny_bank.montage)
+            assert one_label == label
+            assert np.allclose(one_probs, p)
+        with ad.no_grad():
+            per_sample = [encode(f, tiny_bank.montage.positions, dta).q_final.data[0]
+                          for f in feats]
+        assert np.allclose(reps, np.mean(per_sample, axis=0))
