@@ -33,8 +33,8 @@ its batch entries exactly as the whole-array call does, and every sum across
 rows (weight, bias, gamma and beta gradients, the row means of
 ``layer_norm``, the batch sum of a broadcast input's gradient) stays one
 whole-array call in the calling thread.  Dropout masks are drawn before any
-split.  A forked child drops the parent's pool and starts its own on first
-use.
+split.  ``dsp`` runs its filter jobs on the same pool.  A forked child drops
+the parent's pool and starts its own on first use.
 """
 
 from __future__ import annotations
@@ -109,6 +109,15 @@ def _drop_pool():
 os.register_at_fork(after_in_child=_drop_pool)
 
 
+def _executor():
+    """The pool of `_workers` - 1 threads, started on first use; the calling
+    thread is the remaining worker."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="autodiff")
+    return _pool
+
+
 def _split(kernel, alloc, batched, *shared, size=None):
     """Run `kernel` over contiguous slices of the batch axis; return its outputs.
 
@@ -129,7 +138,6 @@ def _split(kernel, alloc, batched, *shared, size=None):
     single one unpacked.  A kernel must treat each batch entry on its own,
     so results do not depend on the cut.
     """
-    global _pool
     lead = batched[0]
     n, nd = len(lead), lead.ndim
     size = lead.size if size is None else size
@@ -137,15 +145,14 @@ def _split(kernel, alloc, batched, *shared, size=None):
             or any(a is not None and a.ndim > nd for a in batched)):
         return kernel(*batched, *shared)
     parts = min(_workers, n // 2, size // _MIN_SLICE_SIZE)
-    if _pool is None:
-        _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="autodiff")
+    pool = _executor()
     outs = () if alloc is None else alloc(*batched, *shared)
     cuts = [n * i // parts for i in range(parts + 1)]
     calls = []
     for lo, hi in zip(cuts, cuts[1:]):
         rows = _rows((*batched, *outs), lo, hi, n, nd)
         calls.append((*rows[:len(batched)], *shared, *rows[len(batched):]))
-    futures = [_pool.submit(kernel, *args) for args in calls[1:]]
+    futures = [pool.submit(kernel, *args) for args in calls[1:]]
     try:
         kernel(*calls[0])
     finally:

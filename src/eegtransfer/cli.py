@@ -168,10 +168,12 @@ def _cmd_robustness(args, cfg: RunConfig):
         results = evaluation.noise_sweep(dta, samples, bank.montage,
                                          _parse_sweep(sweep, float), rng)
     else:
-        sweep = args.sweep or FAILURE_SWEEP_DEFAULT
+        if args.sweep:
+            counts = _parse_sweep(args.sweep, int)
+        else:  # the default sweep stops below the montage's channel count
+            counts = [m for m in _parse_sweep(FAILURE_SWEEP_DEFAULT, int) if m < len(bank.montage)]
         results = evaluation.electrode_failure_sweep(
-            dta, samples, bank.montage, _parse_sweep(sweep, int),
-            args.failure_mode, rng)
+            dta, samples, bank.montage, counts, args.failure_mode, rng)
     out = _out_dir(args)
     _write_csv(out / "robustness.csv", cfg, ["param", "accuracy"],
                [(p, f"{a:.6f}") for p, a in results])

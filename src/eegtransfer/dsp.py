@@ -1,21 +1,36 @@
 """Signal conditioning and per-band differential-entropy features.
 
-All operations are pure: filters are zero-phase (forward-backward), feature
-windows are non-overlapping, and per-trial processing can run in parallel
-across trials.  Filtering uses 4th-order Butterworth band-pass sections and a
-Q=30 IIR notch from scipy.signal.  scipy.signal is imported on the first filter
-call, so a process that only trains on or predicts from DE features never loads
-it, and each band-pass is designed once per (low, high, fs) and cached.
+All operations are pure: filters are zero-phase (forward-backward) and feature
+windows are non-overlapping.  Filtering uses 4th-order Butterworth band-pass
+sections and a Q=30 IIR notch from scipy.signal.  scipy.signal is imported on
+the first filter call, so a process that only trains on or predicts from DE
+features never loads it, and each band-pass is designed once per
+(low, high, fs) and cached.
+
+Processing runs in parallel within a trial, on the autodiff thread pool (one
+worker per CPU the process may use; scipy's filter loops release the GIL).
+``extract_de`` filters its five bands as five jobs, each writing its own band
+of the DE array, and ``bandpass`` and ``notch`` cut their channel rows into
+one contiguous block per worker.  Threads claim jobs from a shared counter,
+so a busy pool thread delays a call by at most one job.  Every row is
+filtered exactly as in the whole array, so results do not depend on the
+worker count.  The bad-channel scan is array-wide: one centred pass gives
+every neighbour correlation, and only rows with enough repeated values get
+their longest flat run measured.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import threading
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .montage import ChannelMontage, nearest_neighbor
 
 VAR_FLOOR = 1e-12
@@ -162,13 +177,82 @@ def _filter_input(data, padlen, what):
     return data
 
 
+def _threads(n_jobs, size):
+    """Threads worth using on `n_jobs` jobs over `size` elements in all: at
+    most one per worker and per job, and each with at least
+    `ad._MIN_SLICE_SIZE` elements, the share that pays for a hand-off."""
+    return min(ad._workers, n_jobs, size // ad._MIN_SLICE_SIZE)
+
+
+def _run_jobs(job, n_jobs, threads):
+    """Run job(0) ... job(n_jobs - 1) on the calling thread and `threads` - 1
+    threads of the autodiff pool.
+
+    Each thread claims the next job index from one shared counter, so a pool
+    thread that is busy with other work holds back at most the one job it
+    runs.  Once every index is claimed, the calling thread cancels the helpers
+    that have not started and waits only for the running ones.  Jobs must
+    call nothing that a tracer may wrap: only scipy, numpy and private
+    helpers of this module.
+    """
+    if threads < 2:
+        for i in range(n_jobs):
+            job(i)
+        return
+    counter, lock = itertools.count(), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(counter)
+            if i >= n_jobs:
+                return
+            job(i)
+
+    pool = ad._executor()
+    futures = [pool.submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        # wait() would also wait for a cancelled future until a pool thread
+        # dequeues it, so it gets only the futures that could not be cancelled
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()
+
+
+def _filter_rows(filt, data):
+    """filt(data), for a filter that treats each row of the last axis on its
+    own, with the rows cut into contiguous blocks that `_run_jobs` filters
+    at once.  Each block is filtered exactly as within the whole array, so
+    the result does not depend on the cut."""
+    rows = data.reshape(-1, data.shape[-1])
+    parts = _threads(len(rows), rows.size)
+    if parts < 2:
+        return filt(data)
+    out = np.empty_like(rows)
+    cuts = [len(rows) * i // parts for i in range(parts + 1)]
+
+    def block(i):
+        out[cuts[i]:cuts[i + 1]] = filt(rows[cuts[i]:cuts[i + 1]])
+
+    _run_jobs(block, parts, parts)
+    return out.reshape(data.shape)
+
+
+def _sosfiltfilt(sos, padlen):
+    """Forward-backward filter of a cached design; scipy's sosfilt needs a
+    writable one."""
+    return lambda x: _signal().sosfiltfilt(sos.copy(), x, axis=-1, padlen=padlen)
+
+
 def bandpass(data, low, high, fs):
     """Zero-phase 4th-order Butterworth band-pass, per channel."""
     _check_band(low, high, fs)
     sos, padlen = _bandpass_design(float(low), float(high), float(fs))
     data = _filter_input(data, padlen, "bandpass")
-    # scipy's sosfilt needs a writable design
-    return _signal().sosfiltfilt(sos.copy(), data, axis=-1, padlen=padlen)
+    return _filter_rows(_sosfiltfilt(sos, padlen), data)
 
 
 def notch(data, f0, fs):
@@ -179,7 +263,7 @@ def notch(data, f0, fs):
     b, a = signal.iirnotch(f0, NOTCH_Q, fs=fs)
     padlen = 3 * max(len(a), len(b))  # filtfilt's default
     data = _filter_input(data, padlen, "notch")
-    return signal.filtfilt(b, a, data, axis=-1, padlen=padlen)
+    return _filter_rows(lambda x: signal.filtfilt(b, a, x, axis=-1, padlen=padlen), data)
 
 
 # -- differential entropy ---------------------------------------------------
@@ -232,10 +316,14 @@ def extract_de(trial: RawTrial, bands: BandSpec = DEFAULT_BANDS,
     if n_windows < 1:
         raise DspError(
             f"trial has {tail.n_samples} samples, shorter than one {window_s} s window")
+    designs = [_bandpass_design(lo, hi, float(trial.fs)) for _, lo, hi in bands.bands]
+    data = _filter_input(tail.data, max(padlen for _, padlen in designs), "bandpass")
     de = np.empty((tail.n_channels, n_windows, len(bands)))
-    for b, (_, lo, hi) in enumerate(bands.bands):
-        filtered = bandpass(tail.data, lo, hi, trial.fs)
-        de[:, :, b] = _window_de(filtered, n_windows, win)
+
+    def band(b):
+        de[:, :, b] = _window_de(_sosfiltfilt(*designs[b])(data), n_windows, win)
+
+    _run_jobs(band, len(designs), _threads(len(designs), len(designs) * data.size))
     return [
         FeatureSample(trial.subject_id, trial.session_id, trial.trial_id,
                       w, trial.label, de[:, w, :])
@@ -256,10 +344,11 @@ def lds_smooth(sequence, q_ratio=0.01):
     """
     if len(sequence) == 0:
         raise DspError("cannot smooth an empty sequence")
-    stack = np.stack([np.asarray(m, dtype=np.float64) for m in sequence])
-    shape = stack.shape[1:]
-    if any(np.asarray(m).shape != shape for m in sequence):
+    arrays = [np.asarray(m, dtype=np.float64) for m in sequence]
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays):
         raise DspError("inconsistent shapes in sequence")
+    stack = np.stack(arrays)
     n = stack.shape[0]
     if n == 1:
         return [stack[0].copy()]
@@ -321,10 +410,14 @@ def detect_bad_channels(trial: RawTrial, montage: ChannelMontage) -> set[int]:
         raise DspError(
             f"trial has {trial.n_channels} channels, montage has {len(montage)}")
     data = trial.data
+    n = trial.n_channels
     bad: set[int] = set()
 
+    # a run longer than the limit repeats a value more than limit - 1 times,
+    # so only rows with that many repeats need their longest run measured
     flat_limit = FLATLINE_SECONDS * trial.fs
-    for c in range(trial.n_channels):
+    repeats = np.count_nonzero(np.diff(data, axis=1) == 0, axis=1)
+    for c in np.flatnonzero(repeats > flat_limit - 1).tolist():
         if _max_run_length(data[c]) > flat_limit:
             bad.add(c)
 
@@ -333,17 +426,16 @@ def detect_bad_channels(trial: RawTrial, montage: ChannelMontage) -> set[int]:
     if mean_std > 0:
         bad.update(np.flatnonzero(stds > CHANNEL_STD_FACTOR * mean_std).tolist())
 
-    if trial.n_channels >= 2:
-        for c in range(trial.n_channels):
-            nb = nearest_neighbor(montage, c)
-            x, y = data[c], data[nb]
-            sx, sy = x.std(), y.std()
-            if sx == 0.0 or sy == 0.0:
-                corr = 0.0
-            else:
-                corr = float(np.corrcoef(x, y)[0, 1])
-            if corr < NEIGHBOR_CORR_MIN:
-                bad.add(c)
+    if n >= 2:
+        nb = np.array([nearest_neighbor(montage, c) for c in range(n)])
+        x = np.asarray(data, dtype=np.float64)
+        x = x - x.mean(axis=1, keepdims=True)
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+        dots = np.einsum("ij,ij->i", x, x[nb])
+        # a channel or neighbour of zero std counts as uncorrelated
+        live = (stds != 0.0) & (stds[nb] != 0.0)
+        corr = np.where(live, dots, 0.0) / np.where(live, norms * norms[nb], 1.0)
+        bad.update(np.flatnonzero(corr < NEIGHBOR_CORR_MIN).tolist())
     return bad
 
 

@@ -237,6 +237,21 @@ class TestPipeline:
         header = (exp / "features.csv").read_text().splitlines()[0]
         assert header.startswith("subject,session,trial,window,label,stage,f0")
 
+    def test_default_failure_sweep_stops_below_channel_count(self, config_path, bank_dir,
+                                                             pretrained_dir, tmp_path, capsys):
+        # the 8-channel bank: the default sweep's counts from 8 up are dropped
+        assert cli.main(["robustness", "--config", config_path, "--bank", bank_dir,
+                         "--checkpoint", f"{pretrained_dir}/pretrained.ckpt",
+                         "--mode", "failure", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "robustness.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[0] for r in rows] == ["0", "1", "2", "4", "6"]
+        # an explicit sweep is taken as given
+        assert cli.main(["robustness", "--config", config_path, "--bank", bank_dir,
+                         "--checkpoint", f"{pretrained_dir}/pretrained.ckpt",
+                         "--mode", "failure", "--sweep", "0,8",
+                         "--out", str(tmp_path / "explicit")]) == 1
+        assert "EvalError: cannot fail 8 of 8 channels" in capsys.readouterr().err
+
     def test_extract_features_from_timeseries(self, tmp_path, config_path):
         cfg = dict(TINY_CONFIG)
         cfg["synth"] = dict(cfg["synth"], mode="timeseries", trials_per_subject=2,

@@ -3,13 +3,16 @@ differential entropy against closed forms, smoothing against a scalar
 Kalman/RTS reference."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy import signal
 
-from eegtransfer import dsp
-from eegtransfer.montage import ChannelMontage, default_montage
+from eegtransfer import autodiff as ad
+from eegtransfer import data_io, dsp
+from eegtransfer.config import SynthSpec
+from eegtransfer.montage import ChannelMontage, default_montage, nearest_neighbor
 
 FS = 200.0
 
@@ -286,6 +289,10 @@ class TestLdsSmooth:
         with pytest.raises(dsp.DspError):
             dsp.lds_smooth([])
 
+    def test_inconsistent_shapes_error(self):
+        with pytest.raises(dsp.DspError, match="inconsistent shapes"):
+            dsp.lds_smooth([np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2))])
+
 
 class TestArtifactHeuristics:
     def small_montage(self, n=6):
@@ -326,6 +333,65 @@ class TestArtifactHeuristics:
         data = common + 0.1 * rng.normal(size=(6, int(10 * FS)))
         bad = dsp.detect_bad_channels(make_trial(data), m)
         assert bad == set()
+
+    @staticmethod
+    def reference_bad_channels(trial, montage):
+        """The per-channel scan: one run-length pass, std pair and
+        np.corrcoef call per channel."""
+        data = trial.data
+        bad = set()
+        for c in range(trial.n_channels):
+            if dsp._max_run_length(data[c]) > dsp.FLATLINE_SECONDS * trial.fs:
+                bad.add(c)
+        stds = data.std(axis=1)
+        if stds.mean() > 0:
+            bad.update(np.flatnonzero(stds > dsp.CHANNEL_STD_FACTOR * stds.mean()).tolist())
+        if trial.n_channels >= 2:
+            for c in range(trial.n_channels):
+                x, y = data[c], data[nearest_neighbor(montage, c)]
+                if x.std() == 0.0 or y.std() == 0.0:
+                    corr = 0.0
+                else:
+                    corr = float(np.corrcoef(x, y)[0, 1])
+                if corr < dsp.NEIGHBOR_CORR_MIN:
+                    bad.add(c)
+        return bad
+
+    def test_bad_channels_equal_per_channel_reference(self):
+        # flatlines around the run-length limit, constant rows, rows equal to
+        # their neighbour, loud rows and weakly correlated rows, float32 and
+        # float64, an integer and a fractional flatline limit
+        flagged = set()
+        for seed in range(120):
+            rng = np.random.default_rng([23, seed])
+            n = int(rng.integers(2, 13))
+            fs = (20.0, 20.3)[seed % 2]
+            limit = dsp.FLATLINE_SECONDS * fs
+            length = int(rng.integers(300, 500))
+            montage = default_montage_head(n)
+            common = rng.normal(size=length)
+            data = common + rng.uniform(0.1, 1.5) * rng.normal(size=(n, length))
+            for c in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+                kind = rng.integers(5)
+                if kind == 0:  # flatline just below, at or above the limit
+                    run = int(limit) + int(rng.integers(-2, 3))
+                    start = int(rng.integers(0, length - run))
+                    data[c, start:start + run] = data[c, start]
+                elif kind == 1:
+                    data[c] = rng.choice([0.0, 0.1, -3.7])
+                elif kind == 2:
+                    data[c] = data[nearest_neighbor(montage, c)]
+                elif kind == 3:
+                    data[c] *= 12.0
+                else:
+                    data[c] = rng.normal(size=length)
+            if seed % 3 == 0:
+                data = data.astype(np.float32)
+            trial = make_trial(data, fs=fs)
+            want = self.reference_bad_channels(trial, montage)
+            assert dsp.detect_bad_channels(trial, montage) == want
+            flagged.add((len(want) > 0, len(want) < n))
+        assert flagged == {(True, True), (True, False), (False, True)}
 
     def test_stationary_noise_keeps_all_windows(self):
         rng = np.random.default_rng(13)
@@ -404,3 +470,58 @@ def test_preprocess_trial_smoke():
     out = dsp.preprocess_trial(make_trial(data), m)
     assert out.data.shape == data.shape
     assert np.abs(out.data.mean(axis=0)).max() < 1e-9
+
+
+def _pipeline_outputs():
+    """Every filtering entry point on one small timeseries bank."""
+    raw = data_io.gen_synthetic(SynthSpec(n_subjects=1, n_channels=8, trials_per_subject=2,
+                                          samples_per_trial=3, mode="timeseries", seed=4))
+    trial = raw.raw_trials[0]
+    feats = data_io.extract_bank_features(raw, preprocess=True, reject_segments=True,
+                                          smooth=True)
+    return {
+        "gen_synthetic": [t.data for t in raw.raw_trials],
+        "bandpass": [dsp.bandpass(trial.data, 8.0, 13.0, trial.fs)],
+        "notch": [dsp.notch(trial.data, 50.0, trial.fs)],
+        "preprocess_trial": [dsp.preprocess_trial(trial, raw.montage).data],
+        "extract_de": [s.de for s in dsp.extract_de(trial, tail_s=None)],
+        "extract_bank_features": [s.de for s in feats.samples],
+    }
+
+
+def test_filtering_bitwise_equal_at_1_2_3_workers(set_workers):
+    set_workers(1)
+    want = _pipeline_outputs()
+    assert ad._pool is None
+    before = set(threading.enumerate())
+    for workers in (2, 3):
+        set_workers(workers)
+        got = _pipeline_outputs()
+        assert ad._pool is not None
+        for name, arrays in want.items():
+            assert len(got[name]) == len(arrays)
+            assert all(np.array_equal(a, b) for a, b in zip(got[name], arrays)), name
+    started = set(threading.enumerate()) - before
+    assert all(t.name.startswith("autodiff") for t in started)
+
+
+def test_extract_de_returns_while_the_pool_thread_is_busy(set_workers):
+    trial = make_trial(np.random.default_rng(24).normal(size=(4, int(3 * FS))))
+    set_workers(1)
+    want = np.stack([s.de for s in dsp.extract_de(trial, tail_s=None)])
+    set_workers(2)
+    held, release = threading.Event(), threading.Event()
+
+    def occupy():
+        held.set()
+        return release.wait(timeout=10)
+
+    blocker = ad._executor().submit(occupy)  # the pool's only thread
+    try:
+        assert held.wait(timeout=10)
+        got = np.stack([s.de for s in dsp.extract_de(trial, tail_s=None)])
+        assert not blocker.done()
+    finally:
+        release.set()
+    assert blocker.result(timeout=10)  # released here, not timed out
+    assert np.array_equal(got, want)
