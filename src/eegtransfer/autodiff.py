@@ -20,30 +20,37 @@ released as the sweep proceeds), and :func:`no_grad` disables graph capture
 entirely for inference loops.
 
 A graph is built and swept from one thread.  Inside the fused ops, the
-per-sample work (per batch entry and head in ``attention``, the row-wise
-passes of ``layer_norm``, ``ffn`` and ``linear``'s forward and input-gradient
-GEMMs) is cut into contiguous slices of the batch axis that run at once, one
-per CPU the process may use, when each slice is large enough to pay for the
-hand-off: the calling thread takes the first slice and a thread pool the
-others (numpy releases the GIL in its ufuncs and in matmul).
-When the process may use more than one CPU, OpenBLAS is pinned to one
-thread, since the slices keep the CPUs busy and BLAS threads would only spin
-beside them.  Results do not depend on the CPU count: each slice computes
-its batch entries exactly as the whole-array call does, and every sum across
-rows (weight, bias, gamma and beta gradients, the row means of
-``layer_norm``, the batch sum of a broadcast input's gradient) stays one
-whole-array call in the calling thread.  Dropout masks are drawn before any
-split.  ``dsp`` runs its filter jobs on the same pool.  A forked child drops
-the parent's pool and starts its own on first use.
+per-sample work (per batch entry and head in ``attention``, ``layer_norm``'s
+forward and input-gradient kernels, ``ffn`` and ``linear``'s forward and
+input-gradient GEMMs) is cut into tiles of the batch axis, a few per CPU the
+process may use, when the batch is large enough to pay for the hand-off: the
+calling thread and the threads of one pool claim tiles from one counter
+(numpy releases the GIL in its ufuncs and in matmul), so a pool thread the
+host has descheduled holds back at most one tile.  Beside the input-gradient
+tiles, pool jobs compute the op's parameter gradients (the weight GEMMs and
+the bias, gamma and beta sums), each one whole-array numpy call as without
+the pool; a job no pool thread has started by the time the node needs it
+runs in the calling thread, and the node joins every job before it
+returns.  When the process may use more than one CPU, OpenBLAS is pinned to
+one thread, since the tiles keep the CPUs busy and BLAS threads would only
+spin beside them.  Results do not depend on the CPU count: each tile
+computes its batch entries exactly as the whole-array call does (tiles start
+at even entries, where OpenBLAS's row-mean GEMV gives the whole array's
+bits), and every sum across batch entries stays one whole-array call.
+Dropout masks are drawn before any split.  ``dsp`` runs its filter jobs
+through the same claim runner and pool.  A forked child drops the parent's
+pool and starts its own on first use.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import itertools
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
@@ -61,13 +68,18 @@ except (OSError, AttributeError):
 _finite_checks = False
 _grad_enabled = True
 
-# workers of the fused ops' row slices, the calling thread included
+# workers of the fused ops' tiles, the calling thread included
 _workers = len(os.sched_getaffinity(0))
 _pool = None
-# elements of batched[0] a slice needs: handing a slice to a pool thread
-# costs 0.1-0.2 ms on a 2-vCPU VM, and a calibration step of 48 samples whose
-# 48 x 62 x 64 hidden activations were cut in two ran slower than whole
+# elements of batched[0] each tile, and so each worker, needs: handing work
+# to a pool thread costs 0.1-0.2 ms on a 2-vCPU VM, and a calibration step of
+# 48 samples whose 48 x 62 x 64 hidden activations were cut in two ran slower
+# than whole
 _MIN_SLICE_SIZE = 1 << 17
+# most tiles of the batch axis per worker in `_split`: a descheduled pool
+# thread holds back one tile of the call, not a worker's whole share, and
+# each tile's passes run on cache-sized data
+_TILES_PER_WORKER = 4
 # bytes of Pᵀ in one tile of `attention`'s batch entries, so that the tile's
 # n x n passes run on cache-resident data: 17 entries of 4 heads x 62 x 62
 # in float32
@@ -118,48 +130,119 @@ def _executor():
     return _pool
 
 
+def _run_jobs(job, n_jobs, threads):
+    """Run job(0) ... job(n_jobs - 1) on the calling thread and `threads` - 1
+    threads of the pool.
+
+    Each thread claims the next job index from one shared counter, so a pool
+    thread that is busy with other work holds back at most the one job it
+    runs.  Once every index is claimed, the calling thread cancels the helpers
+    that have not started and waits only for the running ones.  Jobs must
+    call nothing that a tracer may wrap: only numpy, scipy and private
+    helpers.
+    """
+    if threads < 2:
+        for i in range(n_jobs):
+            job(i)
+        return
+    counter, lock = itertools.count(), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(counter)
+            if i >= n_jobs:
+                return
+            job(i)
+
+    pool = _executor()
+    futures = [pool.submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        # wait() would also wait for a cancelled future until a pool thread
+        # dequeues it, so it gets only the futures that could not be cancelled
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()
+
+
+def _pays(size):
+    """Whether work over `size` elements is worth handing to the pool."""
+    return _workers > 1 and size >= 2 * _MIN_SLICE_SIZE
+
+
 def _split(kernel, alloc, batched, *shared, size=None):
-    """Run `kernel` over contiguous slices of the batch axis; return its outputs.
+    """Run `kernel` over tiles of the batch axis; return its outputs.
 
     The batch axis is the leading axis of batched[0] if it has three or more
     dims (a 2-D array is one sample's rows x features).  Another `batched`
     array with fewer dims or a length-1 leading axis broadcasts and goes
-    whole to every slice; None passes through.  As many slices as there are
-    workers run at once, the calling thread taking the first, but each
-    slice gets at least 2 batch entries and `_MIN_SLICE_SIZE` of the call's
+    whole to every tile; None passes through.  Each tile, and so each worker
+    that runs, needs 2 batch entries and `_MIN_SLICE_SIZE` of the call's
     `size` elements: those of batched[0] unless the caller counts its work
     in larger arrays (`attention`, in its n x n probabilities).  Below two
-    slices, or when some `batched` array has more dims than batched[0],
-    this is just kernel(*batched, *shared), which allocates its own
-    outputs.  Otherwise alloc(*batched, *shared) allocates the whole
-    outputs (a tuple; None for one not wanted, and no `alloc` for a kernel
-    that works in place), each slice writes its rows through
+    workers, or when some `batched` array has more dims than batched[0],
+    this is just kernel(*batched, *shared), which allocates its own outputs.
+    Otherwise the batch is cut into at most `_TILES_PER_WORKER` tiles per
+    worker, every cut at an even entry, which the calling thread and the
+    pool claim with `_run_jobs`; alloc(*batched, *shared) allocates the
+    whole outputs (a tuple; None for one not wanted, and no `alloc` for a
+    kernel that works in place), each tile writes its rows through
     kernel(*rows, *shared, *output_rows), and the outputs are returned, a
     single one unpacked.  A kernel must treat each batch entry on its own,
-    so results do not depend on the cut.
+    so results do not depend on the cut.  The even cuts make each tile start
+    at a multiple of 4 rows when an entry has an even row count (62
+    channels: 124 rows), where a tile's row-mean GEMV groups its rows as the
+    whole array's does and gives its bits.
     """
     lead = batched[0]
     n, nd = len(lead), lead.ndim
     size = lead.size if size is None else size
-    if (n < 4 or nd < 3 or _workers < 2 or size < 2 * _MIN_SLICE_SIZE
+    if (n < 4 or nd < 3 or not _pays(size)
             or any(a is not None and a.ndim > nd for a in batched)):
         return kernel(*batched, *shared)
-    parts = min(_workers, n // 2, size // _MIN_SLICE_SIZE)
-    pool = _executor()
+    threads = min(_workers, n // 2, size // _MIN_SLICE_SIZE)
+    pairs = n // 2
+    tiles = min(pairs, _TILES_PER_WORKER * threads, size // _MIN_SLICE_SIZE)
+    cuts = [2 * (pairs * i // tiles) for i in range(tiles)] + [n]
     outs = () if alloc is None else alloc(*batched, *shared)
-    cuts = [n * i // parts for i in range(parts + 1)]
-    calls = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        rows = _rows((*batched, *outs), lo, hi, n, nd)
-        calls.append((*rows[:len(batched)], *shared, *rows[len(batched):]))
-    futures = [pool.submit(kernel, *args) for args in calls[1:]]
-    try:
-        kernel(*calls[0])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+
+    def tile(i):
+        rows = _rows((*batched, *outs), cuts[i], cuts[i + 1], n, nd)
+        kernel(*rows[:len(batched)], *shared, *rows[len(batched):])
+
+    _run_jobs(tile, tiles, threads)
     return outs[0] if len(outs) == 1 else outs
+
+
+class _Job:
+    """fn(*args) on a pool thread beside the caller's own work, when `size`
+    elements pay for the hand-off (the rule of `_split`), else at once.
+
+    :meth:`result` joins it; a job that no pool thread has started is
+    cancelled and run in the calling thread instead, so a busy or
+    descheduled pool thread never holds it back.  `fn` must call only numpy
+    and private helpers, never a name a tracer may wrap.
+    """
+
+    __slots__ = ("_future", "_call", "_value")
+
+    def __init__(self, fn, *args, size):
+        self._future = None
+        if _pays(size):
+            self._future, self._call = _executor().submit(fn, *args), (fn, args)
+        else:
+            self._value = fn(*args)
+
+    def result(self):
+        if self._future is None:
+            return self._value
+        if self._future.cancel():
+            fn, args = self._call
+            return fn(*args)
+        return self._future.result()
 
 
 def _rows(arrays, lo, hi, n, nd):
@@ -538,25 +621,34 @@ def _affine_out(x, w, b):
     return (np.empty((*x.shape[:-1], w.shape[-1]), dtype=np.result_type(x, w)),)
 
 
-def _weight_grads(g2, x2, w, b):
-    """Weight and bias gradients of x2 @ w (+ b) from the 2-D output gradient."""
-    if w.requires_grad:
-        w._accumulate(np.matmul(x2.T, g2), own=True)
-    if b is not None and b.requires_grad:
-        b._accumulate(g2.sum(axis=0), own=True)
+def _param_jobs(g2, x2, w, b, size):
+    """The weight GEMM x2ᵀ g2 and the bias sum of g2, the parameter gradients
+    of x2 @ w (+ b) from its 2-D output gradient, as one `_Job` each (None
+    where not wanted)."""
+    return (_Job(np.matmul, x2.T, g2, size=size) if w.requires_grad else None,
+            _Job(np.sum, g2, 0, size=size) if b is not None and b.requires_grad else None)
+
+
+def _take(params, jobs):
+    """Accumulate each job's result into its parameter.  The last-submitted
+    job is joined first: if no pool thread has started it, it runs here
+    while the pool finishes the earlier ones."""
+    for t, job in reversed(tuple(zip(params, jobs))):
+        if job is not None:
+            t._accumulate(job.result(), own=True)
 
 
 def _input_grad(x, g, w):
-    """Accumulate g @ wᵀ, the gradient of x @ w, into `x`."""
-    if x.requires_grad:
-        x._accumulate(_split(_affine_rows, _affine_out, (g,), w.T, None), own=True)
+    """g @ wᵀ, the gradient of x @ w, if `x` wants one (else None)."""
+    return _split(_affine_rows, _affine_out, (g,), w.T, None) if x.requires_grad else None
 
 
 def linear(x, w, b=None):
     """x @ w (+ b) over the last axis as one node.
 
     `w` is (d_in, d_out) and `b` (d_out,); the leading axes of `x` collapse
-    into one GEMM.
+    into one GEMM.  The backward computes the weight and bias gradients as
+    pool jobs beside the input gradient's tiles.
     """
     x, w = _wrap(x), _wrap(w)
     b = None if b is None else _wrap(b)
@@ -567,8 +659,11 @@ def linear(x, w, b=None):
 
         def _bw():
             g = out.grad
-            _weight_grads(g.reshape(x2.shape[0], -1), x2, w, b)
-            _input_grad(x, g, w.data)
+            jobs = _param_jobs(g.reshape(x2.shape[0], -1), x2, w, b, x2.size)
+            gx = _input_grad(x, g, w.data)
+            _take((w, b), jobs)
+            if gx is not None:
+                x._accumulate(gx, own=True)
         out._backward = _bw
     return out
 
@@ -609,7 +704,10 @@ def ffn(x, w1, b1, w2, b2, rate, rng):
     The backward keeps only the ELU output e and a boolean keep mask: the
     ELU derivative is min(e, 0) + 1 and the dropout output is rebuilt from
     the two.  Dropout draws exactly as :func:`dropout` does and fires only
-    when an `rng` is given and `rate` > 0.
+    when an `rng` is given and `rate` > 0.  The backward computes the second
+    and then the first layer's weight and bias gradients as pool jobs, each
+    started as soon as its operands exist: after the dropout rebuild, and
+    after the hidden layer's gradient.
     """
     x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
     keep = None
@@ -626,11 +724,14 @@ def ffn(x, w1, b1, w2, b2, rate, rng):
             g = out.grad
             rows = x2.shape[0]
             h = e if keep is None else _split(_dropout_rows, _elementwise_out, (e, keep), rate)
-            _weight_grads(g.reshape(rows, -1), h.reshape(rows, -1), w2, b2)
-            del h  # freed before the hidden gradient takes its place
+            second = _param_jobs(g.reshape(rows, -1), h.reshape(rows, -1), w2, b2, x2.size)
+            del h  # the job holds it as long as it needs it
             gh = _split(_ffn_hidden_grad_rows, _ffn_hidden_grad_out, (g, e, keep), w2.data, rate)
-            _weight_grads(gh.reshape(rows, -1), x2, w1, b1)
-            _input_grad(x, gh, w1.data)
+            first = _param_jobs(gh.reshape(rows, -1), x2, w1, b1, x2.size)
+            gx = _input_grad(x, gh, w1.data)
+            _take((w2, b2, w1, b1), second + first)
+            if gx is not None:
+                x._accumulate(gx, own=True)
         out._backward = _bw
     return out
 
@@ -872,24 +973,59 @@ def _row_mean(x, avg):
     return np.matmul(x.reshape(-1, x.shape[-1]), avg).reshape(*x.shape[:-1], 1)
 
 
-def _center_rows(xhat, mu, sq=None):
-    """Subtract the row means in place; return the squares."""
-    xhat -= mu
-    return np.multiply(xhat, xhat, out=sq)
-
-
-def _norm_rows(xhat, inv, gamma, beta, val=None):
+def _norm_rows(x, r, gamma, beta, avg, eps, xhat=None, inv=None, val=None):
+    """Layer norm of x (+ r) over the last axis: the normalised rows x̂ that
+    the backward reads, each row's reciprocal std and the output x̂ γ + β."""
+    if r is not None:
+        xhat = np.add(x, r, out=xhat)
+    elif xhat is None:
+        xhat = x.copy()
+    else:
+        xhat[...] = x
+    xhat -= _row_mean(xhat, avg)
+    sq = np.multiply(xhat, xhat)
+    rinv = _row_mean(sq, avg)
+    del sq
+    rinv += eps
+    np.sqrt(rinv, out=rinv)
+    np.reciprocal(rinv, out=rinv)
+    if inv is None:
+        inv = rinv
+    else:
+        inv[...] = rinv
     xhat *= inv
     val = np.multiply(xhat, gamma, out=val)
     val += beta
-    return val
+    return xhat, inv, val
 
 
-def _norm_input_grad_rows(dxhat, t, xhat, m1, m2, inv):
+def _norm_out(x, r, gamma, beta, avg, eps):
+    shape = x.shape if r is None else np.broadcast_shapes(x.shape, r.shape)
+    xhat = np.empty(shape, dtype=x.dtype if r is None else np.result_type(x, r))
+    inv = np.empty((*shape[:-1], 1), dtype=np.result_type(xhat, avg))
+    return xhat, inv, np.empty(shape, dtype=np.result_type(xhat, inv, gamma, beta))
+
+
+def _norm_grad_rows(g, xhat, inv, gamma, avg, dx=None):
+    """Layer norm's input gradient from the output gradient g:
+    (ĝ - mean(ĝ) - x̂ mean(ĝ x̂)) / std with ĝ = g γ."""
+    dx = np.multiply(g, gamma, out=dx)
+    m1 = _row_mean(dx, avg)
+    t = np.multiply(dx, xhat)
+    m2 = _row_mean(t, avg)
     np.multiply(xhat, m2, out=t)
-    dxhat -= m1
-    dxhat -= t
-    dxhat *= inv
+    dx -= m1
+    dx -= t
+    dx *= inv
+    return dx
+
+
+def _norm_grad_out(g, xhat, inv, gamma, avg):
+    return (np.empty(g.shape, dtype=np.result_type(g, gamma)),)
+
+
+def _gamma_grad(g, xhat, shape):
+    return _unbroadcast(np.multiply(g, xhat), shape)
 
 
 def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
@@ -899,43 +1035,35 @@ def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
     The sum `residual + a` is formed in the node's working buffer and both
     addends get its gradient (summed down to a batchless addend's shape).  A
     constant vector normalizes to zeros (the eps floor keeps the reciprocal
-    finite), so the output is just `beta`.  The row means are whole-array
-    GEMVs between the row-wise passes: OpenBLAS's GEMV kernels group rows,
-    so a GEMV over a slice could round differently.
+    finite), so the output is just `beta`.  Each direction is one kernel
+    over tiles of batch entries, with the row means inside as GEMVs over
+    the tile's rows; the backward computes gamma's and beta's gradients as
+    pool jobs beside the input gradient's tiles.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     inputs = (a,) if residual is None else (_wrap(residual), a)
     d = a.shape[-1]
     avg = np.full((d, 1), 1.0 / d, dtype=a.dtype)
     if residual is None:
-        xhat = a.data.copy()
+        addends = (a.data, None)
     else:  # the addend with the batch axis first (addition commutes bit for bit)
         r = inputs[0].data
-        xhat = _split(np.add, _elementwise_out, (r, a.data) if r.ndim >= a.ndim else (a.data, r))
-    sq = _split(_center_rows, _elementwise_out, (xhat, _row_mean(xhat, avg)))
-    inv = _row_mean(sq, avg)
-    del sq
-    inv += eps
-    np.sqrt(inv, out=inv)
-    np.reciprocal(inv, out=inv)
-    val = _split(_norm_rows, _elementwise_out, (xhat, inv), gamma.data, beta.data)
+        addends = (r, a.data) if r.ndim >= a.ndim else (a.data, r)
+    xhat, inv, val = _split(_norm_rows, _norm_out, addends, gamma.data, beta.data, avg, eps)
     out = _make(val, (*inputs, gamma, beta), "layer_norm")
     if _tracked(out):
         def _bw():
             g = out.grad
-            if gamma.requires_grad:
-                gx = _split(np.multiply, _elementwise_out, (g, xhat))
-                gamma._accumulate(_unbroadcast(gx, gamma.data.shape), own=True)
-                del gx
-            if beta.requires_grad:
-                beta._accumulate(_unbroadcast(g, beta.data.shape))
+            jobs = (_Job(_gamma_grad, g, xhat, gamma.data.shape, size=g.size)
+                    if gamma.requires_grad else None,
+                    _Job(_unbroadcast, g, beta.data.shape, size=g.size)
+                    if beta.requires_grad else None)
+            dx = None
             if any(t.requires_grad for t in inputs):
-                dxhat = _split(np.multiply, _elementwise_out, (g,), gamma.data)
-                m1 = _row_mean(dxhat, avg)
-                t = _split(np.multiply, _elementwise_out, (dxhat, xhat))
-                m2 = _row_mean(t, avg)
-                _split(_norm_input_grad_rows, None, (dxhat, t, xhat, m1, m2, inv))
-                _share(dxhat, inputs)
+                dx = _split(_norm_grad_rows, _norm_grad_out, (g, xhat, inv), gamma.data, avg)
+            _take((gamma, beta), jobs)
+            if dx is not None:
+                _share(dx, inputs)
         out._backward = _bw
     return out
 

@@ -7,25 +7,22 @@ the first filter call, so a process that only trains on or predicts from DE
 features never loads it, and each band-pass is designed once per
 (low, high, fs) and cached.
 
-Processing runs in parallel within a trial, on the autodiff thread pool (one
-worker per CPU the process may use; scipy's filter loops release the GIL).
-``extract_de`` filters its five bands as five jobs, each writing its own band
-of the DE array, and ``bandpass`` and ``notch`` cut their channel rows into
-one contiguous block per worker.  Threads claim jobs from a shared counter,
-so a busy pool thread delays a call by at most one job.  Every row is
-filtered exactly as in the whole array, so results do not depend on the
-worker count.  The bad-channel scan is array-wide: one centred pass gives
-every neighbour correlation, and only rows with enough repeated values get
-their longest flat run measured.
+Processing runs in parallel within a trial, through the autodiff claim
+runner and thread pool (one worker per CPU the process may use; scipy's
+filter loops release the GIL).  ``extract_de`` filters its five bands as
+five jobs, each writing its own band of the DE array, and ``bandpass`` and
+``notch`` cut their channel rows into one contiguous block per worker.
+Threads claim jobs from a shared counter, so a busy pool thread delays a
+call by at most one job.  Every row is filtered exactly as in the whole
+array, so results do not depend on the worker count.  The bad-channel scan
+is array-wide: one centred pass gives every neighbour correlation, and only
+rows with enough repeated values get their longest flat run measured.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import threading
-from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,47 +181,9 @@ def _threads(n_jobs, size):
     return min(ad._workers, n_jobs, size // ad._MIN_SLICE_SIZE)
 
 
-def _run_jobs(job, n_jobs, threads):
-    """Run job(0) ... job(n_jobs - 1) on the calling thread and `threads` - 1
-    threads of the autodiff pool.
-
-    Each thread claims the next job index from one shared counter, so a pool
-    thread that is busy with other work holds back at most the one job it
-    runs.  Once every index is claimed, the calling thread cancels the helpers
-    that have not started and waits only for the running ones.  Jobs must
-    call nothing that a tracer may wrap: only scipy, numpy and private
-    helpers of this module.
-    """
-    if threads < 2:
-        for i in range(n_jobs):
-            job(i)
-        return
-    counter, lock = itertools.count(), threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                i = next(counter)
-            if i >= n_jobs:
-                return
-            job(i)
-
-    pool = ad._executor()
-    futures = [pool.submit(drain) for _ in range(threads - 1)]
-    try:
-        drain()
-    finally:
-        # wait() would also wait for a cancelled future until a pool thread
-        # dequeues it, so it gets only the futures that could not be cancelled
-        started = [f for f in futures if not f.cancel()]
-        wait(started)
-    for f in started:
-        f.result()
-
-
 def _filter_rows(filt, data):
     """filt(data), for a filter that treats each row of the last axis on its
-    own, with the rows cut into contiguous blocks that `_run_jobs` filters
+    own, with the rows cut into contiguous blocks that `ad._run_jobs` filters
     at once.  Each block is filtered exactly as within the whole array, so
     the result does not depend on the cut."""
     rows = data.reshape(-1, data.shape[-1])
@@ -237,7 +196,7 @@ def _filter_rows(filt, data):
     def block(i):
         out[cuts[i]:cuts[i + 1]] = filt(rows[cuts[i]:cuts[i + 1]])
 
-    _run_jobs(block, parts, parts)
+    ad._run_jobs(block, parts, parts)
     return out.reshape(data.shape)
 
 
@@ -323,7 +282,7 @@ def extract_de(trial: RawTrial, bands: BandSpec = DEFAULT_BANDS,
     def band(b):
         de[:, :, b] = _window_de(_sosfiltfilt(*designs[b])(data), n_windows, win)
 
-    _run_jobs(band, len(designs), _threads(len(designs), len(designs) * data.size))
+    ad._run_jobs(band, len(designs), _threads(len(designs), len(designs) * data.size))
     return [
         FeatureSample(trial.subject_id, trial.session_id, trial.trial_id,
                       w, trial.label, de[:, w, :])
@@ -432,8 +391,9 @@ def detect_bad_channels(trial: RawTrial, montage: ChannelMontage) -> set[int]:
         x = x - x.mean(axis=1, keepdims=True)
         norms = np.sqrt(np.einsum("ij,ij->i", x, x))
         dots = np.einsum("ij,ij->i", x, x[nb])
-        # a channel or neighbour of zero std counts as uncorrelated
-        live = (stds != 0.0) & (stds[nb] != 0.0)
+        # a channel or neighbour whose centred row is all zeros counts as
+        # uncorrelated (a float32 std can read ~1e-8 for a constant row)
+        live = (norms > 0.0) & (norms[nb] > 0.0)
         corr = np.where(live, dots, 0.0) / np.where(live, norms * norms[nb], 1.0)
         bad.update(np.flatnonzero(corr < NEIGHBOR_CORR_MIN).tolist())
     return bad

@@ -3,6 +3,7 @@
 import math
 import os
 import signal
+import sys
 import time
 import tracemalloc
 
@@ -484,6 +485,62 @@ def test_split_fused_op_gradient_at_2_workers(case, set_workers):
     c = rng.normal(size=op(ps).shape)
     assert ad._pool is not None  # the rows were split
     fd_check(lambda: ad.tsum(op(ps) * ad.Tensor(c)), ps)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [4, 5, 7, 9, 13, 31])
+def test_split_cuts_only_at_even_entries(n, workers, set_workers):
+    set_workers(workers)
+    x = np.repeat(np.arange(n, dtype=float)[:, None, None], 3, axis=1)
+    tiles = []
+
+    def kernel(rows):  # works in place: records its first entry and length
+        tiles.append((int(rows[0, 0, 0]), len(rows)))
+    ad._split(kernel, None, (x,))
+    tiles.sort()
+    assert tiles[0][0] == 0 and sum(length for _, length in tiles) == n
+    assert all(lo + length == nxt for (lo, length), (nxt, _) in zip(tiles, tiles[1:]))
+    assert all(lo % 2 == 0 for lo, _ in tiles)
+    assert (len(tiles) > 1) == (workers > 1)
+
+
+def test_run_jobs_claims_each_job_once_under_thread_switching(set_workers):
+    # more threads than CPUs and a tiny switch interval: a lost update of the
+    # shared counter would run some job twice or skip it
+    set_workers(6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            runs = np.zeros(500, dtype=np.int64)
+
+            def job(i):
+                runs[i] += 1
+            ad._run_jobs(job, len(runs), 6)
+            assert np.all(runs == 1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_odd_entry_cut_changes_row_mean_bits():
+    """The tiles of `_split` start at even entries because OpenBLAS's
+    row-mean GEMV groups rows: cut at an even entry of 62-row entries (a
+    multiple of 4 rows) it gives the whole array's bits, cut at an odd one
+    it need not.  So the worker-count bitwise tests can fail if a cut
+    moves; skipped where this BLAS shows no odd-cut difference."""
+    rng = np.random.default_rng(31)
+    changed = 0
+    for d in (32, 64):
+        avg = np.full((d, 1), 1.0 / d, dtype=np.float32)
+        x = rng.normal(size=(16, 62, d)).astype(np.float32)
+        whole = ad._row_mean(x, avg)
+
+        def cut(k):
+            return np.concatenate([ad._row_mean(x[:k], avg), ad._row_mean(x[k:], avg)])
+        assert all(np.array_equal(cut(k), whole) for k in range(2, 16, 2))
+        changed += sum(not np.array_equal(cut(k), whole) for k in range(1, 16, 2))
+    if not changed:
+        pytest.skip("this BLAS's row-mean GEMV gives the whole array's bits at odd cuts")
 
 
 def test_forked_child_runs_split_ops(set_workers):

@@ -4,6 +4,7 @@ Kalman/RTS reference."""
 
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -351,9 +352,10 @@ class TestArtifactHeuristics:
                 x, y = data[c], data[nearest_neighbor(montage, c)]
                 if x.std() == 0.0 or y.std() == 0.0:
                     corr = 0.0
-                else:
-                    corr = float(np.corrcoef(x, y)[0, 1])
-                if corr < dsp.NEIGHBOR_CORR_MIN:
+                else:  # NaN where a centred row is all zeros: uncorrelated
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        corr = float(np.corrcoef(x, y)[0, 1])
+                if corr < dsp.NEIGHBOR_CORR_MIN or np.isnan(corr):
                     bad.add(c)
         return bad
 
@@ -392,6 +394,19 @@ class TestArtifactHeuristics:
             assert dsp.detect_bad_channels(trial, montage) == want
             flagged.add((len(want) > 0, len(want) < n))
         assert flagged == {(True, True), (True, False), (False, True)}
+
+    def test_constant_float32_row_flagged_without_warning(self):
+        # float32 std reads ~1.5e-8 for a row of 0.1, and the trial is too
+        # short for the flatline rule: only the correlation rule can flag it
+        rng = np.random.default_rng(14)
+        common = rng.normal(size=int(3 * FS))
+        data = (common + 0.1 * rng.normal(size=(6, int(3 * FS)))).astype(np.float32)
+        data[2] = 0.1
+        assert data[2].std() != 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bad = dsp.detect_bad_channels(make_trial(data), self.small_montage())
+        assert 2 in bad
 
     def test_stationary_noise_keeps_all_windows(self):
         rng = np.random.default_rng(13)

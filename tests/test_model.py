@@ -2,6 +2,7 @@
 embeddings, projection and classification heads."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -403,9 +404,10 @@ class TestParameters:
 
 
 def test_pretrain_step_bitwise_equal_at_1_2_3_workers(set_workers):
-    """A masked pretrain step with dropout on 5 samples per view: 3 workers
-    cut the 10 encoder rows 3/3/4, and loss, z, every gradient and the
-    dropout rng state come out byte for byte as with 1 or 2 workers."""
+    """A masked pretrain step with dropout on 5 samples per view: 2 and 3
+    workers claim the 10 encoder entries as five tiles of 2, with the
+    parameter gradients as pool jobs, and loss, z, every gradient and the
+    dropout rng state come out byte for byte as with 1 worker."""
     cfg = ModelConfig(n_layers=2)  # reference widths: 62 channels, d_model 32, 4 heads
     rng = np.random.default_rng(4)
     pos = rng.normal(size=(62, 3))
@@ -426,3 +428,46 @@ def test_pretrain_step_bitwise_equal_at_1_2_3_workers(set_workers):
                      {n: g.tobytes() for n, g in dta.params.gradients().items()}))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
+
+
+def _masked_step(x, labels, pos):
+    """Loss, z, every gradient and the dropout rng state of a masked pretrain
+    step at the reference widths (2 layers), as bytes."""
+    dta = M.init_parameters(ModelConfig(n_layers=2), seed=3, dtype=np.float32)
+    rng_dropout = np.random.default_rng(7)
+    enc = M.encode(x, pos, dta, mask_diagonal=True, rng=rng_dropout)
+    z = M.project(enc.q_final, dta, train=True, rng=rng_dropout)
+    half = len(labels)
+    loss = ls.contrastive_loss(ad.narrow(z, 0, half), ad.narrow(z, half, half), labels, labels)
+    loss.backward()
+    return (loss.data.tobytes(), z.data.tobytes(), str(rng_dropout.bit_generator.state),
+            {n: g.tobytes() for n, g in dta.params.gradients().items()})
+
+
+def test_pretrain_step_returns_while_the_pool_thread_is_busy(set_workers):
+    """With the pool's only thread held, the fused ops' tiles and parameter
+    gradient jobs all run in the calling thread: the step finishes before the
+    thread is released, with the bytes of a 1-worker step."""
+    rng = np.random.default_rng(5)
+    pos = rng.normal(size=(62, 3))
+    pos /= np.linalg.norm(pos, axis=1, keepdims=True)
+    x = rng.normal(size=(38, 62, 5))  # 8 tiles at 2 workers: cuts 38 i // 8 would be odd
+    labels = np.arange(19) % 3
+    set_workers(1)
+    want = _masked_step(x, labels, pos)
+    set_workers(2)
+    held, release = threading.Event(), threading.Event()
+
+    def occupy():
+        held.set()
+        return release.wait(timeout=10)
+
+    blocker = ad._executor().submit(occupy)  # the pool's only thread
+    try:
+        assert held.wait(timeout=10)
+        got = _masked_step(x, labels, pos)
+        assert not blocker.done()
+    finally:
+        release.set()
+    assert blocker.result(timeout=10)  # released here, not timed out
+    assert got == want
