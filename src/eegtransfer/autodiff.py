@@ -26,20 +26,19 @@ input-gradient GEMMs) is cut into tiles of the batch axis, a few per CPU the
 process may use, when the batch is large enough to pay for the hand-off: the
 calling thread and the threads of one pool claim tiles from one counter
 (numpy releases the GIL in its ufuncs and in matmul), so a pool thread the
-host has descheduled holds back at most one tile.  Beside the input-gradient
-tiles, pool jobs compute the op's parameter gradients (the weight GEMMs and
-the bias, gamma and beta sums), each one whole-array numpy call as without
-the pool; a job no pool thread has started by the time the node needs it
-runs in the calling thread, and the node joins every job before it
-returns.  When the process may use more than one CPU, OpenBLAS is pinned to
-one thread, since the tiles keep the CPUs busy and BLAS threads would only
-spin beside them.  Results do not depend on the CPU count: each tile
-computes its batch entries exactly as the whole-array call does (tiles start
-at even entries, where OpenBLAS's row-mean GEMV gives the whole array's
-bits), and every sum across batch entries stays one whole-array call.
-Dropout masks are drawn before any split.  ``dsp`` runs its filter jobs
-through the same claim runner and pool.  A forked child drops the parent's
-pool and starts its own on first use.
+host has descheduled holds back at most one tile.  The op's parameter
+gradients (the weight GEMMs and the bias, gamma and beta sums) are claimed
+from the same counter as the input-gradient tiles, each one whole-array
+numpy call as without the pool, and all are done before the node returns.
+When the process may use more than one CPU, OpenBLAS is pinned to one
+thread, since the tiles keep the CPUs busy and BLAS threads would only spin
+beside them.  Results do not depend on the CPU count: each tile computes its
+batch entries exactly as the whole-array call does (``layer_norm`` cuts its
+rows at multiples of 4, where OpenBLAS's row-mean GEMV gives the whole
+array's bits), and every sum across batch entries stays one whole-array
+call.  Dropout masks are drawn before any split.  ``dsp`` runs its filter
+jobs through the same claim runner and pool.  A forked child drops the
+parent's pool and starts its own on first use.
 """
 
 from __future__ import annotations
@@ -78,7 +77,9 @@ _pool = None
 _MIN_SLICE_SIZE = 1 << 17
 # most tiles of the batch axis per worker in `_split`: a descheduled pool
 # thread holds back one tile of the call, not a worker's whole share, and
-# each tile's passes run on cache-sized data
+# each tile's passes run on cache-sized data.  On 2 vCPUs a reference
+# pretrain step took 509 ms at 4 against 521 ms at 1, and 815 against 871 ms
+# beside one busy process (medians of 6 interleaved rounds)
 _TILES_PER_WORKER = 4
 # bytes of Pᵀ in one tile of `attention`'s batch entries, so that the tile's
 # n x n passes run on cache-resident data: 17 entries of 4 heads x 62 x 62
@@ -173,76 +174,78 @@ def _pays(size):
     return _workers > 1 and size >= 2 * _MIN_SLICE_SIZE
 
 
-def _split(kernel, alloc, batched, *shared, size=None):
-    """Run `kernel` over tiles of the batch axis; return its outputs.
+def _split(kernel, alloc, batched, *shared, size=None, beside=(), rows=False):
+    """Run `kernel` over tiles of the batch axis, and the callables `beside`
+    with them; return the kernel's outputs.
 
     The batch axis is the leading axis of batched[0] if it has three or more
     dims (a 2-D array is one sample's rows x features).  Another `batched`
     array with fewer dims or a length-1 leading axis broadcasts and goes
-    whole to every tile; None passes through.  Each tile, and so each worker
-    that runs, needs 2 batch entries and `_MIN_SLICE_SIZE` of the call's
-    `size` elements: those of batched[0] unless the caller counts its work
-    in larger arrays (`attention`, in its n x n probabilities).  Below two
-    workers, or when some `batched` array has more dims than batched[0],
-    this is just kernel(*batched, *shared), which allocates its own outputs.
-    Otherwise the batch is cut into at most `_TILES_PER_WORKER` tiles per
-    worker, every cut at an even entry, which the calling thread and the
-    pool claim with `_run_jobs`; alloc(*batched, *shared) allocates the
-    whole outputs (a tuple; None for one not wanted, and no `alloc` for a
-    kernel that works in place), each tile writes its rows through
-    kernel(*rows, *shared, *output_rows), and the outputs are returned, a
-    single one unpacked.  A kernel must treat each batch entry on its own,
-    so results do not depend on the cut.  The even cuts make each tile start
-    at a multiple of 4 rows when an entry has an even row count (62
-    channels: 124 rows), where a tile's row-mean GEMV groups its rows as the
-    whole array's does and gives its bits.
+    whole to every tile; None passes through.  Tiles start at even batch
+    entries, and each needs `_MIN_SLICE_SIZE` of the call's `size`
+    elements: those of batched[0] unless the caller counts its work in
+    larger arrays (`attention`, in its n x n probabilities).  With `rows`,
+    every row of the last axis is a batch entry of its own (the `batched`
+    arrays and outputs broadcast to their common rows first) and tiles start
+    at multiples of 4 rows: OpenBLAS's GEMV takes rows in fours, so a tile's
+    row-mean GEMV then gives the whole array's bits, whatever the channel
+    count.
+
+    Below two workers, or below 2 * `_MIN_SLICE_SIZE` elements, `beside`
+    runs first and then kernel(*batched, *shared), which allocates its own
+    outputs.  Otherwise the batch is cut into at most `_TILES_PER_WORKER`
+    tiles per worker (one tile when some `batched` array has more dims than
+    batched[0]), and the calling thread and the pool claim the `beside`
+    callables, then the tiles, with `_run_jobs`; alloc(*batched, *shared)
+    allocates the whole outputs (a tuple; None for one not wanted, and no
+    `alloc` for a kernel that works in place), each tile writes its entries
+    through kernel(*tile, *shared, *output_tile), and the outputs are
+    returned, a single one unpacked.  A kernel must treat each batch entry
+    on its own, so results do not depend on the cut.  A `kernel` of None
+    runs only `beside` and returns None.  (OpenBLAS hands a GEMM with a
+    transposed operand and under ~40 000 multiply-adds, such as 36 rows x
+    32 x 32, to a small-matrix kernel that rounds differently; a tile of
+    `_MIN_SLICE_SIZE` elements is far above that, but tests that lower the
+    floor to cut a few channels into tiles of a few rows can see last-bit
+    differences.)
+
+    `beside` holds a node's parameter-gradient reductions, each one
+    whole-array numpy call that accumulates its result into its parameter:
+    they run as they would without the pool, beside the input gradient's
+    tiles.  Like the kernel, they must call only numpy and private helpers,
+    never a name a tracer may wrap.
     """
-    lead = batched[0]
-    n, nd = len(lead), lead.ndim
-    size = lead.size if size is None else size
-    if (n < 4 or nd < 3 or not _pays(size)
-            or any(a is not None and a.ndim > nd for a in batched)):
-        return kernel(*batched, *shared)
-    threads = min(_workers, n // 2, size // _MIN_SLICE_SIZE)
-    pairs = n // 2
-    tiles = min(pairs, _TILES_PER_WORKER * threads, size // _MIN_SLICE_SIZE)
-    cuts = [2 * (pairs * i // tiles) for i in range(tiles)] + [n]
-    outs = () if alloc is None else alloc(*batched, *shared)
+    size = batched[0].size if size is None else size
+    if not _pays(size) or (kernel is None and len(beside) < 2):
+        for job in beside:
+            job()
+        return None if kernel is None else kernel(*batched, *shared)
+    outs = () if kernel is None or alloc is None else alloc(*batched, *shared)
+    arrays, step = (*batched, *outs), 2
+    if rows:
+        lead = np.broadcast_shapes(*(a.shape[:-1] for a in batched if a is not None))
 
-    def tile(i):
-        rows = _rows((*batched, *outs), cuts[i], cuts[i + 1], n, nd)
-        kernel(*rows[:len(batched)], *shared, *rows[len(batched):])
+        def as_rows(a):
+            if a is not None and a.shape[:-1] != lead:
+                a = np.broadcast_to(a, (*lead, a.shape[-1]))
+            return None if a is None else a.reshape(-1, 1, a.shape[-1])
+        arrays, step = tuple(map(as_rows, arrays)), 4
+    n, nd = len(arrays[0]), arrays[0].ndim
+    tiles = 0 if kernel is None else 1
+    if tiles and nd >= 3 and not any(a is not None and a.ndim > nd for a in batched):
+        tiles = max(1, min(n // step, _TILES_PER_WORKER * _workers, size // _MIN_SLICE_SIZE))
+    cuts = [step * (n // step * i // tiles) for i in range(tiles)] + [n]
 
-    _run_jobs(tile, tiles, threads)
-    return outs[0] if len(outs) == 1 else outs
+    def job(i):
+        if i < len(beside):
+            beside[i]()
+            return
+        tile = _rows(arrays, cuts[i - len(beside)], cuts[i - len(beside) + 1], n, nd)
+        kernel(*tile[:len(batched)], *shared, *tile[len(batched):])
 
-
-class _Job:
-    """fn(*args) on a pool thread beside the caller's own work, when `size`
-    elements pay for the hand-off (the rule of `_split`), else at once.
-
-    :meth:`result` joins it; a job that no pool thread has started is
-    cancelled and run in the calling thread instead, so a busy or
-    descheduled pool thread never holds it back.  `fn` must call only numpy
-    and private helpers, never a name a tracer may wrap.
-    """
-
-    __slots__ = ("_future", "_call", "_value")
-
-    def __init__(self, fn, *args, size):
-        self._future = None
-        if _pays(size):
-            self._future, self._call = _executor().submit(fn, *args), (fn, args)
-        else:
-            self._value = fn(*args)
-
-    def result(self):
-        if self._future is None:
-            return self._value
-        if self._future.cancel():
-            fn, args = self._call
-            return fn(*args)
-        return self._future.result()
+    _run_jobs(job, len(beside) + tiles, min(_workers, len(beside) + tiles))
+    if kernel is not None:
+        return outs[0] if len(outs) == 1 else outs
 
 
 def _rows(arrays, lo, hi, n, nd):
@@ -621,34 +624,40 @@ def _affine_out(x, w, b):
     return (np.empty((*x.shape[:-1], w.shape[-1]), dtype=np.result_type(x, w)),)
 
 
-def _param_jobs(g2, x2, w, b, size):
+def _grad_job(t, fn, *args):
+    """A `_split` beside-job that accumulates fn(*args) into `t`, or None
+    when `t` wants no gradient."""
+    if t is None or not t.requires_grad:
+        return None
+
+    def job():
+        t._accumulate(fn(*args), own=True)
+    return job
+
+
+def _jobs(*jobs):
+    return tuple(j for j in jobs if j is not None)
+
+
+def _param_grads(g2, x2, w, b):
     """The weight GEMM x2ᵀ g2 and the bias sum of g2, the parameter gradients
-    of x2 @ w (+ b) from its 2-D output gradient, as one `_Job` each (None
-    where not wanted)."""
-    return (_Job(np.matmul, x2.T, g2, size=size) if w.requires_grad else None,
-            _Job(np.sum, g2, 0, size=size) if b is not None and b.requires_grad else None)
+    of x2 @ w (+ b) from its 2-D output gradient, as `_split` beside-jobs."""
+    return _jobs(_grad_job(w, np.matmul, x2.T, g2), _grad_job(b, np.sum, g2, 0))
 
 
-def _take(params, jobs):
-    """Accumulate each job's result into its parameter.  The last-submitted
-    job is joined first: if no pool thread has started it, it runs here
-    while the pool finishes the earlier ones."""
-    for t, job in reversed(tuple(zip(params, jobs))):
-        if job is not None:
-            t._accumulate(job.result(), own=True)
-
-
-def _input_grad(x, g, w):
-    """g @ wᵀ, the gradient of x @ w, if `x` wants one (else None)."""
-    return _split(_affine_rows, _affine_out, (g,), w.T, None) if x.requires_grad else None
+def _input_grad(x, g, w, beside):
+    """g @ wᵀ, the gradient of x @ w, if `x` wants one (else None), with the
+    `beside` jobs run beside its tiles."""
+    return _split(_affine_rows if x.requires_grad else None, _affine_out, (g,), w.T, None,
+                  beside=beside)
 
 
 def linear(x, w, b=None):
     """x @ w (+ b) over the last axis as one node.
 
     `w` is (d_in, d_out) and `b` (d_out,); the leading axes of `x` collapse
-    into one GEMM.  The backward computes the weight and bias gradients as
-    pool jobs beside the input gradient's tiles.
+    into one GEMM.  The backward computes the weight and bias gradients
+    beside the input gradient's tiles.
     """
     x, w = _wrap(x), _wrap(w)
     b = None if b is None else _wrap(b)
@@ -659,9 +668,7 @@ def linear(x, w, b=None):
 
         def _bw():
             g = out.grad
-            jobs = _param_jobs(g.reshape(x2.shape[0], -1), x2, w, b, x2.size)
-            gx = _input_grad(x, g, w.data)
-            _take((w, b), jobs)
+            gx = _input_grad(x, g, w.data, _param_grads(g.reshape(x2.shape[0], -1), x2, w, b))
             if gx is not None:
                 x._accumulate(gx, own=True)
         out._backward = _bw
@@ -705,9 +712,8 @@ def ffn(x, w1, b1, w2, b2, rate, rng):
     ELU derivative is min(e, 0) + 1 and the dropout output is rebuilt from
     the two.  Dropout draws exactly as :func:`dropout` does and fires only
     when an `rng` is given and `rate` > 0.  The backward computes the second
-    and then the first layer's weight and bias gradients as pool jobs, each
-    started as soon as its operands exist: after the dropout rebuild, and
-    after the hidden layer's gradient.
+    layer's weight and bias gradients beside the hidden layer's gradient
+    tiles, and the first layer's beside the input gradient's.
     """
     x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
     keep = None
@@ -724,12 +730,11 @@ def ffn(x, w1, b1, w2, b2, rate, rng):
             g = out.grad
             rows = x2.shape[0]
             h = e if keep is None else _split(_dropout_rows, _elementwise_out, (e, keep), rate)
-            second = _param_jobs(g.reshape(rows, -1), h.reshape(rows, -1), w2, b2, x2.size)
-            del h  # the job holds it as long as it needs it
-            gh = _split(_ffn_hidden_grad_rows, _ffn_hidden_grad_out, (g, e, keep), w2.data, rate)
-            first = _param_jobs(gh.reshape(rows, -1), x2, w1, b1, x2.size)
-            gx = _input_grad(x, gh, w1.data)
-            _take((w2, b2, w1, b1), second + first)
+            # the w2 reduction reads h, so h lives until the hidden gradient's call returns
+            gh = _split(_ffn_hidden_grad_rows, _ffn_hidden_grad_out, (g, e, keep), w2.data, rate,
+                        beside=_param_grads(g.reshape(rows, -1), h.reshape(rows, -1), w2, b2))
+            del h
+            gx = _input_grad(x, gh, w1.data, _param_grads(gh.reshape(rows, -1), x2, w1, b1))
             if gx is not None:
                 x._accumulate(gx, own=True)
         out._backward = _bw
@@ -1036,9 +1041,9 @@ def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
     addends get its gradient (summed down to a batchless addend's shape).  A
     constant vector normalizes to zeros (the eps floor keeps the reciprocal
     finite), so the output is just `beta`.  Each direction is one kernel
-    over tiles of batch entries, with the row means inside as GEMVs over
-    the tile's rows; the backward computes gamma's and beta's gradients as
-    pool jobs beside the input gradient's tiles.
+    over tiles of rows, with the row means inside as GEMVs over the tile's
+    rows; the backward computes gamma's and beta's gradients beside the
+    input gradient's tiles.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     inputs = (a,) if residual is None else (_wrap(residual), a)
@@ -1049,19 +1054,17 @@ def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
     else:  # the addend with the batch axis first (addition commutes bit for bit)
         r = inputs[0].data
         addends = (r, a.data) if r.ndim >= a.ndim else (a.data, r)
-    xhat, inv, val = _split(_norm_rows, _norm_out, addends, gamma.data, beta.data, avg, eps)
+    xhat, inv, val = _split(_norm_rows, _norm_out, addends, gamma.data, beta.data, avg, eps,
+                            rows=True)
     out = _make(val, (*inputs, gamma, beta), "layer_norm")
     if _tracked(out):
         def _bw():
             g = out.grad
-            jobs = (_Job(_gamma_grad, g, xhat, gamma.data.shape, size=g.size)
-                    if gamma.requires_grad else None,
-                    _Job(_unbroadcast, g, beta.data.shape, size=g.size)
-                    if beta.requires_grad else None)
-            dx = None
-            if any(t.requires_grad for t in inputs):
-                dx = _split(_norm_grad_rows, _norm_grad_out, (g, xhat, inv), gamma.data, avg)
-            _take((gamma, beta), jobs)
+            jobs = _jobs(_grad_job(gamma, _gamma_grad, g, xhat, gamma.data.shape),
+                         _grad_job(beta, _unbroadcast, g, beta.data.shape))
+            wanted = any(t.requires_grad for t in inputs)
+            dx = _split(_norm_grad_rows if wanted else None, _norm_grad_out, (g, xhat, inv),
+                        gamma.data, avg, beside=jobs, rows=True)
             if dx is not None:
                 _share(dx, inputs)
         out._backward = _bw

@@ -489,19 +489,23 @@ def test_split_fused_op_gradient_at_2_workers(case, set_workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [4, 5, 7, 9, 13, 31])
-def test_split_cuts_only_at_even_entries(n, workers, set_workers):
+@pytest.mark.parametrize("rows", [False, True])
+def test_split_cuts_at_even_entries_or_4_rows(rows, n, workers, set_workers):
+    """Tiles start at even batch entries, or with `rows` at multiples of 4
+    rows of the last axis, here of entries of 3 rows each."""
     set_workers(workers)
-    x = np.repeat(np.arange(n, dtype=float)[:, None, None], 3, axis=1)
+    x = np.arange(3.0 * n).reshape(n, 3, 1)  # each row holds its own index
     tiles = []
 
-    def kernel(rows):  # works in place: records its first entry and length
-        tiles.append((int(rows[0, 0, 0]), len(rows)))
-    ad._split(kernel, None, (x,))
+    def kernel(t):  # works in place: records its first row and row count
+        tiles.append((int(t.flat[0]), t.size))
+    ad._split(kernel, None, (x,), rows=rows)
     tiles.sort()
-    assert tiles[0][0] == 0 and sum(length for _, length in tiles) == n
+    assert tiles[0][0] == 0 and sum(length for _, length in tiles) == 3 * n
     assert all(lo + length == nxt for (lo, length), (nxt, _) in zip(tiles, tiles[1:]))
-    assert all(lo % 2 == 0 for lo, _ in tiles)
-    assert (len(tiles) > 1) == (workers > 1)
+    unit = 4 if rows else 6
+    assert all(lo % unit == 0 for lo, _ in tiles)
+    assert (len(tiles) > 1) == (workers > 1 and 3 * n >= 2 * unit)
 
 
 def test_run_jobs_claims_each_job_once_under_thread_switching(set_workers):
@@ -522,25 +526,49 @@ def test_run_jobs_claims_each_job_once_under_thread_switching(set_workers):
         sys.setswitchinterval(interval)
 
 
-def test_odd_entry_cut_changes_row_mean_bits():
-    """The tiles of `_split` start at even entries because OpenBLAS's
-    row-mean GEMV groups rows: cut at an even entry of 62-row entries (a
-    multiple of 4 rows) it gives the whole array's bits, cut at an odd one
-    it need not.  So the worker-count bitwise tests can fail if a cut
-    moves; skipped where this BLAS shows no odd-cut difference."""
+def test_row_mean_cut_off_4_rows_changes_bits():
+    """`layer_norm` cuts its rows at multiples of 4 because OpenBLAS's
+    row-mean GEMV takes rows in fours: cut at a multiple of 4 rows it gives the whole
+    array's bits, cut elsewhere (as at every other entry of 19 or 62
+    channels) it need not.  So the worker-count bitwise tests can fail if a
+    cut moves; skipped where this BLAS shows no such difference."""
     rng = np.random.default_rng(31)
     changed = 0
     for d in (32, 64):
         avg = np.full((d, 1), 1.0 / d, dtype=np.float32)
-        x = rng.normal(size=(16, 62, d)).astype(np.float32)
+        x = rng.normal(size=(190, d)).astype(np.float32)
         whole = ad._row_mean(x, avg)
 
         def cut(k):
             return np.concatenate([ad._row_mean(x[:k], avg), ad._row_mean(x[k:], avg)])
-        assert all(np.array_equal(cut(k), whole) for k in range(2, 16, 2))
-        changed += sum(not np.array_equal(cut(k), whole) for k in range(1, 16, 2))
+        assert all(np.array_equal(cut(k), whole) for k in range(4, 190, 4))
+        changed += sum(not np.array_equal(cut(k), whole) for k in (19, 38, 62, 124))
     if not changed:
-        pytest.skip("this BLAS's row-mean GEMV gives the whole array's bits at odd cuts")
+        pytest.skip("this BLAS's row-mean GEMV gives the whole array's bits at any cut")
+
+
+@pytest.mark.parametrize("channels", [3, 19, 62])
+@pytest.mark.parametrize("residual", [None, "batched", "batchless"])
+def test_layer_norm_bitwise_equal_at_1_2_3_workers(channels, residual, set_workers):
+    """Output and every gradient of `layer_norm` at 1, 2 and 3 workers, with
+    tiles as small as the cut allows, at odd and even channel counts."""
+    rng = np.random.default_rng(32)
+    shape = (6, channels, 32)
+    arrays = [rng.normal(size=shape).astype(np.float32),
+              rng.uniform(0.5, 1.5, size=32).astype(np.float32),
+              rng.normal(size=32).astype(np.float32)]
+    if residual is not None:
+        arrays.append(rng.normal(size=shape[residual == "batchless":]).astype(np.float32))
+    seed = rng.normal(size=shape).astype(np.float32)
+    runs = []
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = ad.layer_norm(*ts[:3], residual=ts[3] if len(ts) > 3 else None)
+        out.backward(seed)
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in ts])
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_forked_child_runs_split_ops(set_workers):

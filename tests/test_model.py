@@ -406,7 +406,7 @@ class TestParameters:
 def test_pretrain_step_bitwise_equal_at_1_2_3_workers(set_workers):
     """A masked pretrain step with dropout on 5 samples per view: 2 and 3
     workers claim the 10 encoder entries as five tiles of 2, with the
-    parameter gradients as pool jobs, and loss, z, every gradient and the
+    parameter gradients beside them, and loss, z, every gradient and the
     dropout rng state come out byte for byte as with 1 worker."""
     cfg = ModelConfig(n_layers=2)  # reference widths: 62 channels, d_model 32, 4 heads
     rng = np.random.default_rng(4)
@@ -432,8 +432,9 @@ def test_pretrain_step_bitwise_equal_at_1_2_3_workers(set_workers):
 
 def _masked_step(x, labels, pos):
     """Loss, z, every gradient and the dropout rng state of a masked pretrain
-    step at the reference widths (2 layers), as bytes."""
-    dta = M.init_parameters(ModelConfig(n_layers=2), seed=3, dtype=np.float32)
+    step at the reference widths (2 layers) on len(pos) channels, as bytes."""
+    cfg = ModelConfig(n_layers=2, n_channels=len(pos))
+    dta = M.init_parameters(cfg, seed=3, dtype=np.float32)
     rng_dropout = np.random.default_rng(7)
     enc = M.encode(x, pos, dta, mask_diagonal=True, rng=rng_dropout)
     z = M.project(enc.q_final, dta, train=True, rng=rng_dropout)
@@ -444,9 +445,27 @@ def _masked_step(x, labels, pos):
             {n: g.tobytes() for n, g in dta.params.gradients().items()})
 
 
+def test_pretrain_step_bitwise_equal_at_1_2_3_workers_on_19_channels(set_workers):
+    """On 19 channels (a 10-20 montage) an entry has an odd row count, so the
+    tiles start at every fourth entry, a multiple of 4 rows, and the
+    layer_norm row means inside them keep the 1-worker bytes."""
+    rng = np.random.default_rng(6)
+    pos = rng.normal(size=(19, 3))
+    pos /= np.linalg.norm(pos, axis=1, keepdims=True)
+    x = rng.normal(size=(20, 19, 5))
+    labels = np.arange(10) % 3
+    runs = []
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        runs.append(_masked_step(x, labels, pos))
+        assert (ad._pool is not None) == (workers > 1)  # the split path ran
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
 def test_pretrain_step_returns_while_the_pool_thread_is_busy(set_workers):
     """With the pool's only thread held, the fused ops' tiles and parameter
-    gradient jobs all run in the calling thread: the step finishes before the
+    gradients all run in the calling thread: the step finishes before the
     thread is released, with the bytes of a 1-worker step."""
     rng = np.random.default_rng(5)
     pos = rng.normal(size=(62, 3))
