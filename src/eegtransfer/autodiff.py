@@ -32,10 +32,12 @@ from the same counter as the input-gradient tiles, each one whole-array
 numpy call as without the pool, and all are done before the node returns.
 When the process may use more than one CPU, OpenBLAS is pinned to one
 thread, since the tiles keep the CPUs busy and BLAS threads would only spin
-beside them.  Results do not depend on the CPU count: each tile computes its
-batch entries exactly as the whole-array call does (``layer_norm`` cuts its
-rows at multiples of 4, where OpenBLAS's row-mean GEMV gives the whole
-array's bits), and every sum across batch entries stays one whole-array
+beside them.  Results do not depend on the CPU count: ``_split`` alone cuts
+a batch, and its tiles start at multiples of 4 batch entries, where each
+tile computes its entries exactly as the whole-array call does (4 entries
+are a multiple of 4 rows at any channel count, and OpenBLAS's row-mean GEMV
+in ``layer_norm`` takes rows in fours); ``attention``'s cache-sized tiles
+are the same cut.  Every sum across batch entries stays one whole-array
 call.  Dropout masks are drawn before any split.  ``dsp`` runs its filter
 jobs through the same claim runner and pool.  A forked child drops the
 parent's pool and starts its own on first use.
@@ -81,9 +83,9 @@ _MIN_SLICE_SIZE = 1 << 17
 # pretrain step took 509 ms at 4 against 521 ms at 1, and 815 against 871 ms
 # beside one busy process (medians of 6 interleaved rounds)
 _TILES_PER_WORKER = 4
-# bytes of Pᵀ in one tile of `attention`'s batch entries, so that the tile's
-# n x n passes run on cache-resident data: 17 entries of 4 heads x 62 x 62
-# in float32
+# most bytes of Pᵀ in one tile of `attention`'s batch entries, so that the
+# tile's n x n passes run on cache-resident data: 17 entries of 4 heads x
+# 62 x 62 in float32 fit, and `_split` cuts tiles of 16
 _TILE_BYTES = 1 << 20
 
 
@@ -174,40 +176,43 @@ def _pays(size):
     return _workers > 1 and size >= 2 * _MIN_SLICE_SIZE
 
 
-def _split(kernel, alloc, batched, *shared, size=None, beside=(), rows=False):
+def _split(kernel, alloc, batched, *shared, size=None, most=None, beside=()):
     """Run `kernel` over tiles of the batch axis, and the callables `beside`
     with them; return the kernel's outputs.
 
     The batch axis is the leading axis of batched[0] if it has three or more
     dims (a 2-D array is one sample's rows x features).  Another `batched`
     array with fewer dims or a length-1 leading axis broadcasts and goes
-    whole to every tile; None passes through.  Tiles start at even batch
-    entries, and each needs `_MIN_SLICE_SIZE` of the call's `size`
-    elements: those of batched[0] unless the caller counts its work in
-    larger arrays (`attention`, in its n x n probabilities).  With `rows`,
-    every row of the last axis is a batch entry of its own (the `batched`
-    arrays and outputs broadcast to their common rows first) and tiles start
-    at multiples of 4 rows: OpenBLAS's GEMV takes rows in fours, so a tile's
-    row-mean GEMV then gives the whole array's bits, whatever the channel
-    count.
+    whole to every tile; None passes through.
 
-    Below two workers, or below 2 * `_MIN_SLICE_SIZE` elements, `beside`
-    runs first and then kernel(*batched, *shared), which allocates its own
-    outputs.  Otherwise the batch is cut into at most `_TILES_PER_WORKER`
-    tiles per worker (one tile when some `batched` array has more dims than
-    batched[0]), and the calling thread and the pool claim the `beside`
-    callables, then the tiles, with `_run_jobs`; alloc(*batched, *shared)
-    allocates the whole outputs (a tuple; None for one not wanted, and no
-    `alloc` for a kernel that works in place), each tile writes its entries
-    through kernel(*tile, *shared, *output_tile), and the outputs are
-    returned, a single one unpacked.  A kernel must treat each batch entry
-    on its own, so results do not depend on the cut.  A `kernel` of None
-    runs only `beside` and returns None.  (OpenBLAS hands a GEMM with a
-    transposed operand and under ~40 000 multiply-adds, such as 36 rows x
-    32 x 32, to a small-matrix kernel that rounds differently; a tile of
-    `_MIN_SLICE_SIZE` elements is far above that, but tests that lower the
-    floor to cut a few channels into tiles of a few rows can see last-bit
-    differences.)
+    This is the one place a batch is cut, under one rule: tiles start at
+    multiples of 4 entries, which span a multiple of 4 rows at any channel
+    count (OpenBLAS's GEMV takes rows in fours, so `layer_norm`'s row-mean
+    GEMV over a tile gives the whole array's bits), and hold at most `most`
+    entries when it is given, rounded down to a multiple of 4 and 4 at
+    least.  The pool pays for two workers or more and 2 * `_MIN_SLICE_SIZE`
+    of the call's `size` elements: those of batched[0] unless the caller
+    counts its work in larger arrays (`attention`, in its n x n
+    probabilities).  Where it pays, the batch is cut into up to
+    `_TILES_PER_WORKER` tiles per worker of `_MIN_SLICE_SIZE` elements at
+    least, or into more where `most` asks for them; it is one tile when some
+    `batched` array has more dims than batched[0].
+
+    When the pool does not pay and the batch fits one tile, `beside` runs
+    first and then kernel(*batched, *shared), which allocates its own
+    outputs.  Otherwise the calling thread, with the pool where it pays,
+    claims the `beside` callables, then the tiles, with `_run_jobs`:
+    alloc(*batched, *shared) allocates the whole outputs (a tuple; None for
+    one not wanted, and no `alloc` for a kernel that works in place), each
+    tile writes its entries through kernel(*tile, *shared, *output_tile),
+    and the outputs are returned, a single one unpacked.  A kernel must
+    treat each batch entry on its own, so results do not depend on the cut.
+    A `kernel` of None runs only `beside` and returns None.  (OpenBLAS hands
+    a GEMM with a transposed operand and under ~40 000 multiply-adds, such
+    as 36 rows x 32 x 32, to a small-matrix kernel that rounds differently;
+    a tile of `_MIN_SLICE_SIZE` elements is far above that, but tests that
+    lower the floor to cut a few channels into tiles of a few rows can see
+    last-bit differences.)
 
     `beside` holds a node's parameter-gradient reductions, each one
     whole-array numpy call that accumulates its result into its parameter:
@@ -216,25 +221,23 @@ def _split(kernel, alloc, batched, *shared, size=None, beside=(), rows=False):
     never a name a tracer may wrap.
     """
     size = batched[0].size if size is None else size
-    if not _pays(size) or (kernel is None and len(beside) < 2):
+    n, pool = len(batched[0]), _pays(size)
+    if most is not None:
+        most = max(4, most // 4 * 4)
+    if (not pool and (most is None or n <= most)) or (kernel is None and len(beside) < 2):
         for job in beside:
             job()
         return None if kernel is None else kernel(*batched, *shared)
     outs = () if kernel is None or alloc is None else alloc(*batched, *shared)
-    arrays, step = (*batched, *outs), 2
-    if rows:
-        lead = np.broadcast_shapes(*(a.shape[:-1] for a in batched if a is not None))
-
-        def as_rows(a):
-            if a is not None and a.shape[:-1] != lead:
-                a = np.broadcast_to(a, (*lead, a.shape[-1]))
-            return None if a is None else a.reshape(-1, 1, a.shape[-1])
-        arrays, step = tuple(map(as_rows, arrays)), 4
-    n, nd = len(arrays[0]), arrays[0].ndim
+    arrays, nd = (*batched, *outs), batched[0].ndim
+    quads = -(-n // 4)  # groups of 4 entries, the last one perhaps short
     tiles = 0 if kernel is None else 1
     if tiles and nd >= 3 and not any(a is not None and a.ndim > nd for a in batched):
-        tiles = max(1, min(n // step, _TILES_PER_WORKER * _workers, size // _MIN_SLICE_SIZE))
-    cuts = [step * (n // step * i // tiles) for i in range(tiles)] + [n]
+        if pool:
+            tiles = max(1, min(quads, _TILES_PER_WORKER * _workers, size // _MIN_SLICE_SIZE))
+        if most is not None:
+            tiles = max(tiles, -(-n // most))
+    cuts = [4 * (quads * i // tiles) for i in range(tiles)] + [n]
 
     def job(i):
         if i < len(beside):
@@ -243,7 +246,8 @@ def _split(kernel, alloc, batched, *shared, size=None, beside=(), rows=False):
         tile = _rows(arrays, cuts[i - len(beside)], cuts[i - len(beside) + 1], n, nd)
         kernel(*tile[:len(batched)], *shared, *tile[len(batched):])
 
-    _run_jobs(job, len(beside) + tiles, min(_workers, len(beside) + tiles))
+    jobs = len(beside) + tiles
+    _run_jobs(job, jobs, min(_workers, jobs) if pool else 1)
     if kernel is not None:
         return outs[0] if len(outs) == 1 else outs
 
@@ -408,12 +412,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, *shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _wrap(x):
@@ -795,25 +793,6 @@ def softmax(a, mask_diagonal=False):
     return out
 
 
-def _tile_cuts(arrays, m, n):
-    """Cuts 0 = c0 < c1 < ... = b of the batch axis into tiles of whole batch
-    entries, each holding at most `_TILE_BYTES` of an m x n array per entry
-    and head (one entry at least).
-
-    The batch axis is the leading axis of arrays[0] if it has three or more
-    dims, and `_rows` slices it as `_split` does.  A batch that fits one
-    tile, or has no batch axis, or has an array with more dims than
-    arrays[0], is the one tile [0, b].
-    """
-    lead = arrays[0]
-    b = len(lead)
-    per = max(1, _TILE_BYTES // max(1, math.prod(lead.shape[1:-2]) * m * n * lead.itemsize))
-    if lead.ndim < 3 or b <= per or any(a.ndim > lead.ndim for a in arrays if a is not None):
-        return [0, b]
-    parts = -(-b // per)
-    return [b * i // parts for i in range(parts + 1)]
-
-
 def _probs_t(k, q, mask_diagonal, mx=None, sm=None):
     """Pᵀ = softmax over keys of the transposed logits k qᵀ (..., key, query),
     with each query's logit max and exp sum it was normalised by.
@@ -849,20 +828,11 @@ def _merge_heads(x):
 
 def _attention_rows(k, q, v, mask_diagonal, o=None, mx=None, sm=None):
     """The output P v and each query's logit max and exp sum (the backward
-    rebuilds Pᵀ from them), a tile of batch entries at a time."""
-    m, n = k.shape[-2], q.shape[-2]
-    cuts = _tile_cuts((k, q, v), m, n)
-    if o is None:
-        if len(cuts) == 2:  # one tile of whole arrays: no buffers to fill
-            pt, mx, sm = _probs_t(k, q, mask_diagonal)
-            return np.matmul(np.swapaxes(pt, -1, -2), v), mx, sm
-        o, mx, sm = _attention_out(k, q, v, mask_diagonal)
-    for lo, hi in zip(cuts, cuts[1:]):
-        kt, qt, vt, ot, mxt, smt = _rows((k, q, v, o, mx, sm), lo, hi, len(k), k.ndim)
-        pt, mxt[...], smt[...] = _probs_t(kt, qt, mask_diagonal)
-        np.matmul(np.swapaxes(pt, -1, -2), vt, out=ot)
-        del pt  # freed before the next tile's is made
-    return o, mx, sm
+    rebuilds Pᵀ from them), into `o`, `mx` and `sm` when they are given."""
+    pt, tmx, tsm = _probs_t(k, q, mask_diagonal)
+    if mx is not None:
+        mx[...], sm[...] = tmx, tsm
+    return np.matmul(np.swapaxes(pt, -1, -2), v, out=o), tmx, tsm
 
 
 def _attention_out(k, q, v, mask_diagonal):
@@ -875,29 +845,23 @@ def _attention_out(k, q, v, mask_diagonal):
 
 def _attention_grad_rows(g, o, mx, sm, q, k, v, mask_diagonal, wanted, dv=None, dq=None,
                          dk=None):
-    """The gradients of v, q and k, each where `wanted` asks for it, a tile of
-    batch entries at a time on its rebuilt Pᵀ."""
+    """The gradients of v, q and k, each where `wanted` asks for it, on the
+    rebuilt Pᵀ."""
     if dv is None and dq is None and dk is None:
         dv, dq, dk = _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, wanted)
     want_v, want_q, want_k = wanted
-    arrays = (g, o, mx, sm, q, k, v, dv, dq, dk)
-    cuts = _tile_cuts(arrays, k.shape[-2], q.shape[-2])
-    for lo, hi in zip(cuts, cuts[1:]):
-        gt, ot, mxt, smt, qt, kt, vt, dvt, dqt, dkt = _rows(arrays, lo, hi, len(g), g.ndim)
-        pt = _probs_t(kt, qt, mask_diagonal, mxt, smt)[0]
-        if want_v:
-            np.matmul(pt, gt, out=dvt)
-        if want_q or want_k:
-            d = np.einsum("...i,...i->...", gt, ot)[..., None, :]
-            dst = np.matmul(vt, np.swapaxes(gt, -1, -2))  # dPᵀ
-            dst -= d
-            dst *= pt  # dSᵀ, the gradient of the transposed logits
-            if want_q:
-                np.matmul(np.swapaxes(dst, -1, -2), kt, out=dqt)
-            if want_k:
-                np.matmul(dst, qt, out=dkt)
-            del dst
-        del pt  # this tile's n x n arrays go before the next tile's are made
+    pt = _probs_t(k, q, mask_diagonal, mx, sm)[0]
+    if want_v:
+        np.matmul(pt, g, out=dv)
+    if want_q or want_k:
+        d = np.einsum("...i,...i->...", g, o)[..., None, :]
+        dst = np.matmul(v, np.swapaxes(g, -1, -2))  # dPᵀ
+        dst -= d
+        dst *= pt  # dSᵀ, the gradient of the transposed logits
+        if want_q:
+            np.matmul(np.swapaxes(dst, -1, -2), k, out=dq)
+        if want_k:
+            np.matmul(dst, q, out=dk)
     return dv, dq, dk
 
 
@@ -921,11 +885,11 @@ def attention(q, k, v, n_heads, mask_diagonal=False, return_weights=False):
 
     The probabilities are formed transposed, keys on axis -2, so the max and
     sum over keys reduce over an outer axis, and a tile of batch entries at
-    a time (`_TILE_BYTES` of them), so each tile's n x n passes run in
-    cache.  The node keeps only each query's max and sum, not the
-    probabilities: the backward rebuilds each tile's Pᵀ from them, bit for
-    bit, and uses D = rowsum(dO * O) in place of the n x n softmax row-dot
-    (FlashAttention, Dao et al. 2022).
+    a time (`_split`'s tiles of at most `_TILE_BYTES` of Pᵀ), so each
+    tile's n x n passes run in cache.  The node keeps only each query's max
+    and sum, not the probabilities: the backward rebuilds each tile's Pᵀ
+    from them, bit for bit, and uses D = rowsum(dO * O) in place of the
+    n x n softmax row-dot (FlashAttention, Dao et al. 2022).
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     m, n = k.shape[-2], q.shape[-2]
@@ -935,9 +899,12 @@ def attention(q, k, v, n_heads, mask_diagonal=False, return_weights=False):
     scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
     qh, kh, vh = (_heads(a, n_heads) for a in (q.data * scale, k.data, v.data))
     # the keys carry the batch axis; a batchless query is shared by every
-    # slice.  The work is counted in elements of Pᵀ
+    # slice.  The work is counted in elements of Pᵀ, `_TILE_BYTES` of them
+    # at most in one tile
     size = math.prod(kh.shape[:-1]) * n
-    o, mx, sm = _split(_attention_rows, _attention_out, (kh, qh, vh), mask_diagonal, size=size)
+    most = _TILE_BYTES * len(kh) // (size * kh.itemsize)
+    o, mx, sm = _split(_attention_rows, _attention_out, (kh, qh, vh), mask_diagonal, size=size,
+                       most=most)
     out = _make(_merge_heads(o), (q, k, v), "attention")
     weights = None
     if return_weights:
@@ -947,7 +914,7 @@ def attention(q, k, v, n_heads, mask_diagonal=False, return_weights=False):
             dv, dq, dk = (None if g is None else _merge_heads(g) for g in _split(
                 _attention_grad_rows, _attention_grad_out,
                 (_heads(out.grad, n_heads), o, mx, sm, qh, kh, vh), mask_diagonal,
-                tuple(t.requires_grad for t in (v, q, k)), size=size))
+                tuple(t.requires_grad for t in (v, q, k)), size=size, most=most))
             if dq is not None:  # scaled once summed down to the query's shape
                 dq = _unbroadcast(dq, q.data.shape)
                 dq *= scale
@@ -1041,9 +1008,9 @@ def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
     addends get its gradient (summed down to a batchless addend's shape).  A
     constant vector normalizes to zeros (the eps floor keeps the reciprocal
     finite), so the output is just `beta`.  Each direction is one kernel
-    over tiles of rows, with the row means inside as GEMVs over the tile's
-    rows; the backward computes gamma's and beta's gradients beside the
-    input gradient's tiles.
+    over `_split`'s tiles of batch entries, with the row means inside as
+    GEMVs over the tile's rows; the backward computes gamma's and beta's
+    gradients beside the input gradient's tiles.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     inputs = (a,) if residual is None else (_wrap(residual), a)
@@ -1054,8 +1021,7 @@ def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
     else:  # the addend with the batch axis first (addition commutes bit for bit)
         r = inputs[0].data
         addends = (r, a.data) if r.ndim >= a.ndim else (a.data, r)
-    xhat, inv, val = _split(_norm_rows, _norm_out, addends, gamma.data, beta.data, avg, eps,
-                            rows=True)
+    xhat, inv, val = _split(_norm_rows, _norm_out, addends, gamma.data, beta.data, avg, eps)
     out = _make(val, (*inputs, gamma, beta), "layer_norm")
     if _tracked(out):
         def _bw():
@@ -1064,7 +1030,7 @@ def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
                          _grad_job(beta, _unbroadcast, g, beta.data.shape))
             wanted = any(t.requires_grad for t in inputs)
             dx = _split(_norm_grad_rows if wanted else None, _norm_grad_out, (g, xhat, inv),
-                        gamma.data, avg, beside=jobs, rows=True)
+                        gamma.data, avg, beside=jobs)
             if dx is not None:
                 _share(dx, inputs)
         out._backward = _bw

@@ -278,17 +278,12 @@ def connectivity_from_representations(reps) -> ConnectivityResult:
     return ConnectivityResult(adj, retained, degree.astype(np.float64), threshold)
 
 
-def connectivity(dta: m.DtaParameters, samples, montage: ChannelMontage,
-                 use_position_table=False) -> ConnectivityResult:
+def connectivity(dta: m.DtaParameters, samples, montage: ChannelMontage) -> ConnectivityResult:
     """Edges between channels whose learned representations point the same
     way: cosine adjacency thresholded at mean + 1.8 std (off-diagonal)."""
-    if len(samples) == 0 and not use_position_table:
+    if len(samples) == 0:
         raise EvalError("connectivity needs a non-empty evaluation set")
-    if use_position_table:
-        reps = dta.params["pos_table"].data
-    else:
-        reps = channel_representations(dta, samples, montage)
-    return connectivity_from_representations(reps)
+    return connectivity_from_representations(channel_representations(dta, samples, montage))
 
 
 # -- feature export ----------------------------------------------------------------

@@ -85,8 +85,8 @@ def test_reductions_and_shapes():
     w2 = rng.normal(size=(24,))
     w3 = rng.normal(size=(2, 4, 3))
     w4 = rng.normal(size=(3, 2, 2))
-    fd_check(lambda: ad.tsum(ps["x"].mean(axis=0) * ad.Tensor(w0)), ps)
-    fd_check(lambda: ad.tsum(ps["x"].sum(axis=-1) * ad.Tensor(w1)), ps)
+    fd_check(lambda: ad.tsum(ad.tmean(ps["x"], axis=0) * ad.Tensor(w0)), ps)
+    fd_check(lambda: ad.tsum(ad.tsum(ps["x"], axis=-1) * ad.Tensor(w1)), ps)
     fd_check(lambda: ad.tsum(ad.reshape(ps["x"], (24,)) * ad.Tensor(w2)), ps)
     fd_check(lambda: ad.tsum(ad.swapaxes(ps["x"], 0, 2) * ad.Tensor(w3)), ps)
     fd_check(lambda: ad.tsum(ad.narrow(ps["x"], 1, 2, axis=1) * ad.Tensor(w4)), ps)
@@ -206,16 +206,27 @@ def run_attention(q, k, v, mask, dout):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mask", [False, True])
-@pytest.mark.parametrize("q_shape", [(5, 6, 6), (6, 6)], ids=["batched_q", "batchless_q"])
-def test_attention_tiles_bitwise_equal_to_whole_batch(dtype, mask, q_shape, attention_tile):
+@pytest.mark.parametrize("q_shape", [(9, 6, 6), (6, 6)], ids=["batched_q", "batchless_q"])
+def test_attention_tiles_bitwise_equal_to_whole_batch(dtype, mask, q_shape, attention_tile,
+                                                      monkeypatch):
     rng = np.random.default_rng(24)
     q = rng.normal(size=q_shape).astype(dtype)
-    k, v, dout = (rng.normal(size=(5, 6, 6)).astype(dtype) for _ in range(3))
+    k, v, dout = (rng.normal(size=(9, 6, 6)).astype(dtype) for _ in range(3))
     whole = run_attention(q, k, v, mask, dout)
-    # two entries' worth of Pᵀ per tile: the 5 entries run as tiles of 1, 2, 2
+    # two entries' worth of Pᵀ per tile, which `_split` raises to 4: the 9
+    # entries run as tiles of 4, 4 and 1 in each direction
     attention_tile(2 * 2 * 6 * 6 * np.dtype(dtype).itemsize)
-    assert ad._tile_cuts([ad._heads(a, 2) for a in (k, q, v)], 6, 6) == [0, 1, 3, 5]
+    tiles = []
+
+    def recorded(kernel):
+        def run(*args, **kwargs):
+            tiles.append(len(args[0]))
+            return kernel(*args, **kwargs)
+        return run
+    for name in ("_attention_rows", "_attention_grad_rows"):
+        monkeypatch.setattr(ad, name, recorded(getattr(ad, name)))
     assert run_attention(q, k, v, mask, dout) == whole
+    assert tiles == [4, 4, 1] * 2
 
 
 def test_attention_forward_keeps_no_probabilities(set_workers):
@@ -447,7 +458,7 @@ def test_layer_norm_residual_float32_bitwise_equal_to_sum(r_shape):
 
 
 def _split_op_cases():
-    """Each fused op that splits its rows, on a batch of 4 (2 slices at 2
+    """Each fused op that splits its rows, on a batch of 8 (2 tiles at 2
     workers): name -> (parameter shapes, objective of the ParameterSet)."""
     def ffn(ps):  # the same mask on every call: the rng is re-seeded
         return ad.ffn(ps["x"], ps["w1"], ps["b1"], ps["w2"], ps["b2"], 0.3,
@@ -458,18 +469,18 @@ def _split_op_cases():
 
     def layer_norm(ps):
         return ad.layer_norm(ps["a"], ps["g"], ps["b"], residual=ps["r"])
-    kv = {"k": (4, 5, 6), "v": (4, 5, 6)}
+    kv = {"k": (8, 5, 6), "v": (8, 5, 6)}
     ln = {"g": (6,), "b": (6,)}
     return {
-        "linear": ({"x": (4, 3, 5), "w": (5, 2), "b": (2,)},
+        "linear": ({"x": (8, 3, 5), "w": (5, 2), "b": (2,)},
                    lambda ps: ad.linear(ps["x"], ps["w"], ps["b"])),
-        "ffn": ({"x": (4, 3, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 5), "b2": (5,)}, ffn),
-        "attention": ({"q": (4, 5, 6), **kv}, attention(False)),
-        "attention_masked": ({"q": (4, 5, 6), **kv}, attention(True)),
+        "ffn": ({"x": (8, 3, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 5), "b2": (5,)}, ffn),
+        "attention": ({"q": (8, 5, 6), **kv}, attention(False)),
+        "attention_masked": ({"q": (8, 5, 6), **kv}, attention(True)),
         "attention_batchless_q": ({"q": (5, 6), **kv}, attention(True)),
-        "layer_norm": ({"a": (4, 3, 6), "r": (4, 3, 6), **ln}, layer_norm),
-        "layer_norm_batchless_a": ({"a": (3, 6), "r": (4, 3, 6), **ln}, layer_norm),
-        "layer_norm_batchless_residual": ({"a": (4, 3, 6), "r": (3, 6), **ln}, layer_norm),
+        "layer_norm": ({"a": (8, 3, 6), "r": (8, 3, 6), **ln}, layer_norm),
+        "layer_norm_batchless_a": ({"a": (3, 6), "r": (8, 3, 6), **ln}, layer_norm),
+        "layer_norm_batchless_residual": ({"a": (8, 3, 6), "r": (3, 6), **ln}, layer_norm),
     }
 
 
@@ -489,23 +500,26 @@ def test_split_fused_op_gradient_at_2_workers(case, set_workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [4, 5, 7, 9, 13, 31])
-@pytest.mark.parametrize("rows", [False, True])
-def test_split_cuts_at_even_entries_or_4_rows(rows, n, workers, set_workers):
-    """Tiles start at even batch entries, or with `rows` at multiples of 4
-    rows of the last axis, here of entries of 3 rows each."""
+@pytest.mark.parametrize("most", [None, 2, 11])
+def test_split_cuts_at_multiples_of_4_entries(most, n, workers, set_workers):
+    """Tiles start at multiples of 4 batch entries (here of 3 rows each)
+    and hold at most `most` entries, rounded down to a multiple of 4 and
+    4 at least.  The pool cuts any batch of more than 4 entries, and `most`
+    one longer than its cap, on one worker too."""
     set_workers(workers)
     x = np.arange(3.0 * n).reshape(n, 3, 1)  # each row holds its own index
     tiles = []
 
-    def kernel(t):  # works in place: records its first row and row count
-        tiles.append((int(t.flat[0]), t.size))
-    ad._split(kernel, None, (x,), rows=rows)
+    def kernel(t):  # works in place: records its first entry and entry count
+        tiles.append((int(t.flat[0]) // 3, len(t)))
+    ad._split(kernel, None, (x,), most=most)
     tiles.sort()
-    assert tiles[0][0] == 0 and sum(length for _, length in tiles) == 3 * n
+    assert tiles[0][0] == 0 and sum(length for _, length in tiles) == n
     assert all(lo + length == nxt for (lo, length), (nxt, _) in zip(tiles, tiles[1:]))
-    unit = 4 if rows else 6
-    assert all(lo % unit == 0 for lo, _ in tiles)
-    assert (len(tiles) > 1) == (workers > 1 and 3 * n >= 2 * unit)
+    assert all(lo % 4 == 0 for lo, _ in tiles)
+    cap = n if most is None else max(4, most // 4 * 4)
+    assert all(length <= cap for _, length in tiles)
+    assert (len(tiles) > 1) == (n > 4 and (workers > 1 or n > cap))
 
 
 def test_run_jobs_claims_each_job_once_under_thread_switching(set_workers):
@@ -553,7 +567,7 @@ def test_layer_norm_bitwise_equal_at_1_2_3_workers(channels, residual, set_worke
     """Output and every gradient of `layer_norm` at 1, 2 and 3 workers, with
     tiles as small as the cut allows, at odd and even channel counts."""
     rng = np.random.default_rng(32)
-    shape = (6, channels, 32)
+    shape = (12, channels, 32)
     arrays = [rng.normal(size=shape).astype(np.float32),
               rng.uniform(0.5, 1.5, size=32).astype(np.float32),
               rng.normal(size=32).astype(np.float32)]
@@ -566,6 +580,7 @@ def test_layer_norm_bitwise_equal_at_1_2_3_workers(channels, residual, set_worke
         ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = ad.layer_norm(*ts[:3], residual=ts[3] if len(ts) > 3 else None)
         out.backward(seed)
+        assert (ad._pool is not None) == (workers > 1)  # the tiles were cut
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in ts])
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
@@ -573,7 +588,7 @@ def test_layer_norm_bitwise_equal_at_1_2_3_workers(channels, residual, set_worke
 
 def test_forked_child_runs_split_ops(set_workers):
     set_workers(2)
-    x, w = ad.Tensor(np.arange(60.0).reshape(4, 3, 5)), ad.Tensor(np.ones((5, 2)))
+    x, w = ad.Tensor(np.arange(120.0).reshape(8, 3, 5)), ad.Tensor(np.ones((5, 2)))
     want = ad.linear(x, w).data  # starts the pool in this process
     assert ad._pool is not None
     pid = os.fork()

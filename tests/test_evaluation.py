@@ -215,8 +215,7 @@ class TestConnectivity:
             E.connectivity_from_representations(reps)
 
     def test_position_table_variant(self, tiny_bank, tiny_model):
-        result = E.connectivity(tiny_model, [], tiny_bank.montage,
-                                use_position_table=True)
+        result = E.connectivity_from_representations(tiny_model.params["pos_table"].data)
         assert result.adjacency.shape == (8, 8)
 
 

@@ -405,7 +405,7 @@ class TestParameters:
 
 def test_pretrain_step_bitwise_equal_at_1_2_3_workers(set_workers):
     """A masked pretrain step with dropout on 5 samples per view: 2 and 3
-    workers claim the 10 encoder entries as five tiles of 2, with the
+    workers claim the 10 encoder entries as tiles of 4, 4 and 2, with the
     parameter gradients beside them, and loss, z, every gradient and the
     dropout rng state come out byte for byte as with 1 worker."""
     cfg = ModelConfig(n_layers=2)  # reference widths: 62 channels, d_model 32, 4 heads
