@@ -5,14 +5,17 @@ remembers its parents and how to push gradients back to them.  The op set is
 exactly what the model and losses call (elementwise add/mul/power, ELU,
 softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum/mean,
 logsumexp and four fused ops: ``linear`` (x @ w + b), ``ffn`` (linear, ELU,
-dropout, linear), multi-head ``attention`` (head split, query scale and head
-merge inside) with an optional diagonal mask and ``layer_norm`` with an
-optional residual), plus the last-axis softmax that attention is tested
-against and a finite-difference :func:`grad_check` used throughout the test
-suite.  A fused op is one tape node that keeps only what its hand-written
-backward reads; ``attention`` keeps no n x n array at all, only each query's
-softmax max and sum, and its backward rebuilds the probabilities from them,
-bit for bit, a cache-sized tile of batch entries at a time.
+dropout, linear: the encoder's feed-forward, both embeddings and the
+classifier's last two layers), multi-head ``attention`` (head split, query
+scale and head merge inside) with an optional diagonal mask and
+``layer_norm`` with an optional residual), plus the last-axis softmax that
+attention is tested against and a finite-difference :func:`grad_check` used
+throughout the test suite.  A Tensor has ``+`` and ``*`` but no ``-``: a
+difference is the add of a negated constant.  A fused op is one tape node
+that keeps only what its hand-written backward reads; ``attention`` keeps no
+n x n array at all, only each query's softmax max and sum, and its backward
+rebuilds the probabilities from them, bit for bit, a cache-sized tile of
+batch entries at a time.
 
 Gradients are exact, not approximated; the engine runs in float64 for checks
 and float32 for training.  A backward sweep consumes its graph (memory is
@@ -398,14 +401,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add(self, -other)
-        return add(self, -_wrap(other))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"

@@ -68,7 +68,7 @@ def contrastive_loss(z_a, z_b, labels_a, labels_b, tau=DEFAULT_TEMPERATURE) -> T
     x = ad.matmul(za, ad.swapaxes(zb, -1, -2)) * (1.0 / tau)
     y = (labels_a[:, None] == labels_b[None, :]).astype(x.data.dtype)
     # softplus(x) - x*y == -[y ln(sig(x)) + (1-y) ln(1 - sig(x))], stably
-    return ad.tmean(ad.softplus(x) - x * Tensor(y))
+    return ad.tmean(ad.softplus(x) + x * Tensor(-y))
 
 
 def cross_entropy(logits, label) -> Tensor:
@@ -89,10 +89,9 @@ def cross_entropy(logits, label) -> Tensor:
         raise LossError(f"expected {n} labels, got {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= c):
         raise LossError(f"label out of range for {c} classes")
-    onehot = np.zeros((n, c), dtype=t.data.dtype)
-    onehot[np.arange(n), labels] = 1.0
-    picked = ad.tsum(t * Tensor(onehot), axis=-1)
-    return ad.tmean(ad.logsumexp(t, axis=-1) - picked)
+    neg_onehot = np.zeros((n, c), dtype=t.data.dtype)
+    neg_onehot[np.arange(n), labels] = -1.0
+    return ad.tmean(ad.logsumexp(t, axis=-1) + ad.tsum(t * Tensor(neg_onehot), axis=-1))
 
 
 def softmax_probs(logits) -> np.ndarray:

@@ -160,9 +160,10 @@ def _affine(x, params, name):
 
 
 def _mlp_embed(x, params, name):
-    """f2(ELU(f1(x))): the row-wise two-layer embedding used for positions
-    and source features."""
-    return _affine(ad.elu(_affine(x, params, f"{name}.f1")), params, f"{name}.f2")
+    """f2(ELU(f1(x))) as one ``ffn`` node: the row-wise two-layer embedding
+    used for positions and source features."""
+    return ad.ffn(x, params[f"{name}.f1.w"], params[f"{name}.f1.b"], params[f"{name}.f2.w"],
+                  params[f"{name}.f2.b"], 0.0, None)
 
 
 def embed_positions(pos_data, dta: DtaParameters) -> Tensor:
@@ -272,21 +273,22 @@ def _flatten(q_final):
     return ad.reshape(q_final, (*lead, n * d))
 
 
-def _bn_train(x, gamma, beta, state, key):
-    mu = ad.tmean(x, axis=0)
-    xc = x - mu
-    var = ad.tmean(xc * xc, axis=0)
-    y = xc * ad.power(var + BN_EPS, -0.5) * gamma + beta
-    state[f"{key}.mean"] = ((1 - BN_MOMENTUM) * state[f"{key}.mean"]
-                            + BN_MOMENTUM * mu.data)
-    state[f"{key}.var"] = ((1 - BN_MOMENTUM) * state[f"{key}.var"]
-                           + BN_MOMENTUM * var.data)
-    return y
-
-
-def _bn_eval(x, gamma, beta, state, key):
-    inv = 1.0 / np.sqrt(state[f"{key}.var"] + BN_EPS)
-    return (x - Tensor(state[f"{key}.mean"])) * Tensor(inv) * gamma + beta
+def _batch_norm(x, dta, key, train):
+    """Batch norm over axis 0 with the parameters and running statistics under
+    `key`: `train` normalises with the batch's statistics and moves the
+    running ones towards them; eval mode uses the running ones."""
+    state, mean, var = dta.bn_state, f"{key}.mean", f"{key}.var"
+    if train:
+        neg_mu = ad.tsum(x, axis=0) * (-1.0 / x.shape[0])
+        xc = x + neg_mu
+        batch_var = ad.tmean(xc * xc, axis=0)
+        inv = ad.power(batch_var + BN_EPS, -0.5)
+        state[mean] = (1 - BN_MOMENTUM) * state[mean] - BN_MOMENTUM * neg_mu.data
+        state[var] = (1 - BN_MOMENTUM) * state[var] + BN_MOMENTUM * batch_var.data
+    else:
+        xc = x + Tensor(-state[mean])
+        inv = Tensor(1.0 / np.sqrt(state[var] + BN_EPS))
+    return xc * inv * dta.params[f"{key}.g"] + dta.params[f"{key}.b"]
 
 
 def project(q_final, dta: DtaParameters, train=False, rng=None) -> Tensor:
@@ -296,27 +298,19 @@ def project(q_final, dta: DtaParameters, train=False, rng=None) -> Tensor:
     `train` normalises with batch statistics and updates the running ones in
     `dta.bn_state`; eval mode uses the running statistics and writes nothing.
     Dropout fires only when an `rng` is given."""
-    params = dta.params
-    state = dta.bn_state  # only _bn_train writes to it
     x = _flatten(q_final)
-    x = ad.linear(x, params["proj.fc1.w"])
-    bn = _bn_train if train else _bn_eval
-    x = bn(x, params["proj.bn1.g"], params["proj.bn1.b"], state, "proj.bn1")
-    x = ad.elu(x)
-    if rng is not None:
-        x = ad.dropout(x, dta.config.dropout, rng)
-    x = ad.linear(x, params["proj.fc2.w"])
-    x = bn(x, params["proj.bn2.g"], params["proj.bn2.b"], state, "proj.bn2")
-    x = ad.elu(x)
-    if rng is not None:
-        x = ad.dropout(x, dta.config.dropout, rng)
-    return _affine(x, params, "proj.fc3")
+    for stage in (1, 2):
+        x = ad.linear(x, dta.params[f"proj.fc{stage}.w"])
+        x = ad.elu(_batch_norm(x, dta, f"proj.bn{stage}", train))
+        if rng is not None:
+            x = ad.dropout(x, dta.config.dropout, rng)
+    return _affine(x, dta.params, "proj.fc3")
 
 
 def classify(q_final, dta: DtaParameters) -> Tensor:
-    """Classifier head: flatten, two ELU hidden layers, linear logits."""
+    """Classifier head: flatten, two ELU hidden layers, linear logits; the
+    second hidden layer and the logits are one ``ffn`` node."""
     params = dta.params
-    x = _flatten(q_final)
-    x = ad.elu(_affine(x, params, "clf.fc1"))
-    x = ad.elu(_affine(x, params, "clf.fc2"))
-    return _affine(x, params, "clf.fc3")
+    x = ad.elu(_affine(_flatten(q_final), params, "clf.fc1"))
+    return ad.ffn(x, params["clf.fc2.w"], params["clf.fc2.b"], params["clf.fc3.w"],
+                  params["clf.fc3.b"], 0.0, None)

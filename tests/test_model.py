@@ -30,6 +30,23 @@ def rand_de(rng, n=6, b=5, batch=None):
     return rng.normal(size=shape)
 
 
+def graph(root):
+    """id -> node of every node `root` depends on, itself included."""
+    nodes, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    return nodes
+
+
+def tape_ops(root):
+    """The ops of the tape nodes behind `root` (parameters and inputs are
+    leaves), sorted."""
+    return sorted(t._op for t in graph(root).values() if t._parents)
+
+
 class TestEmbeddings:
     def test_zero_weights_give_zero_position_embedding(self, tiny):
         dta, pos = tiny
@@ -275,16 +292,6 @@ class TestEncode:
         z = M.project(enc.q_final, dta, train=True, rng=rng)
         labels = np.array([0, 1])
         loss = ls.contrastive_loss(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels)
-
-        def graph(root):
-            nodes, stack = {}, [root]
-            while stack:
-                t = stack.pop()
-                if id(t) not in nodes:
-                    nodes[id(t)] = t
-                    stack.extend(t._parents)
-            return nodes
-
         kv_weights = (dta.params["kv.k.w"], dta.params["kv.v.w"])
         kv_linears = [t for t in graph(loss).values()
                       if any(p is w for p in t._parents for w in kv_weights)]
@@ -297,6 +304,49 @@ class TestEncode:
         layers = TINY.n_layers
         assert sorted(between) == sorted(["linear"] * 2 * layers + ["attention"] * layers
                                          + ["layer_norm"] * 2 * layers + ["ffn"] * layers)
+
+    def test_pretrain_and_calibration_steps_record_these_tape_nodes(self, tiny):
+        """The op multiset of a masked pretrain step and of a calibration
+        cross-entropy step: each embedding is one ffn node, the classifier
+        is reshape, linear, elu, ffn, and negations are folded into
+        constants (a Tensor has no `-`)."""
+        dta, pos = tiny
+        dta = dta.copy()  # train-mode projection writes batch-norm state
+        rng = np.random.default_rng(16)
+        layer = ["linear", "attention", "linear", "layer_norm", "ffn", "layer_norm"]
+        encoder = ["ffn", "ffn", "add", "add", "linear", "linear", *layer * TINY.n_layers]
+        batch_norm = ["sum", "mul", "add", "mul", "sum", "mul", "add", "power", "mul", "mul",
+                      "add"]
+        projector = ["reshape", "linear", *batch_norm, "elu", "dropout",
+                     "linear", *batch_norm, "elu", "dropout", "linear"]
+        row_norm = ["mul", "sum", "power", "mul"]
+        contrastive = ["narrow", "narrow", *row_norm, *row_norm, "swapaxes", "matmul", "mul",
+                       "softplus", "mul", "add", "sum", "mul"]
+        enc = M.encode(rand_de(rng, batch=4), pos, dta, mask_diagonal=True, rng=rng)
+        z = M.project(enc.q_final, dta, train=True, rng=rng)
+        labels = np.array([0, 1])
+        loss = ls.contrastive_loss(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels)
+        assert tape_ops(loss) == sorted(encoder + projector + contrastive)
+        assert len(tape_ops(loss)) == 54 + 6 * TINY.n_layers  # 78 at the reference 4 layers
+
+        p_emb = M.embed_positions(pos, dta)
+        s_emb = M.embed_source(rand_de(rng, batch=4), dta)
+        for emb in (p_emb, s_emb):
+            assert emb._op == "ffn" and not any(p._parents for p in emb._parents)
+
+        classifier = ["reshape", "linear", "elu", "ffn"]
+        cross_entropy = ["mul", "sum", "logsumexp", "add", "sum", "mul"]
+        enc = M.encode(rand_de(rng, batch=4), pos, dta, rng=rng)
+        logits = M.classify(enc.q_final, dta)
+        loss = ls.cross_entropy(logits, np.array([0, 1, 2, 0]))
+        assert tape_ops(loss) == sorted(encoder + classifier + cross_entropy)
+        assert len(tape_ops(loss)) == 16 + 6 * TINY.n_layers  # 40 at the reference 4 layers
+        chain, t = [], logits
+        while t is not enc.q_final:
+            chain.append(t._op)
+            t = t._parents[0]
+        assert chain[::-1] == classifier
+        assert not hasattr(ad.Tensor, "__sub__") and not hasattr(ad.Tensor, "__neg__")
 
 
 class TestHeads:
@@ -490,3 +540,131 @@ def test_pretrain_step_returns_while_the_pool_thread_is_busy(set_workers):
         release.set()
     assert blocker.result(timeout=10)  # released here, not timed out
     assert got == want
+
+
+# -- the heads and losses as chains of generic nodes ---------------------------
+# The model builds its MLPs as `ffn` nodes and folds every negation into a
+# constant; these chains are the same computations written with one node per
+# step and Tensor subtraction spelled as the add of a (-1)-scaled node.
+
+def _generic_mlp(x, params, name):
+    h = ad.elu(ad.linear(x, params[f"{name}.f1.w"], params[f"{name}.f1.b"]))
+    return ad.linear(h, params[f"{name}.f2.w"], params[f"{name}.f2.b"])
+
+
+def _generic_batch_norm(x, gamma, beta, state, key, train):
+    mean, var = f"{key}.mean", f"{key}.var"
+    if not train:
+        centred = ad.add(x, ad.mul(ad.Tensor(state[mean]), -1.0))
+        return centred * ad.Tensor(1.0 / np.sqrt(state[var] + M.BN_EPS)) * gamma + beta
+    mu = ad.tmean(x, axis=0)
+    xc = ad.add(x, ad.mul(mu, -1.0))
+    batch_var = ad.tmean(xc * xc, axis=0)
+    y = xc * ad.power(batch_var + M.BN_EPS, -0.5) * gamma + beta
+    state[mean] = (1 - M.BN_MOMENTUM) * state[mean] + M.BN_MOMENTUM * mu.data
+    state[var] = (1 - M.BN_MOMENTUM) * state[var] + M.BN_MOMENTUM * batch_var.data
+    return y
+
+
+def _generic_project(q, dta, train, rng):
+    p = dta.params
+    x = ad.reshape(q, (q.shape[0], -1))
+    for i in (1, 2):
+        x = ad.linear(x, p[f"proj.fc{i}.w"])
+        x = _generic_batch_norm(x, p[f"proj.bn{i}.g"], p[f"proj.bn{i}.b"], dta.bn_state,
+                                f"proj.bn{i}", train)
+        x = ad.elu(x)
+        if rng is not None:
+            x = ad.dropout(x, dta.config.dropout, rng)
+    return ad.linear(x, p["proj.fc3.w"], p["proj.fc3.b"])
+
+
+def _generic_classify(q, dta):
+    p = dta.params
+    x = ad.reshape(q, (q.shape[0], -1))
+    x = ad.elu(ad.linear(x, p["clf.fc1.w"], p["clf.fc1.b"]))
+    x = ad.elu(ad.linear(x, p["clf.fc2.w"], p["clf.fc2.b"]))
+    return ad.linear(x, p["clf.fc3.w"], p["clf.fc3.b"])
+
+
+def _generic_contrastive(z_a, z_b, labels_a, labels_b):
+    def unit_rows(z):
+        return z * ad.power(ad.tsum(z * z, axis=-1, keepdims=True), -0.5)
+
+    x = ad.matmul(unit_rows(z_a), ad.swapaxes(unit_rows(z_b), -1, -2))
+    x = x * (1.0 / ls.DEFAULT_TEMPERATURE)
+    y = (labels_a[:, None] == labels_b[None, :]).astype(x.dtype)
+    return ad.tmean(ad.add(ad.softplus(x), ad.mul(x * ad.Tensor(y), -1.0)))
+
+
+def _generic_cross_entropy(t, labels):
+    onehot = np.zeros(t.shape, dtype=t.dtype)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    picked = ad.tsum(t * ad.Tensor(onehot), axis=-1)
+    return ad.tmean(ad.add(ad.logsumexp(t, axis=-1), ad.mul(picked, -1.0)))
+
+
+def _as_bytes(fn, dta, inputs):
+    """fn(dta, rng, *inputs as Tensors) on a copy of `dta`, swept back from a
+    fixed weighting of its output: the bytes of the output, of each input's
+    and parameter's gradient, of the batch-norm state and of the rng."""
+    dta = dta.copy()
+    tensors = [ad.Tensor(a, requires_grad=True) for a in inputs]
+    rng = np.random.default_rng(11)
+    out = fn(dta, rng, *tensors)
+    w = np.random.default_rng(12).normal(size=out.shape).astype(out.dtype)
+    ad.tsum(out * ad.Tensor(w)).backward()
+    return [out.data.tobytes(), *(t.grad.tobytes() for t in tensors),
+            *(g.tobytes() for g in dta.params.gradients().values()),
+            *(v.tobytes() for v in dta.bn_state.values()), str(rng.bit_generator.state)]
+
+
+def test_heads_and_losses_bitwise_equal_to_generic_chains(set_workers):
+    """The embeddings, both heads (batch norm in train and eval mode) and both
+    losses give the bytes of their generic-node chains: outputs, parameter
+    and input gradients and batch-norm state, at 1, 2 and 3 workers, with
+    the 256-entry batch cut into tiles, and each as at 1 worker.  Tiles of
+    16 entries or more keep embed_source's input-gradient GEMM (19 rows per
+    entry, 32 x 5) above OpenBLAS's small-matrix sizes, where its bits would
+    depend on the cut."""
+    cfg = ModelConfig(n_layers=1, n_channels=19)  # reference widths on a 10-20 montage
+    rng = np.random.default_rng(8)
+    pos = rng.normal(size=(19, 3))
+    pos /= np.linalg.norm(pos, axis=1, keepdims=True)
+    de = rng.normal(size=(256, 19, cfg.n_bands)).astype(np.float32)
+    q = rng.normal(size=(256, 19, cfg.d_model)).astype(np.float32)
+    z = rng.normal(size=(2, 128, cfg.proj_dims[-1])).astype(np.float32)
+    logits = rng.normal(size=(256, cfg.n_classes)).astype(np.float32)
+    labels = np.arange(256) % cfg.n_classes
+    cases = {
+        "embed_positions": (lambda d, r: M.embed_positions(pos, d),
+                            lambda d, r: _generic_mlp(ad.Tensor(pos.astype(np.float32)),
+                                                      d.params, "pos_embed"), ()),
+        "embed_source": (lambda d, r, x: M.embed_source(x, d),
+                         lambda d, r, x: _generic_mlp(x, d.params, "src_embed"), (de,)),
+        "classify": (lambda d, r, x: M.classify(x, d), lambda d, r, x: _generic_classify(x, d),
+                     (q,)),
+        "project_train": (lambda d, r, x: M.project(x, d, train=True, rng=r),
+                          lambda d, r, x: _generic_project(x, d, True, r), (q,)),
+        "project_eval": (lambda d, r, x: M.project(x, d),
+                         lambda d, r, x: _generic_project(x, d, False, None), (q,)),
+        "contrastive_loss": (lambda d, r, a, b: ls.contrastive_loss(a, b, labels[:128],
+                                                                    labels[128:]),
+                             lambda d, r, a, b: _generic_contrastive(a, b, labels[:128],
+                                                                     labels[128:]),
+                             tuple(z)),
+        "cross_entropy": (lambda d, r, t: ls.cross_entropy(t, labels),
+                          lambda d, r, t: _generic_cross_entropy(t, labels), (logits,)),
+    }
+    dta = M.init_parameters(cfg, seed=5, dtype=np.float32)
+    for name in ("clf.fc3.w", "clf.fc3.b"):  # a zero output layer would hide the hidden grads
+        dta.params[name].data = rng.normal(size=dta.params[name].shape).astype(np.float32)
+    dta.bn_state = {k: v + rng.random(v.shape, dtype=np.float32) for k, v in dta.bn_state.items()}
+    first = {}
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        for name, (fused, generic, inputs) in cases.items():
+            got = _as_bytes(fused, dta, inputs)
+            assert got == _as_bytes(generic, dta, inputs), (name, workers)
+            assert got == first.setdefault(name, got), (name, workers)
+        assert (ad._pool is not None) == (workers > 1)  # the split path ran
