@@ -4,18 +4,23 @@ A small define-by-run tape: every operation returns a :class:`Tensor` that
 remembers its parents and how to push gradients back to them.  The op set is
 exactly what the model and losses call (elementwise add/mul/power, ELU,
 softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum/mean,
-logsumexp and four fused ops: ``linear`` (x @ w + b), ``ffn`` (linear, ELU,
+logsumexp and three fused ops: ``linear`` (x @ w + b), ``ffn`` (linear, ELU,
 dropout, linear: the encoder's feed-forward, both embeddings and the
-classifier's last two layers), multi-head ``attention`` (head split, query
-scale and head merge inside) with an optional diagonal mask and
-``layer_norm`` with an optional residual), plus the last-axis softmax that
-attention is tested against and a finite-difference :func:`grad_check` used
-throughout the test suite.  A Tensor has ``+`` and ``*`` but no ``-``: a
-difference is the add of a negated constant.  A fused op is one tape node
-that keeps only what its hand-written backward reads; ``attention`` keeps no
-n x n array at all, only each query's softmax max and sum, and its backward
-rebuilds the probabilities from them, bit for bit, a cache-sized tile of
-batch entries at a time.
+classifier's last two layers) and multi-head ``attention`` (head split,
+query scale and head merge inside) with an optional diagonal mask), plus
+``layer_norm`` with an optional residual and the last-axis softmax, which
+the fused forms are tested against, and a finite-difference
+:func:`grad_check` used throughout the test suite.  ``linear`` and ``ffn``
+can end in a post-norm sublayer's residual Add & Norm, LN(r + x w + b) and
+LN(x + ffn(x)), inside the same node, so an encoder layer is four nodes:
+query linear, attention, output linear + Add & Norm, feed-forward + Add &
+Norm.  A Tensor has ``+`` and ``*`` but no ``-``: a difference is the add of
+a negated constant.  A fused op is one tape node that keeps only what its
+hand-written backward reads, and no array between two of an encoder layer's
+nodes lives only as a node output; ``attention`` keeps no n x n array at
+all, only each query's softmax max and sum, and its backward rebuilds the
+probabilities from them, bit for bit, a cache-sized tile of batch entries
+at a time.
 
 Gradients are exact, not approximated; the engine runs in float64 for checks
 and float32 for training.  A backward sweep consumes its graph (memory is
@@ -23,7 +28,7 @@ released as the sweep proceeds), and :func:`no_grad` disables graph capture
 entirely for inference loops.
 
 A graph is built and swept from one thread.  Inside the fused ops, the
-per-sample work (per batch entry and head in ``attention``, ``layer_norm``'s
+per-sample work (per batch entry and head in ``attention``, the layer norm's
 forward and input-gradient kernels, ``ffn`` and ``linear``'s forward and
 input-gradient GEMMs) is cut into tiles of the batch axis, a few per CPU the
 process may use, when the batch is large enough to pay for the hand-off: the
@@ -39,7 +44,7 @@ beside them.  Results do not depend on the CPU count: ``_split`` alone cuts
 a batch, and its tiles start at multiples of 4 batch entries, where each
 tile computes its entries exactly as the whole-array call does (4 entries
 are a multiple of 4 rows at any channel count, and OpenBLAS's row-mean GEMV
-in ``layer_norm`` takes rows in fours); ``attention``'s cache-sized tiles
+in the layer norm takes rows in fours); ``attention``'s cache-sized tiles
 are the same cut.  Every sum across batch entries stays one whole-array
 call.  Dropout masks are drawn before any split.  ``dsp`` runs its filter
 jobs through the same claim runner and pool.  A forked child drops the
@@ -90,6 +95,8 @@ _TILES_PER_WORKER = 4
 # tile's n x n passes run on cache-resident data: 17 entries of 4 heads x
 # 62 x 62 in float32 fit, and `_split` cuts tiles of 16
 _TILE_BYTES = 1 << 20
+# the variance floor of every layer norm
+_LN_EPS = 1e-5
 
 
 def _pin_blas_to_one_thread():
@@ -190,7 +197,7 @@ def _split(kernel, alloc, batched, *shared, size=None, most=None, beside=()):
 
     This is the one place a batch is cut, under one rule: tiles start at
     multiples of 4 entries, which span a multiple of 4 rows at any channel
-    count (OpenBLAS's GEMV takes rows in fours, so `layer_norm`'s row-mean
+    count (OpenBLAS's GEMV takes rows in fours, so the layer norm's row-mean
     GEMV over a tile gives the whole array's bits), and hold at most `most`
     entries when it is given, rounded down to a multiple of 4 and 4 at
     least.  The pool pays for two workers or more and 2 * `_MIN_SLICE_SIZE`
@@ -645,25 +652,58 @@ def _input_grad(x, g, w, beside):
                   beside=beside)
 
 
-def linear(x, w, b=None):
-    """x @ w (+ b) over the last axis as one node.
+def _linear_norm_rows(x, r, w, b, gamma, beta, avg, xhat=None, inv=None, val=None):
+    """Layer norm of r + x @ w (+ b): the affine output is written into x̂'s
+    buffer, and the norm runs on it in place."""
+    xhat = _affine_rows(x, w, b, xhat)
+    return _norm_rows(xhat, r, gamma, beta, avg, xhat, inv, val)
+
+
+def _linear_norm_out(x, r, w, b, gamma, beta, avg):
+    return _norm_stats_out(_affine_out(x, w, b)[0], gamma, beta, avg)
+
+
+def linear(x, w, b=None, add_norm=None):
+    """x @ w (+ b) over the last axis as one node; with `add_norm` =
+    (residual, gamma, beta), the residual sublayer end LN(residual + x @ w
+    + b) as one node.
 
     `w` is (d_in, d_out) and `b` (d_out,); the leading axes of `x` collapse
-    into one GEMM.  The backward computes the weight and bias gradients
-    beside the input gradient's tiles.
+    into one GEMM.  With `add_norm`, each tile writes its GEMM into the
+    norm's x̂ buffer, adds the residual there (a batchless residual goes
+    whole to every tile) and normalises in place, so the pre-norm sum is
+    never a tensor of its own; the residual must broadcast to the output's
+    shape.  The backward computes the weight and bias gradients (and
+    gamma's and beta's) beside the input gradient's tiles.
     """
     x, w = _wrap(x), _wrap(w)
     b = None if b is None else _wrap(b)
-    y = _split(_affine_rows, _affine_out, (x.data,), w.data, None if b is None else b.data)
-    out = _make(y, (x, w) if b is None else (x, w, b), "linear")
+    parents = (x, w) if b is None else (x, w, b)
+    bias = None if b is None else b.data
+    if add_norm is None:
+        y = _split(_affine_rows, _affine_out, (x.data,), w.data, bias)
+        out = _make(y, parents, "linear")
+    else:
+        r, gamma, beta = (_wrap(t) for t in add_norm)
+        avg = _avg(w.shape[-1], np.result_type(x.data, w.data))
+        xhat, inv, y = _split(_linear_norm_rows, _linear_norm_out, (x.data, r.data), w.data,
+                              bias, gamma.data, beta.data, avg)
+        out = _make(y, (*parents, r, gamma, beta), "linear")
     if _tracked(out):
         x2 = x.data.reshape(-1, x.shape[-1])
 
         def _bw():
             g = out.grad
+            if add_norm is not None:
+                # the output's gradient is dead once the sum's is formed
+                g, out.grad = _norm_grad(g, xhat, inv, gamma, beta, avg, (x, w, b, r)), None
+                if g is None:
+                    return
             gx = _input_grad(x, g, w.data, _param_grads(g.reshape(x2.shape[0], -1), x2, w, b))
             if gx is not None:
                 x._accumulate(gx, own=True)
+            if add_norm is not None and r.requires_grad:
+                r._accumulate(_unbroadcast(g, r.shape), own=True)
         out._backward = _bw
     return out
 
@@ -679,6 +719,19 @@ def _ffn_rows(x, keep, w1, b1, w2, b2, rate, e=None, y=None):
 def _ffn_out(x, keep, w1, b1, w2, b2, rate):
     e = _affine_out(x, w1, b1)[0]
     return e, _affine_out(e, w2, b2)[0]
+
+
+def _ffn_norm_rows(x, keep, w1, b1, w2, b2, rate, gamma, beta, avg, e=None, xhat=None, inv=None,
+                   val=None):
+    """The ELU output e and layer norm of x + ffn(x): the feed-forward output
+    is written into x̂'s buffer, and the norm runs on it in place."""
+    e, xhat = _ffn_rows(x, keep, w1, b1, w2, b2, rate, e, xhat)
+    return (e, *_norm_rows(xhat, x, gamma, beta, avg, xhat, inv, val))
+
+
+def _ffn_norm_out(x, keep, w1, b1, w2, b2, rate, gamma, beta, avg):
+    e, y = _ffn_out(x, keep, w1, b1, w2, b2, rate)
+    return (e, *_norm_stats_out(y, gamma, beta, avg))
 
 
 def _dropout_rows(e, keep, rate, h=None):
@@ -698,13 +751,20 @@ def _ffn_hidden_grad_out(g, e, keep, w2, rate):
     return _affine_out(g, w2.T, None)
 
 
-def ffn(x, w1, b1, w2, b2, rate, rng):
-    """linear(dropout(elu(linear(x, w1, b1)), rate, rng), w2, b2) as one node.
+def ffn(x, w1, b1, w2, b2, rate, rng, add_norm=None):
+    """linear(dropout(elu(linear(x, w1, b1)), rate, rng), w2, b2) as one node;
+    with `add_norm` = (gamma, beta), the residual sublayer end
+    LN(x + ffn(x)) as one node.
 
     The backward keeps only the ELU output e and a boolean keep mask: the
     ELU derivative is min(e, 0) + 1 and the dropout output is rebuilt from
-    the two.  Dropout draws exactly as :func:`dropout` does and fires only
-    when an `rng` is given and `rate` > 0.  The backward computes the second
+    the two.  With `add_norm`, each tile writes the second GEMM into the
+    norm's x̂ buffer, adds x there and normalises in place, so the
+    feed-forward output is never a tensor of its own.  Dropout draws exactly
+    as :func:`dropout` does and fires only when an `rng` is given and
+    `rate` > 0.  The forward's tiles are sized by the widest of the input,
+    hidden and output rows, so a narrow input (the 5 bands of the source
+    embedding) still pays for the pool.  The backward computes the second
     layer's weight and bias gradients beside the hidden layer's gradient
     tiles, and the first layer's beside the input gradient's.
     """
@@ -713,14 +773,28 @@ def ffn(x, w1, b1, w2, b2, rate, rng):
     if rng is not None and rate != 0.0:
         keep = _keep_mask((*x.shape[:-1], w1.shape[-1]), np.result_type(x.data, w1.data),
                           rate, rng)
-    e, y = _split(_ffn_rows, _ffn_out, (x.data, keep), w1.data, b1.data, w2.data, b2.data,
-                  rate)
-    out = _make(y, (x, w1, b1, w2, b2), "ffn")
+    params = (x, w1, b1, w2, b2)
+    size = x.data.size // x.shape[-1] * max(x.shape[-1], *w2.shape)
+    args = (x.data, keep), w1.data, b1.data, w2.data, b2.data, rate
+    if add_norm is None:
+        e, y = _split(_ffn_rows, _ffn_out, *args, size=size)
+        out = _make(y, params, "ffn")
+    else:
+        gamma, beta = (_wrap(t) for t in add_norm)
+        avg = _avg(w2.shape[-1], np.result_type(x.data, w1.data, w2.data))
+        e, xhat, inv, y = _split(_ffn_norm_rows, _ffn_norm_out, *args, gamma.data, beta.data,
+                                 avg, size=size)
+        out = _make(y, (*params, gamma, beta), "ffn")
     if _tracked(out):
         x2 = x.data.reshape(-1, x.shape[-1])
 
         def _bw():
             g = out.grad
+            if add_norm is not None:
+                # the output's gradient is dead once the sum's is formed
+                g, out.grad = _norm_grad(g, xhat, inv, gamma, beta, avg, params), None
+                if g is None:
+                    return
             rows = x2.shape[0]
             h = e if keep is None else _split(_dropout_rows, _elementwise_out, (e, keep), rate)
             # the w2 reduction reads h, so h lives until the hidden gradient's call returns
@@ -730,6 +804,8 @@ def ffn(x, w1, b1, w2, b2, rate, rng):
             gx = _input_grad(x, gh, w1.data, _param_grads(gh.reshape(rows, -1), x2, w1, b1))
             if gx is not None:
                 x._accumulate(gx, own=True)
+            if add_norm is not None and x.requires_grad:
+                x._accumulate(g, own=True)
         out._backward = _bw
     return out
 
@@ -821,16 +897,17 @@ def _merge_heads(x):
     return x.reshape(*x.shape[:-2], -1)
 
 
-def _attention_rows(k, q, v, mask_diagonal, o=None, mx=None, sm=None):
+def _attention_rows(k, q, v, mask_diagonal, scale, o=None, mx=None, sm=None):
     """The output P v and each query's logit max and exp sum (the backward
-    rebuilds Pᵀ from them), into `o`, `mx` and `sm` when they are given."""
-    pt, tmx, tsm = _probs_t(k, q, mask_diagonal)
+    rebuilds Pᵀ from them), into `o`, `mx` and `sm` when they are given; the
+    query is scaled here, a tile at a time."""
+    pt, tmx, tsm = _probs_t(k, q * scale, mask_diagonal)
     if mx is not None:
         mx[...], sm[...] = tmx, tsm
     return np.matmul(np.swapaxes(pt, -1, -2), v, out=o), tmx, tsm
 
 
-def _attention_out(k, q, v, mask_diagonal):
+def _attention_out(k, q, v, mask_diagonal, scale):
     lead = np.broadcast_shapes(k.shape[:-2], q.shape[:-2], v.shape[:-2])
     dt = np.result_type(k, q)
     stat = np.empty((*lead, 1, q.shape[-2]), dtype=dt)
@@ -838,13 +915,14 @@ def _attention_out(k, q, v, mask_diagonal):
     return np.swapaxes(o, -3, -2), stat, stat.copy()  # heads views merge for free
 
 
-def _attention_grad_rows(g, o, mx, sm, q, k, v, mask_diagonal, wanted, dv=None, dq=None,
-                         dk=None):
+def _attention_grad_rows(g, o, mx, sm, q, k, v, mask_diagonal, scale, wanted, dv=None,
+                         dq=None, dk=None):
     """The gradients of v, q and k, each where `wanted` asks for it, on the
-    rebuilt Pᵀ."""
+    rebuilt Pᵀ; q's is that of the scaled query, which the caller scales."""
     if dv is None and dq is None and dk is None:
-        dv, dq, dk = _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, wanted)
+        dv, dq, dk = _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, scale, wanted)
     want_v, want_q, want_k = wanted
+    q = q * scale
     pt = _probs_t(k, q, mask_diagonal, mx, sm)[0]
     if want_v:
         np.matmul(pt, g, out=dv)
@@ -860,7 +938,7 @@ def _attention_grad_rows(g, o, mx, sm, q, k, v, mask_diagonal, wanted, dv=None, 
     return dv, dq, dk
 
 
-def _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, wanted):
+def _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, scale, wanted):
     *lead, h = mx.shape[:-2]
     dt = np.result_type(g, mx, v)
     return tuple(np.swapaxes(np.empty((*lead, t.shape[-2], h, t.shape[-1]),
@@ -881,10 +959,13 @@ def attention(q, k, v, n_heads, mask_diagonal=False, return_weights=False):
     The probabilities are formed transposed, keys on axis -2, so the max and
     sum over keys reduce over an outer axis, and a tile of batch entries at
     a time (`_split`'s tiles of at most `_TILE_BYTES` of Pᵀ), so each
-    tile's n x n passes run in cache.  The node keeps only each query's max
-    and sum, not the probabilities: the backward rebuilds each tile's Pᵀ
-    from them, bit for bit, and uses D = rowsum(dO * O) in place of the
-    n x n softmax row-dot (FlashAttention, Dao et al. 2022).
+    tile's n x n passes run in cache.  Each tile scales its own slice of
+    the query by 1/sqrt(d_head), in both directions, so the node keeps the
+    projected query as it came and no scaled copy of it.  The node keeps
+    only each query's max and sum, not the probabilities: the backward
+    rebuilds each tile's Pᵀ from them, bit for bit, and uses
+    D = rowsum(dO * O) in place of the n x n softmax row-dot
+    (FlashAttention, Dao et al. 2022).
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     m, n = k.shape[-2], q.shape[-2]
@@ -892,23 +973,23 @@ def attention(q, k, v, n_heads, mask_diagonal=False, return_weights=False):
         raise AutodiffError(f"diagonal mask needs as many keys as queries, "
                             f"n >= 2, got {m} keys for {n} queries")
     scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
-    qh, kh, vh = (_heads(a, n_heads) for a in (q.data * scale, k.data, v.data))
+    qh, kh, vh = (_heads(a, n_heads) for a in (q.data, k.data, v.data))
     # the keys carry the batch axis; a batchless query is shared by every
     # slice.  The work is counted in elements of Pᵀ, `_TILE_BYTES` of them
     # at most in one tile
     size = math.prod(kh.shape[:-1]) * n
     most = _TILE_BYTES * len(kh) // (size * kh.itemsize)
-    o, mx, sm = _split(_attention_rows, _attention_out, (kh, qh, vh), mask_diagonal, size=size,
-                       most=most)
+    o, mx, sm = _split(_attention_rows, _attention_out, (kh, qh, vh), mask_diagonal, scale,
+                       size=size, most=most)
     out = _make(_merge_heads(o), (q, k, v), "attention")
     weights = None
     if return_weights:
-        weights = np.swapaxes(_probs_t(kh, qh, mask_diagonal, mx, sm)[0], -1, -2)
+        weights = np.swapaxes(_probs_t(kh, qh * scale, mask_diagonal, mx, sm)[0], -1, -2)
     if _tracked(out):
         def _bw():
             dv, dq, dk = (None if g is None else _merge_heads(g) for g in _split(
                 _attention_grad_rows, _attention_grad_out,
-                (_heads(out.grad, n_heads), o, mx, sm, qh, kh, vh), mask_diagonal,
+                (_heads(out.grad, n_heads), o, mx, sm, qh, kh, vh), mask_diagonal, scale,
                 tuple(t.requires_grad for t in (v, q, k)), size=size, most=most))
             if dq is not None:  # scaled once summed down to the query's shape
                 dq = _unbroadcast(dq, q.data.shape)
@@ -934,13 +1015,18 @@ def logsumexp(a, axis=-1):
     return out
 
 
+def _avg(d, dtype):
+    """The (d, 1) vector of 1/d that `_row_mean` multiplies by."""
+    return np.full((d, 1), 1.0 / d, dtype=dtype)
+
+
 def _row_mean(x, avg):
     """Mean over the last axis, kept as a length-1 axis: one GEMV with the
     (d, 1) vector `avg` of 1/d (faster than .mean(axis=-1) on short rows)."""
     return np.matmul(x.reshape(-1, x.shape[-1]), avg).reshape(*x.shape[:-1], 1)
 
 
-def _norm_rows(x, r, gamma, beta, avg, eps, xhat=None, inv=None, val=None):
+def _norm_rows(x, r, gamma, beta, avg, xhat=None, inv=None, val=None):
     """Layer norm of x (+ r) over the last axis: the normalised rows x̂ that
     the backward reads, each row's reciprocal std and the output x̂ γ + β."""
     if r is not None:
@@ -953,7 +1039,7 @@ def _norm_rows(x, r, gamma, beta, avg, eps, xhat=None, inv=None, val=None):
     sq = np.multiply(xhat, xhat)
     rinv = _row_mean(sq, avg)
     del sq
-    rinv += eps
+    rinv += _LN_EPS
     np.sqrt(rinv, out=rinv)
     np.reciprocal(rinv, out=rinv)
     if inv is None:
@@ -966,11 +1052,16 @@ def _norm_rows(x, r, gamma, beta, avg, eps, xhat=None, inv=None, val=None):
     return xhat, inv, val
 
 
-def _norm_out(x, r, gamma, beta, avg, eps):
+def _norm_stats_out(xhat, gamma, beta, avg):
+    """x̂ with the row reciprocal stds and the output to go with it."""
+    inv = np.empty((*xhat.shape[:-1], 1), dtype=np.result_type(xhat, avg))
+    return xhat, inv, np.empty(xhat.shape, dtype=np.result_type(xhat, inv, gamma, beta))
+
+
+def _norm_out(x, r, gamma, beta, avg):
     shape = x.shape if r is None else np.broadcast_shapes(x.shape, r.shape)
     xhat = np.empty(shape, dtype=x.dtype if r is None else np.result_type(x, r))
-    inv = np.empty((*shape[:-1], 1), dtype=np.result_type(xhat, avg))
-    return xhat, inv, np.empty(shape, dtype=np.result_type(xhat, inv, gamma, beta))
+    return _norm_stats_out(xhat, gamma, beta, avg)
 
 
 def _norm_grad_rows(g, xhat, inv, gamma, avg, dx=None):
@@ -995,37 +1086,44 @@ def _gamma_grad(g, xhat, shape):
     return _unbroadcast(np.multiply(g, xhat), shape)
 
 
-def layer_norm(a, gamma, beta, eps=1e-5, residual=None):
+def _norm_grad(g, xhat, inv, gamma, beta, avg, inputs):
+    """The gradient of the normalised sum from the output gradient g, or
+    None when none of `inputs` (Tensors or None) wants it; gamma's and
+    beta's gradients are claimed beside its tiles."""
+    jobs = _jobs(_grad_job(gamma, _gamma_grad, g, xhat, gamma.data.shape),
+                 _grad_job(beta, _unbroadcast, g, beta.data.shape))
+    wanted = any(t is not None and t.requires_grad for t in inputs)
+    return _split(_norm_grad_rows if wanted else None, _norm_grad_out, (g, xhat, inv), gamma.data,
+                  avg, beside=jobs)
+
+
+def layer_norm(a, gamma, beta, residual=None):
     """Normalize `a` (plus `residual`, when given) over the last axis, then
     scale and shift.
 
     The sum `residual + a` is formed in the node's working buffer and both
     addends get its gradient (summed down to a batchless addend's shape).  A
-    constant vector normalizes to zeros (the eps floor keeps the reciprocal
-    finite), so the output is just `beta`.  Each direction is one kernel
+    constant vector normalizes to zeros (the `_LN_EPS` floor keeps the
+    reciprocal finite), so the output is just `beta`.  Each direction is one kernel
     over `_split`'s tiles of batch entries, with the row means inside as
     GEMVs over the tile's rows; the backward computes gamma's and beta's
-    gradients beside the input gradient's tiles.
+    gradients beside the input gradient's tiles.  The model runs the same
+    kernels inside the Add & Norm forms of :func:`linear` and :func:`ffn`;
+    this node is what they are tested against.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     inputs = (a,) if residual is None else (_wrap(residual), a)
-    d = a.shape[-1]
-    avg = np.full((d, 1), 1.0 / d, dtype=a.dtype)
+    avg = _avg(a.shape[-1], a.dtype)
     if residual is None:
         addends = (a.data, None)
     else:  # the addend with the batch axis first (addition commutes bit for bit)
         r = inputs[0].data
         addends = (r, a.data) if r.ndim >= a.ndim else (a.data, r)
-    xhat, inv, val = _split(_norm_rows, _norm_out, addends, gamma.data, beta.data, avg, eps)
+    xhat, inv, val = _split(_norm_rows, _norm_out, addends, gamma.data, beta.data, avg)
     out = _make(val, (*inputs, gamma, beta), "layer_norm")
     if _tracked(out):
         def _bw():
-            g = out.grad
-            jobs = _jobs(_grad_job(gamma, _gamma_grad, g, xhat, gamma.data.shape),
-                         _grad_job(beta, _unbroadcast, g, beta.data.shape))
-            wanted = any(t.requires_grad for t in inputs)
-            dx = _split(_norm_grad_rows if wanted else None, _norm_grad_out, (g, xhat, inv),
-                        gamma.data, avg, beside=jobs)
+            dx = _norm_grad(out.grad, xhat, inv, gamma, beta, avg, inputs)
             if dx is not None:
                 _share(dx, inputs)
         out._backward = _bw

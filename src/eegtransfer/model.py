@@ -29,7 +29,6 @@ from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .config import ModelConfig
 
-LN_EPS = 1e-5
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 POS_TABLE_STD = 0.1
@@ -203,34 +202,33 @@ def masked_attention(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: boo
     split and 1/sqrt(d_head) scale included).  With the mask on, diagonal
     logits are driven to -inf before the softmax, so the post-softmax
     self-weight is exactly zero and each row is a convex combination of the
-    *other* channels' values.  Returns the output projection and, when
-    `return_weights` asks for it, the (B, heads, query, key) attention
-    weights array (else None): the op does not keep the weights, so building
-    them costs a second pass over the logits.
+    *other* channels' values.  Returns the heads' merged (B, n, d_model)
+    output, before the output projection, and, when `return_weights` asks
+    for it, the (B, heads, query, key) attention weights array (else None):
+    the op does not keep the weights, so building them costs a second pass
+    over the logits.
     """
-    params = dta.params
     if mask_diagonal and q.shape[-2] < 2:
         raise ModelError("diagonal masking needs at least 2 channels")
-    mixed, attn = ad.attention(_affine(q, params, f"enc{layer}.q"), k, v, dta.config.n_heads,
-                               mask_diagonal=mask_diagonal, return_weights=return_weights)
-    return _affine(mixed, params, f"enc{layer}.out"), attn
+    return ad.attention(_affine(q, dta.params, f"enc{layer}.q"), k, v, dta.config.n_heads,
+                        mask_diagonal=mask_diagonal, return_weights=return_weights)
 
 
 def encoder_layer(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: bool, rng,
                   return_weights=False):
-    """One block of six tape nodes: query linear, attention, output linear,
-    residual + norm, feed-forward, residual + norm.  Feed-forward dropout
-    fires when an `rng` is given; the attention weights come back as
-    :func:`masked_attention` returns them."""
-    params = dta.params
-    h, attn = masked_attention(q, k, v, dta, layer, mask_diagonal, return_weights)
-    x = ad.layer_norm(h, params[f"enc{layer}.ln1.g"], params[f"enc{layer}.ln1.b"], LN_EPS,
-                      residual=q)
-    ffn = ad.ffn(x, params[f"enc{layer}.ffn.f1.w"], params[f"enc{layer}.ffn.f1.b"],
-                 params[f"enc{layer}.ffn.f2.w"], params[f"enc{layer}.ffn.f2.b"],
-                 dta.config.dropout, rng)
-    out = ad.layer_norm(ffn, params[f"enc{layer}.ln2.g"], params[f"enc{layer}.ln2.b"], LN_EPS,
-                        residual=x)
+    """One post-norm block of four tape nodes: query linear, attention, then
+    each sublayer's last node ends in its own residual Add & Norm, the
+    output linear as LN1(q + attention W + b) and the feed-forward as
+    LN2(x + ffn(x)).  Feed-forward dropout fires when an `rng` is given;
+    the attention weights come back as :func:`masked_attention` returns
+    them."""
+    p, name = dta.params, f"enc{layer}"
+    mixed, attn = masked_attention(q, k, v, dta, layer, mask_diagonal, return_weights)
+    x = ad.linear(mixed, p[f"{name}.out.w"], p[f"{name}.out.b"],
+                  add_norm=(q, p[f"{name}.ln1.g"], p[f"{name}.ln1.b"]))
+    out = ad.ffn(x, p[f"{name}.ffn.f1.w"], p[f"{name}.ffn.f1.b"], p[f"{name}.ffn.f2.w"],
+                 p[f"{name}.ffn.f2.b"], dta.config.dropout, rng,
+                 add_norm=(p[f"{name}.ln2.g"], p[f"{name}.ln2.b"]))
     return out, attn
 
 

@@ -458,6 +458,63 @@ def test_layer_norm_residual_float32_bitwise_equal_to_sum(r_shape):
                    lambda a, r, g, b: ad.layer_norm(r + a, g, b), arrays, rng)
 
 
+def linear_add_norm(x, w, b, r, g, beta):
+    return ad.linear(x, w, b, add_norm=(r, g, beta))
+
+
+def reference_linear_add_norm(x, w, b, r, g, beta):
+    """The two nodes the Add & Norm form replaces: linear, then the residual
+    layer norm."""
+    return ad.layer_norm(ad.linear(x, w, b), g, beta, residual=r)
+
+
+def ffn_add_norm(x, w1, b1, w2, b2, g, beta, rate, rng):
+    return ad.ffn(x, w1, b1, w2, b2, rate, rng, add_norm=(g, beta))
+
+
+def reference_ffn_add_norm(x, w1, b1, w2, b2, g, beta, rate, rng):
+    return ad.layer_norm(ad.ffn(x, w1, b1, w2, b2, rate, rng), g, beta, residual=x)
+
+
+@pytest.mark.parametrize("r_shape", [(6, 62, 24), (62, 24)], ids=["batched", "batchless"])
+def test_linear_add_norm_float32_bitwise_equal_to_layer_norm(r_shape):
+    rng = np.random.default_rng(34)
+    arrays = [rng.normal(size=(6, 62, 32)).astype(np.float32),
+              rng.normal(size=(32, 24)).astype(np.float32),
+              rng.normal(size=24).astype(np.float32),
+              rng.normal(size=r_shape).astype(np.float32),
+              rng.uniform(0.5, 1.5, size=24).astype(np.float32),
+              rng.normal(size=24).astype(np.float32)]
+    assert_bitwise(linear_add_norm, reference_linear_add_norm, arrays, rng)
+    out = linear_add_norm(*(ad.Tensor(a, requires_grad=True) for a in arrays))
+    assert out._op == "linear" and len(out._parents) == 6
+
+
+@pytest.mark.parametrize("rate,seeded", [(0.0, False), (0.25, True)], ids=["no_rng", "dropout"])
+def test_ffn_add_norm_float32_bitwise_equal_to_layer_norm(rate, seeded):
+    rng = np.random.default_rng(36)
+    arrays = [rng.normal(size=(6, 62, 32)).astype(np.float32),
+              rng.normal(size=(32, 64)).astype(np.float32),
+              rng.normal(size=64).astype(np.float32),
+              rng.normal(size=(64, 32)).astype(np.float32),
+              rng.normal(size=32).astype(np.float32),
+              rng.uniform(0.5, 1.5, size=32).astype(np.float32),
+              rng.normal(size=32).astype(np.float32)]
+    draws = {}
+
+    def with_rng(op):
+        def run(*ts):
+            r = np.random.default_rng(5) if seeded else None
+            out = op(*ts, rate, r)
+            draws[op] = None if r is None else r.random()  # rng state after the op
+            return out
+        return run
+    assert_bitwise(with_rng(ffn_add_norm), with_rng(reference_ffn_add_norm), arrays, rng)
+    assert draws[ffn_add_norm] == draws[reference_ffn_add_norm]
+    out = ffn_add_norm(*(ad.Tensor(a, requires_grad=True) for a in arrays), rate, None)
+    assert out._op == "ffn" and len(out._parents) == 7
+
+
 def _split_op_cases():
     """Each fused op that splits its rows, on a batch of 8 (2 tiles at 2
     workers): name -> (parameter shapes, objective of the ParameterSet)."""
@@ -470,12 +527,25 @@ def _split_op_cases():
 
     def layer_norm(ps):
         return ad.layer_norm(ps["a"], ps["g"], ps["b"], residual=ps["r"])
+
+    def linear_norm(ps):
+        return ad.linear(ps["x"], ps["w"], ps["bias"], add_norm=(ps["r"], ps["g"], ps["b"]))
+
+    def ffn_norm(ps):
+        return ad.ffn(ps["x"], ps["w1"], ps["b1"], ps["w2"], ps["b2"], 0.3,
+                      np.random.default_rng(3), add_norm=(ps["g"], ps["b"]))
     kv = {"k": (8, 5, 6), "v": (8, 5, 6)}
     ln = {"g": (6,), "b": (6,)}
     return {
         "linear": ({"x": (8, 3, 5), "w": (5, 2), "b": (2,)},
                    lambda ps: ad.linear(ps["x"], ps["w"], ps["b"])),
         "ffn": ({"x": (8, 3, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 5), "b2": (5,)}, ffn),
+        "linear_add_norm": ({"x": (8, 3, 5), "w": (5, 6), "bias": (6,), "r": (8, 3, 6), **ln},
+                            linear_norm),
+        "linear_add_norm_batchless_residual": (
+            {"x": (8, 3, 5), "w": (5, 6), "bias": (6,), "r": (3, 6), **ln}, linear_norm),
+        "ffn_add_norm": ({"x": (8, 3, 6), "w1": (6, 5), "b1": (5,), "w2": (5, 6), "b2": (6,),
+                          **ln}, ffn_norm),
         "attention": ({"q": (8, 5, 6), **kv}, attention(False)),
         "attention_masked": ({"q": (8, 5, 6), **kv}, attention(True)),
         "attention_batchless_q": ({"q": (5, 6), **kv}, attention(True)),

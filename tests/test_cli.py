@@ -267,13 +267,12 @@ class TestPipeline:
         assert manifest["counts"]["n_samples"] == 2 * 4
 
     def test_grad_check_passes_on_tiny_model(self, tmp_path, capsys):
-        cfg = {"seed": 3,
-               "model": {"n_layers": 1, "d_model": 8, "n_heads": 2,
-                         "ffn_hidden": 8, "n_channels": 5, "n_bands": 5,
-                         "proj_dims": [8, 8, 8], "clf_hidden": [4, 4],
-                         "n_classes": 2}}
-        cpath = tmp_path / "gc.json"
-        cpath.write_text(json.dumps(cfg), encoding="utf-8")
+        """The `tiny.json` README shows for `grad-check`, run as README runs it."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"This `tiny\.json`[^`]*```json\n(.*?)```", readme, re.S)
+        assert block is not None, "README shows no tiny.json"
+        cpath = tmp_path / "tiny.json"
+        cpath.write_text(block.group(1), encoding="utf-8")
         assert cli.main(["grad-check", "--config", str(cpath)]) == 0
         err = capsys.readouterr().err
         assert "max relative error" in err
@@ -301,7 +300,7 @@ class TestConfig:
 
     def test_readme_config_block_loads(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        blocks = re.findall(r"### Config file\s+```json\n(.*?)```", readme, re.S)
         assert len(blocks) == 1
         # the example spells out the defaults, so it must load to them
         assert run_config_from_dict(json.loads(blocks[0])) == RunConfig()

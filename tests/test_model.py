@@ -251,11 +251,10 @@ class TestEncode:
         q, kv = M.init_inputs(p_emb, zeroed.params["pos_table"], s_emb)
         k = ad.linear(kv, zeroed.params["kv.k.w"])
         v = M._affine(kv, zeroed.params, "kv.v")
-        h, _ = M.masked_attention(q, k, v, zeroed, 0, mask_diagonal=True)
-        x = ad.layer_norm(q + h, zeroed.params["enc0.ln1.g"],
-                          zeroed.params["enc0.ln1.b"], M.LN_EPS)
-        want = ad.layer_norm(x, zeroed.params["enc0.ln2.g"],
-                             zeroed.params["enc0.ln2.b"], M.LN_EPS).data
+        mixed, _ = M.masked_attention(q, k, v, zeroed, 0, mask_diagonal=True)
+        h = M._affine(mixed, zeroed.params, "enc0.out")
+        x = ad.layer_norm(q + h, zeroed.params["enc0.ln1.g"], zeroed.params["enc0.ln1.b"])
+        want = ad.layer_norm(x, zeroed.params["enc0.ln2.g"], zeroed.params["enc0.ln2.b"]).data
         got, _ = M.encoder_layer(q, k, v, zeroed, 0, True, None)
         assert np.allclose(got.data, want, atol=1e-12)
 
@@ -281,10 +280,10 @@ class TestEncode:
         with pytest.raises(M.ModelError):
             M.encode(rng.normal(size=(4, 7, 5)), pos, dta)
 
-    def test_layers_are_six_fused_nodes_each_after_key_value_linears(self, tiny):
-        """A masked pretrain step's graph holds, between the kv.k/kv.v
-        linears and the encoder output, only each layer's query linear,
-        attention, output linear, two layer norms and feed-forward."""
+    @staticmethod
+    def _encoder_nodes(tiny):
+        """The tape nodes of a masked pretrain step between the kv.k/kv.v
+        linears and the encoder output, with that output."""
         dta, pos = tiny
         dta = dta.copy()  # train-mode projection writes batch-norm state
         rng = np.random.default_rng(16)
@@ -299,11 +298,41 @@ class TestEncode:
         upstream = {}
         for t in kv_linears:
             upstream.update(graph(t))
-        between = [t._op for i, t in graph(enc.q_final).items()
-                   if i not in upstream and t._parents]  # parameters are leaves
+        return [t for i, t in graph(enc.q_final).items()
+                if i not in upstream and t._parents], enc.q_final  # parameters are leaves
+
+    def test_layers_are_four_fused_nodes_each_after_key_value_linears(self, tiny):
+        """Between the kv.k/kv.v linears and the encoder output, a masked
+        pretrain step's graph holds only each layer's query linear,
+        attention, output linear + Add & Norm and feed-forward + Add & Norm."""
+        nodes, _ = self._encoder_nodes(tiny)
         layers = TINY.n_layers
-        assert sorted(between) == sorted(["linear"] * 2 * layers + ["attention"] * layers
-                                         + ["layer_norm"] * 2 * layers + ["ffn"] * layers)
+        assert sorted(t._op for t in nodes) == sorted(
+            ["linear"] * 2 * layers + ["attention"] * layers + ["ffn"] * layers)
+
+    def test_encoder_keeps_only_what_its_backward_reads(self, tiny):
+        """Every encoder node's output, but the encoder's last, lives in a
+        buffer that some node's backward reads: no array between two fused
+        nodes is kept only as a node output (a pre-norm sum, a scaled copy of
+        the query)."""
+        def base(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return id(a)
+
+        nodes, q_final = self._encoder_nodes(tiny)
+        read = set()
+        for t in nodes:
+            for cell in t._backward.__closure__ or ():
+                try:
+                    value = cell.cell_contents
+                except ValueError:  # a name the node's form never binds
+                    continue
+                for a in value if isinstance(value, tuple) else (value,):
+                    if isinstance(a, np.ndarray):
+                        read.add(base(a))
+        kept_unread = [t._op for t in nodes if t is not q_final and base(t.data) not in read]
+        assert kept_unread == []
 
     def test_pretrain_and_calibration_steps_record_these_tape_nodes(self, tiny):
         """The op multiset of a masked pretrain step and of a calibration
@@ -313,7 +342,7 @@ class TestEncode:
         dta, pos = tiny
         dta = dta.copy()  # train-mode projection writes batch-norm state
         rng = np.random.default_rng(16)
-        layer = ["linear", "attention", "linear", "layer_norm", "ffn", "layer_norm"]
+        layer = ["linear", "attention", "linear", "ffn"]
         encoder = ["ffn", "ffn", "add", "add", "linear", "linear", *layer * TINY.n_layers]
         batch_norm = ["sum", "mul", "add", "mul", "sum", "mul", "add", "power", "mul", "mul",
                       "add"]
@@ -327,7 +356,7 @@ class TestEncode:
         labels = np.array([0, 1])
         loss = ls.contrastive_loss(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels)
         assert tape_ops(loss) == sorted(encoder + projector + contrastive)
-        assert len(tape_ops(loss)) == 54 + 6 * TINY.n_layers  # 78 at the reference 4 layers
+        assert len(tape_ops(loss)) == 54 + 4 * TINY.n_layers  # 70 at the reference 4 layers
 
         p_emb = M.embed_positions(pos, dta)
         s_emb = M.embed_source(rand_de(rng, batch=4), dta)
@@ -340,7 +369,7 @@ class TestEncode:
         logits = M.classify(enc.q_final, dta)
         loss = ls.cross_entropy(logits, np.array([0, 1, 2, 0]))
         assert tape_ops(loss) == sorted(encoder + classifier + cross_entropy)
-        assert len(tape_ops(loss)) == 16 + 6 * TINY.n_layers  # 40 at the reference 4 layers
+        assert len(tape_ops(loss)) == 16 + 4 * TINY.n_layers  # 32 at the reference 4 layers
         chain, t = [], logits
         while t is not enc.q_final:
             chain.append(t._op)
@@ -509,6 +538,31 @@ def test_pretrain_step_bitwise_equal_at_1_2_3_workers_on_19_channels(set_workers
         set_workers(workers)
         runs.append(_masked_step(x, labels, pos))
         assert (ad._pool is not None) == (workers > 1)  # the split path ran
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_embed_source_uses_the_pool_at_production_size():
+    """At B = 512 the source embedding's 5-wide input is under the pool's
+    floor, but its 32-wide hidden layer is not: the ffn node is sized by its
+    widest rows, so the pool runs (at the production slice floor), and the
+    output and parameter gradients keep the 1-worker bytes."""
+    dta = M.init_parameters(ModelConfig(), seed=3, dtype=np.float32)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(512, 62, 5)).astype(np.float32)
+    seed = rng.normal(size=(512, 62, 32)).astype(np.float32)
+    before, runs = ad._workers, []
+    try:
+        for workers in (1, 2, 3):
+            ad._set_workers(workers)
+            dta.params.zero_grad()
+            out = M.embed_source(x, dta)
+            assert (ad._pool is not None) == (workers > 1)  # the forward's tiles were cut
+            out.backward(seed)
+            runs.append([out.data.tobytes()] + [dta.params[f"src_embed.{n}"].grad.tobytes()
+                                                for n in ("f1.w", "f1.b", "f2.w", "f2.b")])
+    finally:
+        ad._set_workers(before)
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
 
