@@ -4,23 +4,25 @@ A small define-by-run tape: every operation returns a :class:`Tensor` that
 remembers its parents and how to push gradients back to them.  The op set is
 exactly what the model and losses call (elementwise add/mul/power, ELU,
 softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum/mean,
-logsumexp and three fused ops: ``linear`` (x @ w + b), ``ffn`` (linear, ELU,
-dropout, linear: the encoder's feed-forward, both embeddings and the
-classifier's last two layers) and multi-head ``attention`` (head split,
-query scale and head merge inside) with an optional diagonal mask), plus
-``layer_norm`` with an optional residual and the last-axis softmax, which
-the fused forms are tested against, and a finite-difference
-:func:`grad_check` used throughout the test suite.  ``linear`` and ``ffn``
-can end in a post-norm sublayer's residual Add & Norm, LN(r + x w + b) and
-LN(x + ffn(x)), inside the same node, so an encoder layer is four nodes:
-query linear, attention, output linear + Add & Norm, feed-forward + Add &
-Norm.  A Tensor has ``+`` and ``*`` but no ``-``: a difference is the add of
-a negated constant.  A fused op is one tape node that keeps only what its
-hand-written backward reads, and no array between two of an encoder layer's
-nodes lives only as a node output; ``attention`` keeps no n x n array at
-all, only each query's softmax max and sum, and its backward rebuilds the
-probabilities from them, bit for bit, a cache-sized tile of batch entries
-at a time.
+logsumexp and four fused ops: ``linear`` (x @ w + b), ``ffn`` (linear, ELU,
+dropout, linear: both embeddings and the classifier's last two layers),
+multi-head ``attention`` (query projection, head split, query scale and
+head merge inside) with an optional diagonal mask, and ``post_attention``
+(the rest of a post-norm encoder layer: output projection, residual Add &
+Norm, feed-forward, Add & Norm), plus ``layer_norm`` with an optional
+residual and the last-axis softmax, which the fused forms are tested
+against, and a finite-difference :func:`grad_check` used throughout the
+test suite.  An encoder layer is two nodes, ``attention`` and
+``post_attention``.  A Tensor has ``+`` and ``*`` but no ``-``: a
+difference is the add of a negated constant.  A fused op is one tape node
+that keeps only what its hand-written backward cannot rebuild with the
+same float ops: ``attention`` keeps neither its projected query, which its
+backward recomputes with the forward's GEMM, nor any n x n array, only each
+query's softmax max and sum, from which its backward rebuilds the
+probabilities, bit for bit, a cache-sized tile of batch entries at a time;
+``post_attention`` keeps no LN1 output (its backward rebuilds it from x̂ γ
++ β) and its dropout mask as bits (selective recomputation, Korthikanti et
+al. 2022).
 
 Gradients are exact, not approximated; the engine runs in float64 for checks
 and float32 for training.  A backward sweep consumes its graph (memory is
@@ -29,9 +31,10 @@ entirely for inference loops.
 
 A graph is built and swept from one thread.  Inside the fused ops, the
 per-sample work (per batch entry and head in ``attention``, the layer norm's
-forward and input-gradient kernels, ``ffn`` and ``linear``'s forward and
-input-gradient GEMMs) is cut into tiles of the batch axis, a few per CPU the
-process may use, when the batch is large enough to pay for the hand-off: the
+forward and input-gradient kernels, the forward and input-gradient GEMMs of
+``linear``, ``ffn`` and ``post_attention``) is cut into tiles of the batch
+axis, a few per CPU the process may use and as many for each, when the batch
+is large enough to pay for the hand-off: the
 calling thread and the threads of one pool claim tiles from one counter
 (numpy releases the GIL in its ufuncs and in matmul), so a pool thread the
 host has descheduled holds back at most one tile.  The op's parameter
@@ -158,7 +161,7 @@ def _run_jobs(job, n_jobs, threads):
         for i in range(n_jobs):
             job(i)
         return
-    counter, lock = itertools.count(), threading.Lock()
+    counter, lock, held = itertools.count(), threading.Lock(), [job]
 
     def drain():
         while True:
@@ -166,7 +169,7 @@ def _run_jobs(job, n_jobs, threads):
                 i = next(counter)
             if i >= n_jobs:
                 return
-            job(i)
+            held[0](i)
 
     pool = _executor()
     futures = [pool.submit(drain) for _ in range(threads - 1)]
@@ -177,6 +180,9 @@ def _run_jobs(job, n_jobs, threads):
         # dequeues it, so it gets only the futures that could not be cancelled
         started = [f for f in futures if not f.cancel()]
         wait(started)
+        # a pool thread drops its done or cancelled work item only some time
+        # later; the item must not keep `job`, and the arrays it reads, alive
+        held.clear()
     for f in started:
         f.result()
 
@@ -205,8 +211,10 @@ def _split(kernel, alloc, batched, *shared, size=None, most=None, beside=()):
     counts its work in larger arrays (`attention`, in its n x n
     probabilities).  Where it pays, the batch is cut into up to
     `_TILES_PER_WORKER` tiles per worker of `_MIN_SLICE_SIZE` elements at
-    least, or into more where `most` asks for them; it is one tile when some
-    `batched` array has more dims than batched[0].
+    least, a multiple of the worker count when there are more tiles than
+    workers (so each worker claims an even share), or into more where `most`
+    asks for them; it is one tile when some `batched` array has more dims
+    than batched[0].
 
     When the pool does not pay and the batch fits one tile, `beside` runs
     first and then kernel(*batched, *shared), which allocates its own
@@ -244,7 +252,9 @@ def _split(kernel, alloc, batched, *shared, size=None, most=None, beside=()):
     tiles = 0 if kernel is None else 1
     if tiles and nd >= 3 and not any(a is not None and a.ndim > nd for a in batched):
         if pool:
-            tiles = max(1, min(quads, _TILES_PER_WORKER * _workers, size // _MIN_SLICE_SIZE))
+            tiles = min(quads, _TILES_PER_WORKER * _workers, size // _MIN_SLICE_SIZE)
+            if tiles > _workers:  # every worker claims as many tiles
+                tiles -= tiles % _workers
         if most is not None:
             tiles = max(tiles, -(-n // most))
     cuts = [4 * (quads * i // tiles) for i in range(tiles)] + [n]
@@ -267,14 +277,6 @@ def _rows(arrays, lo, hi, n, nd):
     dims, `n` entries); the others as they are."""
     return [a[lo:hi] if a is not None and a.ndim == nd and len(a) == n else a
             for a in arrays]
-
-
-def _elementwise_out(*args):
-    """The output of an elementwise kernel: its array arguments' broadcast
-    shape and result dtype."""
-    arrays = [a for a in args if isinstance(a, np.ndarray)]
-    return (np.empty(np.broadcast_shapes(*(a.shape for a in arrays)),
-                     dtype=np.result_type(*arrays)),)
 
 
 class AutodiffError(Exception):
@@ -645,11 +647,13 @@ def _param_grads(g2, x2, w, b):
     return _jobs(_grad_job(w, np.matmul, x2.T, g2), _grad_job(b, np.sum, g2, 0))
 
 
-def _input_grad(x, g, w, beside):
-    """g @ wᵀ, the gradient of x @ w, if `x` wants one (else None), with the
-    `beside` jobs run beside its tiles."""
-    return _split(_affine_rows if x.requires_grad else None, _affine_out, (g,), w.T, None,
-                  beside=beside)
+def _input_grad(g, w, beside, x_size, wanted=True):
+    """g @ wᵀ, the input gradient of x @ w, if `wanted` (else None), with the
+    `beside` jobs run beside its tiles.  The pool pays by the larger of x's
+    `x_size` elements and g's: a wide input's weight GEMM (x2ᵀ g2, a beside
+    job) is as much work as the input gradient's."""
+    return _split(_affine_rows if wanted else None, _affine_out, (g,), w.T, None,
+                  size=max(x_size, g.size), beside=beside)
 
 
 def _linear_norm_rows(x, r, w, b, gamma, beta, avg, xhat=None, inv=None, val=None):
@@ -659,51 +663,26 @@ def _linear_norm_rows(x, r, w, b, gamma, beta, avg, xhat=None, inv=None, val=Non
     return _norm_rows(xhat, r, gamma, beta, avg, xhat, inv, val)
 
 
-def _linear_norm_out(x, r, w, b, gamma, beta, avg):
-    return _norm_stats_out(_affine_out(x, w, b)[0], gamma, beta, avg)
-
-
-def linear(x, w, b=None, add_norm=None):
-    """x @ w (+ b) over the last axis as one node; with `add_norm` =
-    (residual, gamma, beta), the residual sublayer end LN(residual + x @ w
-    + b) as one node.
+def linear(x, w, b=None):
+    """x @ w (+ b) over the last axis as one node.
 
     `w` is (d_in, d_out) and `b` (d_out,); the leading axes of `x` collapse
-    into one GEMM.  With `add_norm`, each tile writes its GEMM into the
-    norm's x̂ buffer, adds the residual there (a batchless residual goes
-    whole to every tile) and normalises in place, so the pre-norm sum is
-    never a tensor of its own; the residual must broadcast to the output's
-    shape.  The backward computes the weight and bias gradients (and
-    gamma's and beta's) beside the input gradient's tiles.
+    into one GEMM.  The backward computes the weight and bias gradients
+    beside the input gradient's tiles.
     """
     x, w = _wrap(x), _wrap(w)
     b = None if b is None else _wrap(b)
-    parents = (x, w) if b is None else (x, w, b)
-    bias = None if b is None else b.data
-    if add_norm is None:
-        y = _split(_affine_rows, _affine_out, (x.data,), w.data, bias)
-        out = _make(y, parents, "linear")
-    else:
-        r, gamma, beta = (_wrap(t) for t in add_norm)
-        avg = _avg(w.shape[-1], np.result_type(x.data, w.data))
-        xhat, inv, y = _split(_linear_norm_rows, _linear_norm_out, (x.data, r.data), w.data,
-                              bias, gamma.data, beta.data, avg)
-        out = _make(y, (*parents, r, gamma, beta), "linear")
+    y = _split(_affine_rows, _affine_out, (x.data,), w.data, None if b is None else b.data)
+    out = _make(y, (x, w) if b is None else (x, w, b), "linear")
     if _tracked(out):
         x2 = x.data.reshape(-1, x.shape[-1])
 
         def _bw():
             g = out.grad
-            if add_norm is not None:
-                # the output's gradient is dead once the sum's is formed
-                g, out.grad = _norm_grad(g, xhat, inv, gamma, beta, avg, (x, w, b, r)), None
-                if g is None:
-                    return
-            gx = _input_grad(x, g, w.data, _param_grads(g.reshape(x2.shape[0], -1), x2, w, b))
+            gx = _input_grad(g, w.data, _param_grads(g.reshape(x2.shape[0], -1), x2, w, b),
+                             x.data.size, x.requires_grad)
             if gx is not None:
                 x._accumulate(gx, own=True)
-            if add_norm is not None and r.requires_grad:
-                r._accumulate(_unbroadcast(g, r.shape), own=True)
         out._backward = _bw
     return out
 
@@ -734,78 +713,81 @@ def _ffn_norm_out(x, keep, w1, b1, w2, b2, rate, gamma, beta, avg):
     return (e, *_norm_stats_out(y, gamma, beta, avg))
 
 
-def _dropout_rows(e, keep, rate, h=None):
-    return np.multiply(e, _keep_scale(keep, rate, e.dtype), out=h)
+def _ffn_keep(x, w1, rate, rng):
+    """The boolean keep mask of dropout on the hidden units of x @ w1, or
+    None when the dropout does not fire (no `rng`, or `rate` 0)."""
+    if rng is None or rate == 0.0:
+        return None
+    return _keep_mask((*x.shape[:-1], w1.shape[-1]), np.result_type(x.data, w1.data), rate, rng)
 
 
-def _ffn_hidden_grad_rows(g, e, keep, w2, rate, gh=None):
-    """The hidden layer's gradient: (g @ w2ᵀ) * dropout scale * ELU slope."""
+def _pack(keep):
+    """A keep mask as bits, each row's hidden units 8 to a byte (None stays
+    None), so that a tile of rows unpacks on its own."""
+    return None if keep is None else np.packbits(keep, axis=-1)
+
+
+def _kept(bits, width, rate, dtype):
+    """keep / (1 - rate) from the packed bits of a `width`-wide keep mask."""
+    return _keep_scale(np.unpackbits(bits, axis=-1, count=width), rate, dtype)
+
+
+def _ffn_hidden_grad_rows(g, e, bits, w2, rate, gh=None):
+    """The hidden layer's gradient (g @ w2ᵀ) * dropout scale * ELU slope;
+    then e, read for the slope, is scaled in place into the dropout output
+    that w2's weight GEMM reads (so no second hidden-width array is made)."""
     gh = _affine_rows(g, w2.T, None, gh)
-    if keep is not None:
-        gh *= _keep_scale(keep, rate, e.dtype)
-    gh *= _elu_slope(e)
+    slope = _elu_slope(e)
+    if bits is not None:
+        scale = _kept(bits, e.shape[-1], rate, e.dtype)
+        gh *= scale
+        e *= scale
+    gh *= slope
     return gh
 
 
-def _ffn_hidden_grad_out(g, e, keep, w2, rate):
+def _ffn_hidden_grad_out(g, e, bits, w2, rate):
     return _affine_out(g, w2.T, None)
 
 
-def ffn(x, w1, b1, w2, b2, rate, rng, add_norm=None):
-    """linear(dropout(elu(linear(x, w1, b1)), rate, rng), w2, b2) as one node;
-    with `add_norm` = (gamma, beta), the residual sublayer end
-    LN(x + ffn(x)) as one node.
+def _ffn_hidden_grad(g, e, bits, w2, rate):
+    """The hidden layer's gradient from the output gradient g, in tiles
+    sized by the hidden width; e holds the dropout output afterwards."""
+    return _split(_ffn_hidden_grad_rows, _ffn_hidden_grad_out, (g, e, bits), w2.data, rate,
+                  size=e.size)
 
-    The backward keeps only the ELU output e and a boolean keep mask: the
-    ELU derivative is min(e, 0) + 1 and the dropout output is rebuilt from
-    the two.  With `add_norm`, each tile writes the second GEMM into the
-    norm's x̂ buffer, adds x there and normalises in place, so the
-    feed-forward output is never a tensor of its own.  Dropout draws exactly
-    as :func:`dropout` does and fires only when an `rng` is given and
-    `rate` > 0.  The forward's tiles are sized by the widest of the input,
-    hidden and output rows, so a narrow input (the 5 bands of the source
-    embedding) still pays for the pool.  The backward computes the second
-    layer's weight and bias gradients beside the hidden layer's gradient
-    tiles, and the first layer's beside the input gradient's.
+
+def ffn(x, w1, b1, w2, b2, rate, rng):
+    """linear(dropout(elu(linear(x, w1, b1)), rate, rng), w2, b2) as one node.
+
+    The backward keeps only the ELU output e and the keep mask packed into
+    bits: the ELU derivative is min(e, 0) + 1, and once the hidden gradient
+    is formed, e is scaled in place into the dropout output for w2's weight
+    GEMM.  Dropout draws exactly as :func:`dropout` does and fires only when
+    an `rng` is given and `rate` > 0.  The forward's tiles are sized by the
+    widest of the input, hidden and output rows, so a narrow input (the 5
+    bands of the source embedding) still pays for the pool.  The backward
+    computes all four parameter gradients beside the input gradient's tiles.
     """
     x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
-    keep = None
-    if rng is not None and rate != 0.0:
-        keep = _keep_mask((*x.shape[:-1], w1.shape[-1]), np.result_type(x.data, w1.data),
-                          rate, rng)
-    params = (x, w1, b1, w2, b2)
+    keep = _ffn_keep(x, w1, rate, rng)
     size = x.data.size // x.shape[-1] * max(x.shape[-1], *w2.shape)
-    args = (x.data, keep), w1.data, b1.data, w2.data, b2.data, rate
-    if add_norm is None:
-        e, y = _split(_ffn_rows, _ffn_out, *args, size=size)
-        out = _make(y, params, "ffn")
-    else:
-        gamma, beta = (_wrap(t) for t in add_norm)
-        avg = _avg(w2.shape[-1], np.result_type(x.data, w1.data, w2.data))
-        e, xhat, inv, y = _split(_ffn_norm_rows, _ffn_norm_out, *args, gamma.data, beta.data,
-                                 avg, size=size)
-        out = _make(y, (*params, gamma, beta), "ffn")
+    e, y = _split(_ffn_rows, _ffn_out, (x.data, keep), w1.data, b1.data, w2.data, b2.data, rate,
+                  size=size)
+    bits = _pack(keep)
+    del keep
+    out = _make(y, (x, w1, b1, w2, b2), "ffn")
     if _tracked(out):
         x2 = x.data.reshape(-1, x.shape[-1])
 
         def _bw():
-            g = out.grad
-            if add_norm is not None:
-                # the output's gradient is dead once the sum's is formed
-                g, out.grad = _norm_grad(g, xhat, inv, gamma, beta, avg, params), None
-                if g is None:
-                    return
-            rows = x2.shape[0]
-            h = e if keep is None else _split(_dropout_rows, _elementwise_out, (e, keep), rate)
-            # the w2 reduction reads h, so h lives until the hidden gradient's call returns
-            gh = _split(_ffn_hidden_grad_rows, _ffn_hidden_grad_out, (g, e, keep), w2.data, rate,
-                        beside=_param_grads(g.reshape(rows, -1), h.reshape(rows, -1), w2, b2))
-            del h
-            gx = _input_grad(x, gh, w1.data, _param_grads(gh.reshape(rows, -1), x2, w1, b1))
+            g, rows = out.grad, x2.shape[0]
+            gh = _ffn_hidden_grad(g, e, bits, w2, rate)  # e now holds the dropout output
+            jobs = (*_param_grads(g.reshape(rows, -1), e.reshape(rows, -1), w2, b2),
+                    *_param_grads(gh.reshape(rows, -1), x2, w1, b1))
+            gx = _input_grad(gh, w1.data, jobs, x.data.size, x.requires_grad)
             if gx is not None:
                 x._accumulate(gx, own=True)
-            if add_norm is not None and x.requires_grad:
-                x._accumulate(g, own=True)
         out._backward = _bw
     return out
 
@@ -892,37 +874,50 @@ def _heads(x, n_heads):
 
 
 def _merge_heads(x):
-    """`_heads` undone: a view, or a copy for the one-tile forward's output."""
+    """`_heads` undone, as a view of an array in the merged layout."""
     x = np.swapaxes(x, -3, -2)
     return x.reshape(*x.shape[:-2], -1)
 
 
-def _attention_rows(k, q, v, mask_diagonal, scale, o=None, mx=None, sm=None):
+def _query_heads(x, wq, bq, n_heads):
+    """The (..., heads, n, d_head) query x wq + bq of x's (..., 1, n, d_in)
+    rows (a length-1 head axis, so that `_split` cuts x with the keys)."""
+    return _heads(_affine_rows(x, wq, bq)[..., 0, :, :], n_heads)
+
+
+def _attention_rows(k, x, v, wq, bq, n_heads, mask_diagonal, scale, o=None, mx=None, sm=None):
     """The output P v and each query's logit max and exp sum (the backward
     rebuilds Pᵀ from them), into `o`, `mx` and `sm` when they are given; the
-    query is scaled here, a tile at a time."""
+    query is projected and scaled here, a tile at a time.  A new `o` is laid
+    out as the merged heads, so merging them copies nothing."""
+    q = _query_heads(x, wq, bq, n_heads)
     pt, tmx, tsm = _probs_t(k, q * scale, mask_diagonal)
     if mx is not None:
         mx[...], sm[...] = tmx, tsm
+    if o is None:
+        *lead, h, _, n = pt.shape
+        o = np.swapaxes(np.empty((*lead, n, h, v.shape[-1]), dtype=np.result_type(pt, v)), -3, -2)
     return np.matmul(np.swapaxes(pt, -1, -2), v, out=o), tmx, tsm
 
 
-def _attention_out(k, q, v, mask_diagonal, scale):
-    lead = np.broadcast_shapes(k.shape[:-2], q.shape[:-2], v.shape[:-2])
-    dt = np.result_type(k, q)
-    stat = np.empty((*lead, 1, q.shape[-2]), dtype=dt)
-    o = np.empty((*lead[:-1], q.shape[-2], lead[-1], v.shape[-1]), dtype=np.result_type(dt, v))
+def _attention_out(k, x, v, wq, bq, n_heads, mask_diagonal, scale):
+    lead, n = np.broadcast_shapes(k.shape[:-2], x.shape[:-2], v.shape[:-2]), x.shape[-2]
+    dt = np.result_type(k, x, wq)
+    stat = np.empty((*lead, 1, n), dtype=dt)
+    o = np.empty((*lead[:-1], n, lead[-1], v.shape[-1]), dtype=np.result_type(dt, v))
     return np.swapaxes(o, -3, -2), stat, stat.copy()  # heads views merge for free
 
 
-def _attention_grad_rows(g, o, mx, sm, q, k, v, mask_diagonal, scale, wanted, dv=None,
-                         dq=None, dk=None):
-    """The gradients of v, q and k, each where `wanted` asks for it, on the
-    rebuilt Pᵀ; q's is that of the scaled query, which the caller scales."""
+def _attention_grad_rows(g, o, mx, sm, x, k, v, wq, bq, n_heads, mask_diagonal, scale, wanted,
+                         dv=None, dq=None, dk=None):
+    """The gradients of v, the projected query and k, each where `wanted`
+    asks for it, on the rebuilt query and Pᵀ; the query's is that of the
+    scaled query, which the caller scales."""
     if dv is None and dq is None and dk is None:
-        dv, dq, dk = _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, scale, wanted)
+        dv, dq, dk = _attention_grad_out(g, o, mx, sm, x, k, v, wq, bq, n_heads, mask_diagonal,
+                                         scale, wanted)
     want_v, want_q, want_k = wanted
-    q = q * scale
+    q = _query_heads(x, wq, bq, n_heads) * scale
     pt = _probs_t(k, q, mask_diagonal, mx, sm)[0]
     if want_v:
         np.matmul(pt, g, out=dv)
@@ -938,65 +933,82 @@ def _attention_grad_rows(g, o, mx, sm, q, k, v, mask_diagonal, scale, wanted, dv
     return dv, dq, dk
 
 
-def _attention_grad_out(g, o, mx, sm, q, k, v, mask_diagonal, scale, wanted):
+def _attention_grad_out(g, o, mx, sm, x, k, v, wq, bq, n_heads, mask_diagonal, scale, wanted):
     *lead, h = mx.shape[:-2]
     dt = np.result_type(g, mx, v)
-    return tuple(np.swapaxes(np.empty((*lead, t.shape[-2], h, t.shape[-1]),
-                                      dtype=np.result_type(dt, t)), -3, -2)
-                 if want else None for t, want in zip((v, q, k), wanted))
+    # rows, columns and dtype of the v, query and k gradients
+    forms = ((*v.shape[-2:], v.dtype), (mx.shape[-1], k.shape[-1], np.result_type(x, wq)),
+             (*k.shape[-2:], k.dtype))
+    return tuple(np.swapaxes(np.empty((*lead, rows, h, cols), dtype=np.result_type(dt, t)), -3, -2)
+                 if want else None for (rows, cols, t), want in zip(forms, wanted))
 
 
-def attention(q, k, v, n_heads, mask_diagonal=False, return_weights=False):
-    """Multi-head softmax(q kᵀ / sqrt(d_head)) v as one node; returns (out, weights).
+def attention(x, wq, bq, k, v, n_heads, mask_diagonal=False, return_weights=False):
+    """Multi-head softmax(q kᵀ / sqrt(d_head)) v with the query q = x wq + bq
+    as one node; returns (out, weights).
 
-    q, k, v and out are (..., n, n_heads * d_head), split into heads as
-    views.  `weights` is the (..., heads, query, key) probability array when
+    x is (..., n, d_in), wq (d_in, n_heads * d_head) and bq its bias; k, v
+    and out are (..., n, n_heads * d_head), split into heads as views.
+    `weights` is the (..., heads, query, key) probability array when
     `return_weights` asks for it, else None.  With the mask on, the query
     and key counts must be equal: -inf is written onto the diagonal of the
     logits before the max, as in :func:`softmax`, so self-weights come out
     exactly 0.  Leading axes broadcast (a batchless query is shared by all).
 
-    The probabilities are formed transposed, keys on axis -2, so the max and
-    sum over keys reduce over an outer axis, and a tile of batch entries at
-    a time (`_split`'s tiles of at most `_TILE_BYTES` of Pᵀ), so each
-    tile's n x n passes run in cache.  Each tile scales its own slice of
-    the query by 1/sqrt(d_head), in both directions, so the node keeps the
-    projected query as it came and no scaled copy of it.  The node keeps
-    only each query's max and sum, not the probabilities: the backward
-    rebuilds each tile's Pᵀ from them, bit for bit, and uses
-    D = rowsum(dO * O) in place of the n x n softmax row-dot
-    (FlashAttention, Dao et al. 2022).
+    The work runs a tile of batch entries at a time (`_split`'s tiles of
+    at most `_TILE_BYTES` of Pᵀ), so each tile's n x n passes run in cache.
+    Each tile projects its own slice of the query, the rows a whole-array
+    :func:`linear` would give them, and scales it by 1/sqrt(d_head); the
+    node keeps no projected query, and the backward's tiles project it
+    again, bit for bit.  The backward ends in the projection's
+    input-gradient tiles, with wq's and bq's gradients beside them.  The
+    probabilities are formed transposed, keys on axis -2, so the max and
+    sum over keys reduce over an outer axis.  The node keeps only each
+    query's max and sum, not the probabilities: the backward rebuilds each
+    tile's Pᵀ from them, bit for bit, and uses D = rowsum(dO * O) in place
+    of the n x n softmax row-dot (FlashAttention, Dao et al. 2022).
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    m, n = k.shape[-2], q.shape[-2]
+    x, wq, bq, k, v = (_wrap(t) for t in (x, wq, bq, k, v))
+    m, n = k.shape[-2], x.shape[-2]
     if mask_diagonal and (m != n or n < 2):
         raise AutodiffError(f"diagonal mask needs as many keys as queries, "
                             f"n >= 2, got {m} keys for {n} queries")
-    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
-    qh, kh, vh = (_heads(a, n_heads) for a in (q.data, k.data, v.data))
-    # the keys carry the batch axis; a batchless query is shared by every
-    # slice.  The work is counted in elements of Pᵀ, `_TILE_BYTES` of them
-    # at most in one tile
+    scale = 1.0 / math.sqrt(wq.shape[-1] // n_heads)
+    # the keys carry the batch axis; a batchless query input is shared by
+    # every slice.  The work is counted in elements of Pᵀ, `_TILE_BYTES` of
+    # them at most in one tile
+    xq, kh, vh = x.data[..., None, :, :], _heads(k.data, n_heads), _heads(v.data, n_heads)
+    shared = wq.data, bq.data, n_heads, mask_diagonal, scale
     size = math.prod(kh.shape[:-1]) * n
     most = _TILE_BYTES * len(kh) // (size * kh.itemsize)
-    o, mx, sm = _split(_attention_rows, _attention_out, (kh, qh, vh), mask_diagonal, scale,
-                       size=size, most=most)
-    out = _make(_merge_heads(o), (q, k, v), "attention")
+    o, mx, sm = _split(_attention_rows, _attention_out, (kh, xq, vh), *shared, size=size,
+                       most=most)
+    out = _make(_merge_heads(o), (x, wq, bq, k, v), "attention")
     weights = None
     if return_weights:
+        qh = _query_heads(xq, wq.data, bq.data, n_heads)
         weights = np.swapaxes(_probs_t(kh, qh * scale, mask_diagonal, mx, sm)[0], -1, -2)
     if _tracked(out):
+        q_shape = (*x.shape[:-1], wq.shape[-1])
+        x2 = x.data.reshape(-1, x.shape[-1])
+
         def _bw():
+            want_q = any(t.requires_grad for t in (x, wq, bq))
             dv, dq, dk = (None if g is None else _merge_heads(g) for g in _split(
                 _attention_grad_rows, _attention_grad_out,
-                (_heads(out.grad, n_heads), o, mx, sm, qh, kh, vh), mask_diagonal, scale,
-                tuple(t.requires_grad for t in (v, q, k)), size=size, most=most))
-            if dq is not None:  # scaled once summed down to the query's shape
-                dq = _unbroadcast(dq, q.data.shape)
-                dq *= scale
-            for t, grad in zip((v, q, k), (dv, dq, dk)):
+                (_heads(out.grad, n_heads), o, mx, sm, xq, kh, vh), *shared,
+                (v.requires_grad, want_q, k.requires_grad), size=size, most=most))
+            for t, grad in ((v, dv), (k, dk)):
                 if grad is not None:
                     t._accumulate(_unbroadcast(grad, t.data.shape), own=True)
+            if dq is None:
+                return
+            dq = _unbroadcast(dq, q_shape)  # scaled once summed down to the query's shape
+            dq *= scale
+            gx = _input_grad(dq, wq.data, _param_grads(dq.reshape(x2.shape[0], -1), x2, wq, bq),
+                             x.data.size, x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx, own=True)
         out._backward = _bw
     return out, weights
 
@@ -1047,9 +1059,19 @@ def _norm_rows(x, r, gamma, beta, avg, xhat=None, inv=None, val=None):
     else:
         inv[...] = rinv
     xhat *= inv
+    return xhat, inv, _scale_shift_rows(xhat, gamma, beta, val)
+
+
+def _scale_shift_rows(xhat, gamma, beta, val=None):
+    """A layer norm's output x̂ γ + β (elementwise, so a rebuild from the
+    same x̂ has the forward's bits)."""
     val = np.multiply(xhat, gamma, out=val)
     val += beta
-    return xhat, inv, val
+    return val
+
+
+def _scale_shift_out(xhat, gamma, beta):
+    return (np.empty(xhat.shape, dtype=np.result_type(xhat, gamma, beta)),)
 
 
 def _norm_stats_out(xhat, gamma, beta, avg):
@@ -1086,12 +1108,12 @@ def _gamma_grad(g, xhat, shape):
     return _unbroadcast(np.multiply(g, xhat), shape)
 
 
-def _norm_grad(g, xhat, inv, gamma, beta, avg, inputs):
+def _norm_grad(g, xhat, inv, gamma, beta, avg, inputs, beside=()):
     """The gradient of the normalised sum from the output gradient g, or
     None when none of `inputs` (Tensors or None) wants it; gamma's and
-    beta's gradients are claimed beside its tiles."""
-    jobs = _jobs(_grad_job(gamma, _gamma_grad, g, xhat, gamma.data.shape),
-                 _grad_job(beta, _unbroadcast, g, beta.data.shape))
+    beta's gradients, and the `beside` jobs, are claimed beside its tiles."""
+    jobs = (*_jobs(_grad_job(gamma, _gamma_grad, g, xhat, gamma.data.shape),
+                   _grad_job(beta, _unbroadcast, g, beta.data.shape)), *beside)
     wanted = any(t is not None and t.requires_grad for t in inputs)
     return _split(_norm_grad_rows if wanted else None, _norm_grad_out, (g, xhat, inv), gamma.data,
                   avg, beside=jobs)
@@ -1108,8 +1130,8 @@ def layer_norm(a, gamma, beta, residual=None):
     over `_split`'s tiles of batch entries, with the row means inside as
     GEMVs over the tile's rows; the backward computes gamma's and beta's
     gradients beside the input gradient's tiles.  The model runs the same
-    kernels inside the Add & Norm forms of :func:`linear` and :func:`ffn`;
-    this node is what they are tested against.
+    kernels inside both Add & Norms of :func:`post_attention`; this node is
+    what they are tested against.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     inputs = (a,) if residual is None else (_wrap(residual), a)
@@ -1126,6 +1148,86 @@ def layer_norm(a, gamma, beta, residual=None):
             dx = _norm_grad(out.grad, xhat, inv, gamma, beta, avg, inputs)
             if dx is not None:
                 _share(dx, inputs)
+        out._backward = _bw
+    return out
+
+
+def _post_attention_rows(x, r, keep, wo, bo, gamma1, beta1, w1, b1, w2, b2, rate, gamma2, beta2,
+                         avg, xhat1=None, inv1=None, e=None, xhat2=None, inv2=None, y=None):
+    """x̂ and the reciprocal stds of both norms, the ELU output e and the
+    output LN2(y₁ + ffn(y₁)) of y₁ = LN1(r + x wo + bo); y₁ lives only here."""
+    xhat1, inv1, y1 = _linear_norm_rows(x, r, wo, bo, gamma1, beta1, avg, xhat1, inv1)
+    return (xhat1, inv1,
+            *_ffn_norm_rows(y1, keep, w1, b1, w2, b2, rate, gamma2, beta2, avg, e, xhat2, inv2, y))
+
+
+def _post_attention_out(x, r, keep, wo, bo, gamma1, beta1, w1, b1, w2, b2, rate, gamma2, beta2,
+                        avg):
+    xhat1 = _affine_out(x, wo, bo)[0]
+    inv1 = np.empty((*xhat1.shape[:-1], 1), dtype=np.result_type(xhat1, avg))
+    return (xhat1, inv1, *_ffn_norm_out(xhat1, keep, w1, b1, w2, b2, rate, gamma2, beta2, avg))
+
+
+def post_attention(x, residual, proj, norm1, mlp, norm2, rate, rng):
+    """A post-norm encoder layer after its attention, as one node:
+    y₁ = LN1(residual + x wo + bo), then LN2(y₁ + ffn(y₁)).
+
+    `proj` is (wo, bo), `norm1` and `norm2` are (gamma, beta), and `mlp` is
+    :func:`ffn`'s (w1, b1, w2, b2), whose dropout draws as ffn's does.  The
+    residual must broadcast to the shape of x wo (a batchless one goes
+    whole to every tile).  Each tile runs the output projection and the
+    first Add & Norm, then the feed-forward and the second, writing each
+    sublayer's last GEMM into its norm's x̂ buffer, so y₁ and the pre-norm
+    sums live only in the tile.  The node keeps only what its backward
+    cannot rebuild: both norms' x̂ and reciprocal stds, the ELU output e and
+    the keep mask packed into bits.  The backward scales e in place into
+    the dropout output once the hidden gradient is formed, releases it after
+    w2's weight GEMM, and then rebuilds y₁ = x̂₁ γ₁ + β₁ (elementwise, so the
+    forward's bits) for w1's.  Every parameter gradient is claimed beside
+    the tiles of an input gradient.
+    """
+    x, r = _wrap(x), _wrap(residual)
+    (wo, bo), (gamma1, beta1), (w1, b1, w2, b2), (gamma2, beta2) = (
+        [_wrap(t) for t in group] for group in (proj, norm1, mlp, norm2))
+    avg = _avg(wo.shape[-1], np.result_type(x.data, wo.data, w1.data, w2.data))
+    keep = _ffn_keep(x, w1, rate, rng)
+    rows = x.data.size // x.shape[-1]
+    xhat1, inv1, e, xhat2, inv2, y = _split(
+        _post_attention_rows, _post_attention_out, (x.data, r.data, keep), wo.data, bo.data,
+        gamma1.data, beta1.data, w1.data, b1.data, w2.data, b2.data, rate, gamma2.data,
+        beta2.data, avg, size=rows * max(x.shape[-1], *w1.shape))
+    bits = _pack(keep)
+    del keep
+    upstream = (x, r, wo, bo, gamma1, beta1, w1, b1, w2, b2)
+    out = _make(y, (*upstream, gamma2, beta2), "post_attention")
+    if _tracked(out):
+        x2 = x.data.reshape(rows, -1)
+
+        def _bw():
+            nonlocal e
+            # the output's gradient is dead once the second sum's is formed
+            g, out.grad = _norm_grad(out.grad, xhat2, inv2, gamma2, beta2, avg, upstream), None
+            if g is None:
+                return
+            gh = _ffn_hidden_grad(g, e, bits, w2, rate)  # e now holds the dropout output
+            gy = _input_grad(gh, w1.data, (
+                *_param_grads(g.reshape(rows, -1), e.reshape(rows, -1), w2, b2),
+                *_jobs(_grad_job(b1, np.sum, gh.reshape(rows, -1), 0))), xhat1.size)
+            e = None  # w2's GEMM was its last reader
+            gy += g
+            del g
+            y1 = _split(_scale_shift_rows, _scale_shift_out, (xhat1,), gamma1.data, beta1.data)
+            gs = _norm_grad(gy, xhat1, inv1, gamma1, beta1, avg, (x, r, wo, bo), beside=_jobs(
+                _grad_job(w1, np.matmul, y1.reshape(rows, -1).T, gh.reshape(rows, -1))))
+            del gy, gh, y1
+            if gs is None:
+                return
+            gx = _input_grad(gs, wo.data, _param_grads(gs.reshape(rows, -1), x2, wo, bo),
+                             x.data.size, x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx, own=True)
+            if r.requires_grad:
+                r._accumulate(_unbroadcast(gs, r.shape), own=True)
         out._backward = _bw
     return out
 

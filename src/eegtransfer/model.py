@@ -197,38 +197,38 @@ def masked_attention(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: boo
                      return_weights=False):
     """Multi-head attention over channels; pretraining masks the diagonal.
 
-    The query projection, the shared (B, n, d_model) keys and values and the
-    mask go to the fused :func:`autodiff.attention` op (one tape node, head
-    split and 1/sqrt(d_head) scale included).  With the mask on, diagonal
-    logits are driven to -inf before the softmax, so the post-softmax
-    self-weight is exactly zero and each row is a convex combination of the
-    *other* channels' values.  Returns the heads' merged (B, n, d_model)
-    output, before the output projection, and, when `return_weights` asks
-    for it, the (B, heads, query, key) attention weights array (else None):
-    the op does not keep the weights, so building them costs a second pass
-    over the logits.
+    The layer's query input and projection, the shared (B, n, d_model) keys
+    and values and the mask go to the fused :func:`autodiff.attention` op
+    (one tape node, query projection, head split and 1/sqrt(d_head) scale
+    included).  With the mask on, diagonal logits are driven to -inf before
+    the softmax, so the post-softmax self-weight is exactly zero and each
+    row is a convex combination of the *other* channels' values.  Returns
+    the heads' merged (B, n, d_model) output, before the output projection,
+    and, when `return_weights` asks for it, the (B, heads, query, key)
+    attention weights array (else None): the op does not keep the weights,
+    so building them costs a second pass over the logits.
     """
     if mask_diagonal and q.shape[-2] < 2:
         raise ModelError("diagonal masking needs at least 2 channels")
-    return ad.attention(_affine(q, dta.params, f"enc{layer}.q"), k, v, dta.config.n_heads,
+    p = dta.params
+    return ad.attention(q, p[f"enc{layer}.q.w"], p[f"enc{layer}.q.b"], k, v, dta.config.n_heads,
                         mask_diagonal=mask_diagonal, return_weights=return_weights)
 
 
 def encoder_layer(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: bool, rng,
                   return_weights=False):
-    """One post-norm block of four tape nodes: query linear, attention, then
-    each sublayer's last node ends in its own residual Add & Norm, the
-    output linear as LN1(q + attention W + b) and the feed-forward as
-    LN2(x + ffn(x)).  Feed-forward dropout fires when an `rng` is given;
-    the attention weights come back as :func:`masked_attention` returns
-    them."""
+    """One post-norm block of two tape nodes: attention with its query
+    projection, then :func:`autodiff.post_attention`, the output projection
+    and LN1(q + attention W + b), the feed-forward and LN2(x + ffn(x)).
+    Feed-forward dropout fires when an `rng` is given; the attention weights
+    come back as :func:`masked_attention` returns them."""
     p, name = dta.params, f"enc{layer}"
     mixed, attn = masked_attention(q, k, v, dta, layer, mask_diagonal, return_weights)
-    x = ad.linear(mixed, p[f"{name}.out.w"], p[f"{name}.out.b"],
-                  add_norm=(q, p[f"{name}.ln1.g"], p[f"{name}.ln1.b"]))
-    out = ad.ffn(x, p[f"{name}.ffn.f1.w"], p[f"{name}.ffn.f1.b"], p[f"{name}.ffn.f2.w"],
-                 p[f"{name}.ffn.f2.b"], dta.config.dropout, rng,
-                 add_norm=(p[f"{name}.ln2.g"], p[f"{name}.ln2.b"]))
+    mlp = (p[f"{name}.ffn.f1.w"], p[f"{name}.ffn.f1.b"], p[f"{name}.ffn.f2.w"],
+           p[f"{name}.ffn.f2.b"])
+    out = ad.post_attention(mixed, q, (p[f"{name}.out.w"], p[f"{name}.out.b"]),
+                            (p[f"{name}.ln1.g"], p[f"{name}.ln1.b"]), mlp,
+                            (p[f"{name}.ln2.g"], p[f"{name}.ln2.b"]), dta.config.dropout, rng)
     return out, attn
 
 

@@ -151,17 +151,24 @@ def reference_attention(q, k, v, n_heads, mask_diagonal):
     return ad.reshape(mixed, (*lead, n, h * dh))
 
 
+def projected_attention(ps, n_heads, mask, **kwargs):
+    return ad.attention(ps["x"], ps["wq"], ps["bq"], ps["k"], ps["v"], n_heads, mask, **kwargs)
+
+
 @pytest.mark.parametrize("mask", [False, True])
-@pytest.mark.parametrize("q_shape", [(2, 5, 12), (5, 12)], ids=["batched_q", "batchless_q"])
+@pytest.mark.parametrize("q_shape", [(2, 5, 7), (5, 7)], ids=["batched_q", "batchless_q"])
 def test_attention_matches_chain_and_gradient(mask, q_shape):
+    """The node equals the query `linear` followed by the reference chain,
+    and its gradients (the projection's included) match finite differences."""
     rng = np.random.default_rng(14)
     ps = ad.ParameterSet()
-    ps.add("q", rng.normal(size=q_shape))
+    ps.add("x", rng.normal(size=q_shape))
+    ps.add("wq", rng.normal(size=(7, 12)) * 0.5)
+    ps.add("bq", rng.normal(size=12))
     ps.add("k", rng.normal(size=(2, 5, 12)))
     ps.add("v", rng.normal(size=(2, 5, 12)))
-    out, weights = ad.attention(ps["q"], ps["k"], ps["v"], 3, mask_diagonal=mask,
-                                return_weights=True)
-    want = reference_attention(ps["q"], ps["k"], ps["v"], 3, mask)
+    out, weights = projected_attention(ps, 3, mask, return_weights=True)
+    want = reference_attention(ad.linear(ps["x"], ps["wq"], ps["bq"]), ps["k"], ps["v"], 3, mask)
     assert out.shape == (2, 5, 12) and weights.shape == (2, 3, 5, 5)
     assert np.allclose(out.data, want.data, rtol=0, atol=1e-12)
     assert np.allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
@@ -170,35 +177,38 @@ def test_attention_matches_chain_and_gradient(mask, q_shape):
     else:
         assert np.all(weights > 0.0)
     w = rng.normal(size=(2, 5, 12))
-    fd_check(lambda: ad.tsum(ad.attention(ps["q"], ps["k"], ps["v"], 3, mask)[0]
-                             * ad.Tensor(w)), ps)
+    fd_check(lambda: ad.tsum(projected_attention(ps, 3, mask)[0] * ad.Tensor(w)), ps)
+    assert out._op == "attention" and len(out._parents) == 5
 
 
 def test_attention_masked_float32_self_weights_exactly_zero():
     rng = np.random.default_rng(15)
     q, k, v = (rng.normal(size=(4, 7, 6)).astype(np.float32) for _ in range(3))
     q[..., 0, :] = k[..., 0, :] * 50.0  # a dominant self-logit is still removed
-    out, weights = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 2,
-                                mask_diagonal=True, return_weights=True)
+    # an identity projection passes the query through exactly
+    eye, zero = np.eye(6, dtype=np.float32), np.zeros(6, dtype=np.float32)
+    out, weights = ad.attention(q, eye, zero, k, v, 2, mask_diagonal=True, return_weights=True)
     assert out.dtype == weights.dtype == np.float32
     assert np.all(weights[..., np.arange(7), np.arange(7)] == 0.0)
 
 
 def test_attention_mask_needs_square_logits():
     q, kv = ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((2, 5, 4)))
+    w, b = np.eye(4), np.zeros(4)
     with pytest.raises(ad.AutodiffError, match="as many keys as queries"):
-        ad.attention(q, kv, kv, 2, mask_diagonal=True)
+        ad.attention(q, w, b, kv, kv, 2, mask_diagonal=True)
     one = ad.Tensor(np.zeros((2, 1, 4)))
     with pytest.raises(ad.AutodiffError, match="n >= 2"):
-        ad.attention(one, one, one, 2, mask_diagonal=True)
+        ad.attention(one, w, b, one, one, 2, mask_diagonal=True)
     # unmasked cross-attention is fine
-    out, weights = ad.attention(q, kv, kv, 2, return_weights=True)
+    out, weights = ad.attention(q, w, b, kv, kv, 2, return_weights=True)
     assert weights.shape == (2, 2, 3, 5) and out.shape == (2, 3, 4)
 
 
-def run_attention(q, k, v, mask, dout):
-    """Output and q, k, v gradient bytes of a tracked attention fed `dout`."""
-    ts = [ad.Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
+def run_attention(arrays, mask, dout):
+    """Output and every input's gradient bytes of a tracked attention (x, wq,
+    bq, k, v) fed `dout`."""
+    ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
     out, weights = ad.attention(*ts, 2, mask_diagonal=mask)
     assert weights is None  # built only when asked for
     out.backward(dout)
@@ -211,9 +221,10 @@ def run_attention(q, k, v, mask, dout):
 def test_attention_tiles_bitwise_equal_to_whole_batch(dtype, mask, q_shape, attention_tile,
                                                       monkeypatch):
     rng = np.random.default_rng(24)
-    q = rng.normal(size=q_shape).astype(dtype)
-    k, v, dout = (rng.normal(size=(9, 6, 6)).astype(dtype) for _ in range(3))
-    whole = run_attention(q, k, v, mask, dout)
+    arrays = [rng.normal(size=shape).astype(dtype)
+              for shape in (q_shape, (6, 6), (6,), (9, 6, 6), (9, 6, 6))]
+    dout = rng.normal(size=(9, 6, 6)).astype(dtype)
+    whole = run_attention(arrays, mask, dout)
     # two entries' worth of Pᵀ per tile, which `_split` raises to 4: the 9
     # entries run as tiles of 4, 4 and 1 in each direction
     attention_tile(2 * 2 * 6 * 6 * np.dtype(dtype).itemsize)
@@ -226,8 +237,27 @@ def test_attention_tiles_bitwise_equal_to_whole_batch(dtype, mask, q_shape, atte
         return run
     for name in ("_attention_rows", "_attention_grad_rows"):
         monkeypatch.setattr(ad, name, recorded(getattr(ad, name)))
-    assert run_attention(q, k, v, mask, dout) == whole
+    assert run_attention(arrays, mask, dout) == whole
     assert tiles == [4, 4, 1] * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("x_shape", [(12, 62, 32), (62, 32)], ids=["batched_q", "batchless_q"])
+def test_attention_float32_bitwise_equal_to_query_linear_first(x_shape, workers, set_workers):
+    """Output and the gradients of x, wq, bq, k and v are those of a query
+    `linear` node feeding attention an already projected query (through an
+    identity projection, which is exact), whole and cut into tiles."""
+    set_workers(workers)
+    rng = np.random.default_rng(26)
+    arrays = [rng.normal(size=x_shape).astype(np.float32),
+              (rng.normal(size=(32, 32)) / math.sqrt(32)).astype(np.float32),
+              rng.normal(size=32).astype(np.float32),
+              *(rng.normal(size=(12, 62, 32)).astype(np.float32) for _ in range(2))]
+    eye, zero = np.eye(32, dtype=np.float32), np.zeros(32, dtype=np.float32)
+
+    def projected_first(x, wq, bq, k, v):
+        return ad.attention(ad.linear(x, wq, bq), eye, zero, k, v, 4, True)[0]
+    assert_bitwise(lambda *ts: ad.attention(*ts, 4, True)[0], projected_first, arrays, rng)
 
 
 def test_attention_forward_keeps_no_probabilities(set_workers):
@@ -235,14 +265,16 @@ def test_attention_forward_keeps_no_probabilities(set_workers):
     one (64, 4, 62, 62) array, at its peak and after it returns."""
     set_workers(2)  # the peak grows with the slices that run at once
     rng = np.random.default_rng(25)
-    q, k, v = (ad.Tensor(rng.normal(size=(64, 62, 32)).astype(np.float32),
+    x, k, v = (ad.Tensor(rng.normal(size=(64, 62, 32)).astype(np.float32),
                          requires_grad=True) for _ in range(3))
+    wq, bq = (ad.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+              for shape in ((32, 32), (32,)))
     probs_bytes = 64 * 4 * 62 * 62 * 4
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out, _ = ad.attention(q, k, v, 4, mask_diagonal=True)
+        out, _ = ad.attention(x, wq, bq, k, v, 4, mask_diagonal=True)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -458,48 +490,41 @@ def test_layer_norm_residual_float32_bitwise_equal_to_sum(r_shape):
                    lambda a, r, g, b: ad.layer_norm(r + a, g, b), arrays, rng)
 
 
-def linear_add_norm(x, w, b, r, g, beta):
-    return ad.linear(x, w, b, add_norm=(r, g, beta))
+def reference_post_attention(x, r, wo, bo, g1, be1, w1, b1, w2, b2, g2, be2, rate, rng):
+    """The four nodes `post_attention` replaces: linear, the residual layer
+    norm, ffn, and the layer norm with the ffn's input as residual."""
+    y1 = ad.layer_norm(ad.linear(x, wo, bo), g1, be1, residual=r)
+    return ad.layer_norm(ad.ffn(y1, w1, b1, w2, b2, rate, rng), g2, be2, residual=y1)
 
 
-def reference_linear_add_norm(x, w, b, r, g, beta):
-    """The two nodes the Add & Norm form replaces: linear, then the residual
-    layer norm."""
-    return ad.layer_norm(ad.linear(x, w, b), g, beta, residual=r)
+def post_attention(x, r, wo, bo, g1, be1, w1, b1, w2, b2, g2, be2, rate, rng):
+    return ad.post_attention(x, r, (wo, bo), (g1, be1), (w1, b1, w2, b2), (g2, be2), rate, rng)
 
 
-def ffn_add_norm(x, w1, b1, w2, b2, g, beta, rate, rng):
-    return ad.ffn(x, w1, b1, w2, b2, rate, rng, add_norm=(g, beta))
+def post_attention_arrays(rng, batch, n, d, hidden, r_shape, dtype):
+    """x, r, wo, bo, g1, be1, w1, b1, w2, b2, g2, be2 of a post-attention node."""
+    def normal(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    def gamma():
+        return rng.uniform(0.5, 1.5, size=d).astype(dtype)
+    return [normal(batch, n, d), normal(*r_shape), normal(d, d), normal(d), gamma(), normal(d),
+            normal(d, hidden), normal(hidden), normal(hidden, d), normal(d), gamma(), normal(d)]
 
 
-def reference_ffn_add_norm(x, w1, b1, w2, b2, g, beta, rate, rng):
-    return ad.layer_norm(ad.ffn(x, w1, b1, w2, b2, rate, rng), g, beta, residual=x)
-
-
-@pytest.mark.parametrize("r_shape", [(6, 62, 24), (62, 24)], ids=["batched", "batchless"])
-def test_linear_add_norm_float32_bitwise_equal_to_layer_norm(r_shape):
-    rng = np.random.default_rng(34)
-    arrays = [rng.normal(size=(6, 62, 32)).astype(np.float32),
-              rng.normal(size=(32, 24)).astype(np.float32),
-              rng.normal(size=24).astype(np.float32),
-              rng.normal(size=r_shape).astype(np.float32),
-              rng.uniform(0.5, 1.5, size=24).astype(np.float32),
-              rng.normal(size=24).astype(np.float32)]
-    assert_bitwise(linear_add_norm, reference_linear_add_norm, arrays, rng)
-    out = linear_add_norm(*(ad.Tensor(a, requires_grad=True) for a in arrays))
-    assert out._op == "linear" and len(out._parents) == 6
-
-
-@pytest.mark.parametrize("rate,seeded", [(0.0, False), (0.25, True)], ids=["no_rng", "dropout"])
-def test_ffn_add_norm_float32_bitwise_equal_to_layer_norm(rate, seeded):
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("r_shape,rate,seeded", [((6, 62, 32), 0.25, True),
+                                                 ((62, 32), 0.25, True),
+                                                 ((6, 62, 32), 0.0, False)],
+                         ids=["dropout", "batchless_residual", "no_rng"])
+def test_post_attention_float32_bitwise_equal_to_chain(r_shape, rate, seeded, workers,
+                                                       set_workers):
+    """Output, every input's gradient and the dropout rng's state are those
+    of linear -> layer_norm -> ffn -> layer_norm, whole and cut into tiles."""
+    set_workers(workers)
     rng = np.random.default_rng(36)
-    arrays = [rng.normal(size=(6, 62, 32)).astype(np.float32),
-              rng.normal(size=(32, 64)).astype(np.float32),
-              rng.normal(size=64).astype(np.float32),
-              rng.normal(size=(64, 32)).astype(np.float32),
-              rng.normal(size=32).astype(np.float32),
-              rng.uniform(0.5, 1.5, size=32).astype(np.float32),
-              rng.normal(size=32).astype(np.float32)]
+    arrays = post_attention_arrays(rng, 6, 62, 32, 64, r_shape, np.float32)
+    arrays[0][0, 0, :] = -1e3  # ELU saturates at -1 and its derivative at 0
     draws = {}
 
     def with_rng(op):
@@ -509,10 +534,39 @@ def test_ffn_add_norm_float32_bitwise_equal_to_layer_norm(rate, seeded):
             draws[op] = None if r is None else r.random()  # rng state after the op
             return out
         return run
-    assert_bitwise(with_rng(ffn_add_norm), with_rng(reference_ffn_add_norm), arrays, rng)
-    assert draws[ffn_add_norm] == draws[reference_ffn_add_norm]
-    out = ffn_add_norm(*(ad.Tensor(a, requires_grad=True) for a in arrays), rate, None)
-    assert out._op == "ffn" and len(out._parents) == 7
+    assert_bitwise(with_rng(post_attention), with_rng(reference_post_attention), arrays, rng)
+    assert draws[post_attention] == draws[reference_post_attention]
+    out = post_attention(*(ad.Tensor(a, requires_grad=True) for a in arrays), rate, None)
+    assert out._op == "post_attention" and len(out._parents) == 12
+
+
+def test_post_attention_backward_holds_one_hidden_array(set_workers):
+    """Above what it holds when it starts, the node's backward peaks under
+    one hidden-width array and four d-width arrays: e becomes the dropout
+    output in place and is released before y₁ is rebuilt."""
+    set_workers(2)
+    rng = np.random.default_rng(37)
+    batch, n, d, hidden = 64, 62, 32, 64
+    ts = [ad.Tensor(a, requires_grad=True)
+          for a in post_attention_arrays(rng, batch, n, d, hidden, (batch, n, d), np.float32)]
+    seed = rng.normal(size=(batch, n, d)).astype(np.float32)
+    rise = []
+
+    def measured(fn):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        rise.append(tracemalloc.get_traced_memory()[1] - start)
+    tracemalloc.start()  # before the forward, so that freeing e counts
+    try:
+        out = post_attention(*ts, 0.1, np.random.default_rng(5))
+        out._backward = lambda fn=out._backward: measured(fn)
+        ad.tsum(out * ad.Tensor(seed)).backward()
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None for t in ts)
+    itemsize = np.dtype(np.float32).itemsize
+    assert 0 < rise[0] < batch * n * (hidden + 4 * d) * itemsize
 
 
 def _split_op_cases():
@@ -523,32 +577,27 @@ def _split_op_cases():
                       np.random.default_rng(3))
 
     def attention(mask):
-        return lambda ps: ad.attention(ps["q"], ps["k"], ps["v"], 2, mask)[0]
+        return lambda ps: projected_attention(ps, 2, mask)[0]
 
     def layer_norm(ps):
         return ad.layer_norm(ps["a"], ps["g"], ps["b"], residual=ps["r"])
 
-    def linear_norm(ps):
-        return ad.linear(ps["x"], ps["w"], ps["bias"], add_norm=(ps["r"], ps["g"], ps["b"]))
-
-    def ffn_norm(ps):
-        return ad.ffn(ps["x"], ps["w1"], ps["b1"], ps["w2"], ps["b2"], 0.3,
-                      np.random.default_rng(3), add_norm=(ps["g"], ps["b"]))
-    kv = {"k": (8, 5, 6), "v": (8, 5, 6)}
+    def post(ps):  # the same mask on every call: the rng is re-seeded
+        return post_attention(*(ps[k] for k in post_shapes), 0.3, np.random.default_rng(3))
+    kv = {"k": (8, 5, 6), "v": (8, 5, 6), "wq": (4, 6), "bq": (6,)}
     ln = {"g": (6,), "b": (6,)}
+    post_shapes = {"x": (8, 3, 6), "r": (8, 3, 6), "wo": (6, 6), "bo": (6,), "g1": (6,),
+                   "be1": (6,), "w1": (6, 5), "b1": (5,), "w2": (5, 6), "b2": (6,), "g2": (6,),
+                   "be2": (6,)}
     return {
         "linear": ({"x": (8, 3, 5), "w": (5, 2), "b": (2,)},
                    lambda ps: ad.linear(ps["x"], ps["w"], ps["b"])),
         "ffn": ({"x": (8, 3, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 5), "b2": (5,)}, ffn),
-        "linear_add_norm": ({"x": (8, 3, 5), "w": (5, 6), "bias": (6,), "r": (8, 3, 6), **ln},
-                            linear_norm),
-        "linear_add_norm_batchless_residual": (
-            {"x": (8, 3, 5), "w": (5, 6), "bias": (6,), "r": (3, 6), **ln}, linear_norm),
-        "ffn_add_norm": ({"x": (8, 3, 6), "w1": (6, 5), "b1": (5,), "w2": (5, 6), "b2": (6,),
-                          **ln}, ffn_norm),
-        "attention": ({"q": (8, 5, 6), **kv}, attention(False)),
-        "attention_masked": ({"q": (8, 5, 6), **kv}, attention(True)),
-        "attention_batchless_q": ({"q": (5, 6), **kv}, attention(True)),
+        "post_attention": (post_shapes, post),
+        "post_attention_batchless_residual": ({**post_shapes, "r": (3, 6)}, post),
+        "attention": ({"x": (8, 5, 4), **kv}, attention(False)),
+        "attention_masked": ({"x": (8, 5, 4), **kv}, attention(True)),
+        "attention_batchless_q": ({"x": (5, 4), **kv}, attention(True)),
         "layer_norm": ({"a": (8, 3, 6), "r": (8, 3, 6), **ln}, layer_norm),
         "layer_norm_batchless_a": ({"a": (3, 6), "r": (8, 3, 6), **ln}, layer_norm),
         "layer_norm_batchless_residual": ({"a": (8, 3, 6), "r": (3, 6), **ln}, layer_norm),
@@ -561,8 +610,10 @@ def test_split_fused_op_gradient_at_2_workers(case, set_workers):
     rng = np.random.default_rng(23)
     ps = ad.ParameterSet()
     for name, shape in shapes.items():
-        ps.add(name, rng.uniform(0.5, 1.5, size=shape) if name == "g"
-               else rng.normal(size=shape))
+        if name in ("g", "g1", "g2"):
+            ps.add(name, rng.uniform(0.5, 1.5, size=shape))
+        else:  # a query projection scaled as 1/sqrt(fan-in) keeps the logits near unit scale
+            ps.add(name, rng.normal(size=shape) / (math.sqrt(shape[0]) if name == "wq" else 1.0))
     set_workers(2)
     c = rng.normal(size=op(ps).shape)
     assert ad._pool is not None  # the rows were split
@@ -575,8 +626,10 @@ def test_split_fused_op_gradient_at_2_workers(case, set_workers):
 def test_split_cuts_at_multiples_of_4_entries(most, n, workers, set_workers):
     """Tiles start at multiples of 4 batch entries (here of 3 rows each)
     and hold at most `most` entries, rounded down to a multiple of 4 and
-    4 at least.  The pool cuts any batch of more than 4 entries, and `most`
-    one longer than its cap, on one worker too."""
+    4 at least.  The pool cuts any batch of more than 4 entries into up to
+    4 tiles per worker, a multiple of the worker count where there are more
+    tiles than workers (9 entries on 2 workers are 2 tiles, not 3), and
+    `most` cuts one longer than its cap, on one worker too."""
     set_workers(workers)
     x = np.arange(3.0 * n).reshape(n, 3, 1)  # each row holds its own index
     tiles = []
@@ -590,6 +643,11 @@ def test_split_cuts_at_multiples_of_4_entries(most, n, workers, set_workers):
     assert all(lo % 4 == 0 for lo, _ in tiles)
     cap = n if most is None else max(4, most // 4 * 4)
     assert all(length <= cap for _, length in tiles)
+    quads = -(-n // 4)
+    pool_tiles = min(quads, 4 * workers) if workers > 1 else 1
+    if pool_tiles > workers:
+        pool_tiles -= pool_tiles % workers
+    assert len(tiles) == max(pool_tiles, -(-n // cap))
     assert (len(tiles) > 1) == (n > 4 and (workers > 1 or n > cap))
 
 

@@ -283,7 +283,8 @@ class TestEncode:
     @staticmethod
     def _encoder_nodes(tiny):
         """The tape nodes of a masked pretrain step between the kv.k/kv.v
-        linears and the encoder output, with that output."""
+        linears and the encoder output, with that output and the nodes the
+        kv linears depend on, themselves included (id -> node)."""
         dta, pos = tiny
         dta = dta.copy()  # train-mode projection writes batch-norm state
         rng = np.random.default_rng(16)
@@ -298,41 +299,54 @@ class TestEncode:
         upstream = {}
         for t in kv_linears:
             upstream.update(graph(t))
-        return [t for i, t in graph(enc.q_final).items()
-                if i not in upstream and t._parents], enc.q_final  # parameters are leaves
+        return ([t for i, t in graph(enc.q_final).items() if i not in upstream and t._parents],
+                enc.q_final, upstream)  # parameters are leaves
 
-    def test_layers_are_four_fused_nodes_each_after_key_value_linears(self, tiny):
+    def test_layers_are_two_fused_nodes_each_after_key_value_linears(self, tiny):
         """Between the kv.k/kv.v linears and the encoder output, a masked
-        pretrain step's graph holds only each layer's query linear,
-        attention, output linear + Add & Norm and feed-forward + Add & Norm."""
-        nodes, _ = self._encoder_nodes(tiny)
-        layers = TINY.n_layers
-        assert sorted(t._op for t in nodes) == sorted(
-            ["linear"] * 2 * layers + ["attention"] * layers + ["ffn"] * layers)
+        pretrain step's graph holds only each layer's attention (query
+        projection inside) and post-attention node (output projection, both
+        Add & Norms and the feed-forward)."""
+        nodes, _, _ = self._encoder_nodes(tiny)
+        layer = ["attention", "post_attention"]
+        assert sorted(t._op for t in nodes) == sorted(layer * TINY.n_layers)
 
-    def test_encoder_keeps_only_what_its_backward_reads(self, tiny):
-        """Every encoder node's output, but the encoder's last, lives in a
-        buffer that some node's backward reads: no array between two fused
-        nodes is kept only as a node output (a pre-norm sum, a scaled copy of
-        the query)."""
+    def test_encoder_layer_keeps_only_what_its_backward_cannot_rebuild(self, tiny):
+        """The (B, n, ·) buffers the encoder's nodes hold, as outputs or in
+        their backward closures, are per layer exactly: the attention output
+        o and each query's softmax max and sum; both norms' x̂ and
+        reciprocal stds, the ELU output e, the keep mask as uint8 bits and
+        the layer output.  No projected query, LN1 output or boolean mask
+        is kept: the backward rebuilds the first two."""
         def base(a):
             while isinstance(a.base, np.ndarray):
                 a = a.base
-            return id(a)
+            return a
 
-        nodes, q_final = self._encoder_nodes(tiny)
-        read = set()
+        nodes, _, upstream = self._encoder_nodes(tiny)
+        batch, n, d, hidden = 4, TINY.n_channels, TINY.d_model, TINY.ffn_hidden
+        # the keys and values, the first layer's query input and the parameters
+        outside = {id(base(t.data)) for t in upstream.values()}
+        outside.update(id(base(t.data)) for _, t in tiny[0].params.items())
+        kept = {}
         for t in nodes:
+            arrays = [t.data]
             for cell in t._backward.__closure__ or ():
                 try:
                     value = cell.cell_contents
                 except ValueError:  # a name the node's form never binds
                     continue
-                for a in value if isinstance(value, tuple) else (value,):
-                    if isinstance(a, np.ndarray):
-                        read.add(base(a))
-        kept_unread = [t._op for t in nodes if t is not q_final and base(t.data) not in read]
-        assert kept_unread == []
+                arrays += [a for a in (value if isinstance(value, tuple) else (value,))
+                           if isinstance(a, np.ndarray)]
+            for a in arrays:
+                b = base(a)
+                if b.size % (batch * n) == 0 and id(b) not in outside:
+                    kept[id(b)] = b
+        f = "float64"
+        layer = [(n * d, f)] * 4 + [(n, f)] * 2 + [(n * hidden, f), (n * hidden // 8, "uint8")]
+        layer += [(TINY.n_heads * n, f)] * 2
+        assert sorted((b.size // batch, b.dtype.name) for b in kept.values()) == sorted(
+            layer * TINY.n_layers)
 
     def test_pretrain_and_calibration_steps_record_these_tape_nodes(self, tiny):
         """The op multiset of a masked pretrain step and of a calibration
@@ -342,7 +356,7 @@ class TestEncode:
         dta, pos = tiny
         dta = dta.copy()  # train-mode projection writes batch-norm state
         rng = np.random.default_rng(16)
-        layer = ["linear", "attention", "linear", "ffn"]
+        layer = ["attention", "post_attention"]
         encoder = ["ffn", "ffn", "add", "add", "linear", "linear", *layer * TINY.n_layers]
         batch_norm = ["sum", "mul", "add", "mul", "sum", "mul", "add", "power", "mul", "mul",
                       "add"]
@@ -356,7 +370,7 @@ class TestEncode:
         labels = np.array([0, 1])
         loss = ls.contrastive_loss(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels)
         assert tape_ops(loss) == sorted(encoder + projector + contrastive)
-        assert len(tape_ops(loss)) == 54 + 4 * TINY.n_layers  # 70 at the reference 4 layers
+        assert len(tape_ops(loss)) == 54 + 2 * TINY.n_layers  # 62 at the reference 4 layers
 
         p_emb = M.embed_positions(pos, dta)
         s_emb = M.embed_source(rand_de(rng, batch=4), dta)
@@ -369,7 +383,7 @@ class TestEncode:
         logits = M.classify(enc.q_final, dta)
         loss = ls.cross_entropy(logits, np.array([0, 1, 2, 0]))
         assert tape_ops(loss) == sorted(encoder + classifier + cross_entropy)
-        assert len(tape_ops(loss)) == 16 + 4 * TINY.n_layers  # 32 at the reference 4 layers
+        assert len(tape_ops(loss)) == 16 + 2 * TINY.n_layers  # 24 at the reference 4 layers
         chain, t = [], logits
         while t is not enc.q_final:
             chain.append(t._op)
