@@ -13,8 +13,8 @@ import pytest
 from eegtransfer import autodiff as ad
 
 
-def fd_check(fn, params, tol=1e-6, h=1e-5):
-    err = ad.grad_check(fn, params, h=h)
+def fd_check(fn, params, tol=1e-6, h=1e-5, names=None):
+    err = ad.grad_check(fn, params, h=h, names=names)
     assert err < tol, f"max relative error {err:.3e}"
 
 
@@ -571,7 +571,8 @@ def test_post_attention_backward_holds_one_hidden_array(set_workers):
 
 def _split_op_cases():
     """Each fused op that splits its rows, on a batch of 8 (2 tiles at 2
-    workers): name -> (parameter shapes, objective of the ParameterSet)."""
+    workers): name -> (parameter shapes, objective of the ParameterSet[,
+    the parameters whose gradient is checked, if not all])."""
     def ffn(ps):  # the same mask on every call: the rng is re-seeded
         return ad.ffn(ps["x"], ps["w1"], ps["b1"], ps["w2"], ps["b2"], 0.3,
                       np.random.default_rng(3))
@@ -593,7 +594,9 @@ def _split_op_cases():
         "linear": ({"x": (8, 3, 5), "w": (5, 2), "b": (2,)},
                    lambda ps: ad.linear(ps["x"], ps["w"], ps["b"])),
         "ffn": ({"x": (8, 3, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 5), "b2": (5,)}, ffn),
-        "post_attention": (post_shapes, post),
+        # post_attention's two halves, each through the whole node
+        "linear_add_norm": (post_shapes, post, ["x", "r", "wo", "bo", "g1", "be1"]),
+        "ffn_add_norm": (post_shapes, post, ["w1", "b1", "w2", "b2", "g2", "be2"]),
         "post_attention_batchless_residual": ({**post_shapes, "r": (3, 6)}, post),
         "attention": ({"x": (8, 5, 4), **kv}, attention(False)),
         "attention_masked": ({"x": (8, 5, 4), **kv}, attention(True)),
@@ -606,7 +609,7 @@ def _split_op_cases():
 
 @pytest.mark.parametrize("case", list(_split_op_cases()))
 def test_split_fused_op_gradient_at_2_workers(case, set_workers):
-    shapes, op = _split_op_cases()[case]
+    shapes, op, *checked = _split_op_cases()[case]
     rng = np.random.default_rng(23)
     ps = ad.ParameterSet()
     for name, shape in shapes.items():
@@ -617,7 +620,7 @@ def test_split_fused_op_gradient_at_2_workers(case, set_workers):
     set_workers(2)
     c = rng.normal(size=op(ps).shape)
     assert ad._pool is not None  # the rows were split
-    fd_check(lambda: ad.tsum(op(ps) * ad.Tensor(c)), ps)
+    fd_check(lambda: ad.tsum(op(ps) * ad.Tensor(c)), ps, names=checked[0] if checked else None)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
