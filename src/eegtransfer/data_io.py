@@ -6,7 +6,10 @@ N x channels x bands float32 little-endian, row-major in index order),
 ``montage.csv`` (every row ending in a newline, so a file cut inside its last
 row is caught) and optionally ``raw/t<id>.bin`` files (magic ``CLDTARW1``,
 float64 sampling rate, then channels x samples float32).  Payloads are raw
-little-endian floats so round-trips are bit-exact.
+little-endian floats so round-trips are bit-exact.  ``read_bank`` reads each
+file once and returns read-only arrays that view its bytes, so a loaded bank
+holds each payload once; the raw trials of a synthetic timeseries bank are
+views of one float32 (trials, channels, samples) block.
 
 Banks are immutable after load: concurrent readers are safe, one writer per
 directory.  Writers stage every file under a temporary name next to its
@@ -19,6 +22,7 @@ are out of scope; this format is the integration point (see README).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -29,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import dsp
 from .config import ConfigError, ModelConfig, SynthSpec, _from_dict
 from .dsp import DEFAULT_BANDS, FeatureSample, RawTrial
@@ -150,7 +155,8 @@ def bank_equal(a: SampleBank, b: SampleBank) -> bool:
         if ((ta.subject_id, ta.session_id, ta.trial_id, ta.label, ta.fs)
                 != (tb.subject_id, tb.session_id, tb.trial_id, tb.label, tb.fs)):
             return False
-        if not np.array_equal(ta.data.astype(np.float32), tb.data.astype(np.float32)):
+        if not np.array_equal(ta.data.astype(np.float32, copy=False),
+                              tb.data.astype(np.float32, copy=False)):
             return False
     return True
 
@@ -186,20 +192,16 @@ def write_bank(bank: SampleBank, directory) -> None:
     with _staged_writes() as stage:
         save_montage(bank.montage, stage(directory / MONTAGE_NAME))
 
-        payload = bytearray(MAGIC_FEATURES)
-        index = []
-        for s in bank.samples:
-            index.append([s.subject_id, s.session_id, s.trial_id, s.window_index, s.label])
-            payload += np.ascontiguousarray(s.de, dtype="<f4").tobytes()
-        stage(directory / FEATURES_NAME).write_bytes(bytes(payload))
+        index = [[s.subject_id, s.session_id, s.trial_id, s.window_index, s.label]
+                 for s in bank.samples]
+        stage(directory / FEATURES_NAME).write_bytes(b"".join(
+            [MAGIC_FEATURES, *(np.ascontiguousarray(s.de, dtype="<f4") for s in bank.samples)]))
 
         raw_records = []
         for i, t in enumerate(bank.raw_trials):
             fname = f"raw/t{i}.bin"
-            blob = bytearray(MAGIC_RAW)
-            blob += struct.pack("<d", t.fs)
-            blob += np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-            stage(directory / fname).write_bytes(bytes(blob))
+            stage(directory / fname).write_bytes(b"".join(
+                [MAGIC_RAW, struct.pack("<d", t.fs), np.ascontiguousarray(t.data, dtype="<f4")]))
             raw_records.append({
                 "subject": t.subject_id, "session": t.session_id,
                 "trial": t.trial_id, "label": t.label, "fs": t.fs,
@@ -302,7 +304,7 @@ def read_bank(directory) -> SampleBank:
     blob = _read_file(directory, FEATURES_NAME)
     if blob[:len(MAGIC_FEATURES)] != MAGIC_FEATURES:
         raise BadMagicError(f"{FEATURES_NAME}: bad magic {blob[:8]!r}")
-    body = blob[len(MAGIC_FEATURES):]
+    body = memoryview(blob)[len(MAGIC_FEATURES):]
     record = n_ch * n_bands * 4
     if record > 0 and len(body) % record != 0:
         raise TruncatedPayloadError(
@@ -338,7 +340,7 @@ def read_bank(directory) -> SampleBank:
         rblob = _read_file(directory, fname)
         if rblob[:len(MAGIC_RAW)] != MAGIC_RAW:
             raise BadMagicError(f"{fname}: bad magic {rblob[:8]!r}")
-        rbody = rblob[len(MAGIC_RAW):]
+        rbody = memoryview(rblob)[len(MAGIC_RAW):]
         if len(rbody) < 8:
             raise TruncatedPayloadError(f"{fname}: sampling rate cut short")
         fs = float(np.frombuffer(rbody[:8], dtype="<f8")[0])
@@ -644,19 +646,48 @@ def gen_synthetic(spec: SynthSpec) -> SampleBank:
     if bands is None:
         raise BankError("timeseries mode requires the default 5-band layout")
     n_samples = int(spec.samples_per_trial * SYNTH_WINDOW_S * SYNTH_FS)
+    n_trials = spec.n_subjects * spec.trials_per_subject
+    raw = np.empty((n_trials, spec.n_channels, n_samples), dtype=np.float32)
+    data = np.empty((spec.n_channels, n_samples))
+    # each band's carrier is drawn, filtered and scaled a row block (a unit)
+    # at a time, in the order of one whole (channels, samples) draw per band;
+    # each row is filtered and scaled on its own, and the calling thread sums
+    # the bands in order
+    cuts = dsp._row_blocks(spec.n_channels, n_samples)
+    units = [(b, r0, r1) for b in range(len(bands)) for r0, r1 in zip(cuts, cuts[1:])]
+    n_units = n_trials * len(units)
+    filters = [dsp._sosfiltfilt(*dsp._bandpass_design(lo, hi, SYNTH_FS))
+               for _, lo, hi in bands.bands]
+    draws = np.empty((2, max(np.diff(cuts)), n_samples))
+    carrier = None
+
+    def job(u, j):
+        """Job 0 draws unit u + 1 into one buffer while job 1 filters unit
+        u's draw in the other and scales its rows to unit std."""
+        nonlocal carrier
+        if j == 0:
+            if u + 1 < n_units:
+                _, r0, r1 = units[(u + 1) % len(units)]
+                rng.standard_normal(out=draws[(u + 1) % 2, :r1 - r0])
+            return
+        b, r0, r1 = units[u % len(units)]
+        carrier = filters[b](draws[u % 2, :r1 - r0])
+        carrier /= np.maximum(carrier.std(axis=1, keepdims=True), 1e-12)
+
+    job(-1, 0)  # the draw of unit 0
     trials = []
     for subj in range(spec.n_subjects):
         for trial in range(spec.trials_per_subject):
             label = trial % spec.n_classes
             log_amp = mu_class[label] + delta_subject[subj]
-            data = np.zeros((spec.n_channels, n_samples))
-            for b, (_, lo, hi) in enumerate(bands.bands):
-                carrier = rng.standard_normal((spec.n_channels, n_samples))
-                carrier = dsp.bandpass(carrier, lo, hi, SYNTH_FS)
-                carrier /= np.maximum(carrier.std(axis=1, keepdims=True), 1e-12)
-                data += np.exp(log_amp[:, b:b + 1]) * carrier
-            trials.append(RawTrial(subj, 0, trial, label, SYNTH_FS,
-                                   data.astype(np.float32)))
+            data[:] = 0.0
+            for i, (b, r0, r1) in enumerate(units):
+                ad._run_jobs(functools.partial(job, len(trials) * len(units) + i), 2,
+                             min(ad._workers, 2))
+                data[r0:r1] += np.exp(log_amp[r0:r1, b:b + 1]) * carrier
+            out = raw[len(trials)]
+            out[:] = data
+            trials.append(RawTrial(subj, 0, trial, label, SYNTH_FS, out))
     return SampleBank("synthetic-timeseries", _class_names(spec.n_classes),
                       band_names, montage, [], trials)
 

@@ -7,15 +7,18 @@ the first filter call, so a process that only trains on or predicts from DE
 features never loads it, and each band-pass is designed once per
 (low, high, fs) and cached.
 
-Processing runs in parallel within a trial, through the autodiff claim
-runner and thread pool (one worker per CPU the process may use; scipy's
-filter loops release the GIL).  ``extract_de`` filters its five bands as
-five jobs, each writing its own band of the DE array, and ``bandpass`` and
-``notch`` cut their channel rows into one contiguous block per worker.
-Threads claim jobs from a shared counter, so a busy pool thread delays a
-call by at most one job.  Every row is filtered exactly as in the whole
-array, so results do not depend on the worker count.  The bad-channel scan
-is array-wide: one centred pass gives every neighbour correlation, and only
+Filtering works on contiguous blocks of channel rows of about
+``autodiff._MIN_SLICE_SIZE`` elements, so each of scipy's temporaries, and
+the float64 copy of a float32 input, spans one block rather than the whole
+array.  The blocks run in parallel within a trial, through the autodiff
+claim runner and thread pool (one worker per CPU the process may use;
+scipy's filter loops release the GIL): ``bandpass`` and ``notch`` run one
+job per block, and ``extract_de`` one job per (band, block), each writing
+its window DE into its slice of the DE array.  Threads claim jobs from a
+shared counter, so a busy pool thread delays a call by at most one job.
+Every row is filtered exactly as in the whole array, so results do not
+depend on the block cut or the worker count.  The bad-channel scan is
+array-wide: one centred pass gives every neighbour correlation, and only
 rows with enough repeated values get their longest flat run measured.
 """
 
@@ -154,24 +157,39 @@ def _signal():
 
 @functools.lru_cache(maxsize=32)
 def _bandpass_design(low, high, fs):
-    """Read-only second-order sections of the band-pass and the pad length
-    sosfiltfilt uses by default for them."""
-    sos = _signal().butter(BUTTER_ORDER, [low, high], btype="bandpass", fs=fs, output="sos")
+    """Read-only second-order sections of the band-pass, the pad length
+    sosfiltfilt uses by default for them, and their read-only steady-state
+    initial conditions, shaped to scale by a column of first samples."""
+    signal = _signal()
+    sos = signal.butter(BUTTER_ORDER, [low, high], btype="bandpass", fs=fs, output="sos")
+    zi = signal.sosfilt_zi(sos)[:, None, :]
     sos.setflags(write=False)
+    zi.setflags(write=False)
     padlen = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()))
-    return sos, int(padlen)
+    return sos, int(padlen), zi
 
 
 def _filter_input(data, padlen, what):
-    """`data` as float64, else DspError when it is not longer than the
-    filter's pad length or holds non-finite values."""
-    data = np.asarray(data, dtype=np.float64)
+    """`data` as a float array, else DspError when it is not longer than the
+    filter's pad length or holds non-finite values.  Float32 stays float32:
+    the filters widen it a block at a time."""
+    data = np.asarray(data)
+    if data.dtype not in (np.float32, np.float64):
+        data = data.astype(np.float64)
     n = data.shape[-1] if data.ndim else 0
     if n <= padlen:
         raise DspError(f"{what} needs at least {padlen + 1} samples per channel, got {n}")
     if not np.all(np.isfinite(data)):
         raise DspError(f"{what} input contains non-finite values")
     return data
+
+
+def _row_blocks(rows, cols):
+    """Cuts of `rows` rows of `cols` samples into contiguous blocks of about
+    `ad._MIN_SLICE_SIZE` elements each: at least one row a block, and never
+    more blocks than rows."""
+    n = min(rows, max(1, -(-rows * cols // ad._MIN_SLICE_SIZE)))
+    return [rows * i // n for i in range(n + 1)]
 
 
 def _threads(n_jobs, size):
@@ -182,36 +200,53 @@ def _threads(n_jobs, size):
 
 
 def _filter_rows(filt, data):
-    """filt(data), for a filter that treats each row of the last axis on its
-    own, with the rows cut into contiguous blocks that `ad._run_jobs` filters
-    at once.  Each block is filtered exactly as within the whole array, so
-    the result does not depend on the cut."""
+    """filt(data), for a float64 filter that treats each row of the last
+    axis on its own, with the rows cut by `_row_blocks` into jobs that
+    `ad._run_jobs` filters at once.  Each block is filtered exactly as within
+    the whole array, so the result does not depend on the cut."""
     rows = data.reshape(-1, data.shape[-1])
-    parts = _threads(len(rows), rows.size)
-    if parts < 2:
-        return filt(data)
-    out = np.empty_like(rows)
-    cuts = [len(rows) * i // parts for i in range(parts + 1)]
+    cuts = _row_blocks(*rows.shape)
+    if len(cuts) == 2:
+        return filt(rows).reshape(data.shape)
+    out = np.empty(rows.shape)
 
     def block(i):
         out[cuts[i]:cuts[i + 1]] = filt(rows[cuts[i]:cuts[i + 1]])
 
-    ad._run_jobs(block, parts, parts)
+    ad._run_jobs(block, len(cuts) - 1, _threads(len(cuts) - 1, rows.size))
     return out.reshape(data.shape)
 
 
-def _sosfiltfilt(sos, padlen):
-    """Forward-backward filter of a cached design; scipy's sosfilt needs a
-    writable one."""
-    return lambda x: _signal().sosfiltfilt(sos.copy(), x, axis=-1, padlen=padlen)
+def _zero_phase(filt, padlen, zi):
+    """Forward-backward filter of the rows of a 2-D array, op for op as
+    scipy's sosfiltfilt and filtfilt do it: the rows widened to float64,
+    odd extensions of `padlen` samples at both ends, then the causal pass
+    filt(x, zi) forward and backward, each started from the steady-state
+    initial conditions `zi` scaled by its row's first sample.  `zi` comes
+    with the design, so a call on a block of rows does not solve for it
+    again."""
+    def run(x):
+        x = np.asarray(x, dtype=np.float64)
+        ext = np.concatenate((2 * x[:, :1] - x[:, padlen:0:-1], x,
+                              2 * x[:, -1:] - x[:, -2:-padlen - 2:-1]), axis=1)
+        y = filt(ext, zi * ext[:, :1])
+        y = filt(y[:, ::-1], zi * y[:, -1:])
+        return y[:, ::-1][:, padlen:-padlen]
+    return run
+
+
+def _sosfiltfilt(sos, padlen, zi):
+    """sosfiltfilt of a cached design; scipy's sosfilt needs a writable one."""
+    signal = _signal()
+    return _zero_phase(lambda x, z: signal.sosfilt(sos.copy(), x, zi=z)[0], padlen, zi)
 
 
 def bandpass(data, low, high, fs):
     """Zero-phase 4th-order Butterworth band-pass, per channel."""
     _check_band(low, high, fs)
-    sos, padlen = _bandpass_design(float(low), float(high), float(fs))
-    data = _filter_input(data, padlen, "bandpass")
-    return _filter_rows(_sosfiltfilt(sos, padlen), data)
+    design = _bandpass_design(float(low), float(high), float(fs))
+    data = _filter_input(data, design[1], "bandpass")
+    return _filter_rows(_sosfiltfilt(*design), data)
 
 
 def notch(data, f0, fs):
@@ -222,7 +257,9 @@ def notch(data, f0, fs):
     b, a = signal.iirnotch(f0, NOTCH_Q, fs=fs)
     padlen = 3 * max(len(a), len(b))  # filtfilt's default
     data = _filter_input(data, padlen, "notch")
-    return _filter_rows(lambda x: signal.filtfilt(b, a, x, axis=-1, padlen=padlen), data)
+    zi = signal.lfilter_zi(b, a)[None, :]
+    return _filter_rows(_zero_phase(lambda x, z: signal.lfilter(b, a, x, zi=z)[0], padlen, zi),
+                        data)
 
 
 # -- differential entropy ---------------------------------------------------
@@ -276,13 +313,17 @@ def extract_de(trial: RawTrial, bands: BandSpec = DEFAULT_BANDS,
         raise DspError(
             f"trial has {tail.n_samples} samples, shorter than one {window_s} s window")
     designs = [_bandpass_design(lo, hi, float(trial.fs)) for _, lo, hi in bands.bands]
-    data = _filter_input(tail.data, max(padlen for _, padlen in designs), "bandpass")
+    data = _filter_input(tail.data, max(d[1] for d in designs), "bandpass")
     de = np.empty((tail.n_channels, n_windows, len(bands)))
+    cuts = _row_blocks(*data.shape)
+    n_jobs = len(designs) * (len(cuts) - 1)
 
-    def band(b):
-        de[:, :, b] = _window_de(_sosfiltfilt(*designs[b])(data), n_windows, win)
+    def job(j):
+        b, k = divmod(j, len(cuts) - 1)
+        rows = slice(cuts[k], cuts[k + 1])
+        de[rows, :, b] = _window_de(_sosfiltfilt(*designs[b])(data[rows]), n_windows, win)
 
-    ad._run_jobs(band, len(designs), _threads(len(designs), len(designs) * data.size))
+    ad._run_jobs(job, n_jobs, _threads(n_jobs, len(designs) * data.size))
     return [
         FeatureSample(trial.subject_id, trial.session_id, trial.trial_id,
                       w, trial.label, de[:, w, :])

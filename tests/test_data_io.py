@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from eegtransfer import data_io as io
 from eegtransfer import model as M
 from eegtransfer import training as T
 from eegtransfer.config import ConfigError, ModelConfig, SynthSpec, run_config_from_dict
-from eegtransfer.dsp import extract_de
+from eegtransfer.dsp import DEFAULT_BANDS, BUTTER_ORDER, extract_de
 
 SMALL = SynthSpec(n_subjects=2, n_classes=3, n_channels=8, trials_per_subject=3,
                   samples_per_trial=4, seed=11)
@@ -19,6 +20,13 @@ SMALL = SynthSpec(n_subjects=2, n_classes=3, n_channels=8, trials_per_subject=3,
 
 TINY_RAW = SynthSpec(n_subjects=1, n_classes=2, n_channels=4, trials_per_subject=2,
                     samples_per_trial=3, seed=5, mode="timeseries")
+
+
+def root_base(a):
+    """The object at the end of an array's chain of bases."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a
 
 
 @pytest.fixture()
@@ -46,6 +54,34 @@ class TestBankRoundTrip:
         again_dir = tmp_path / "again"
         io.write_bank(loaded, again_dir)
         assert io.bank_equal(loaded, io.read_bank(again_dir))
+
+    def test_loaded_arrays_are_read_only_views_of_the_file_bytes(self, tmp_path):
+        bank = io.gen_synthetic(TINY_RAW)
+        io.write_bank(bank, tmp_path / "raw")
+        loaded = io.read_bank(tmp_path / "raw")
+        for t in loaded.raw_trials:
+            assert not t.data.flags.writeable
+            assert isinstance(root_base(t.data), memoryview)
+            assert isinstance(root_base(t.data).obj, bytes)
+        # gen_synthetic's trials are views of one float32 block
+        block = root_base(bank.raw_trials[0].data)
+        assert block.shape == (len(bank.raw_trials), *bank.raw_trials[0].data.shape)
+        assert all(root_base(t.data) is block for t in bank.raw_trials)
+
+    def test_read_bank_peak_is_payload_plus_one_file(self, tmp_path):
+        spec = dataclasses.replace(TINY_RAW, n_subjects=2, n_channels=8, samples_per_trial=20)
+        bank = io.gen_synthetic(spec)
+        io.write_bank(bank, tmp_path / "raw")
+        payload = sum(t.data.nbytes for t in bank.raw_trials)
+        largest = max(p.stat().st_size for p in (tmp_path / "raw" / "raw").iterdir())
+        tracemalloc.start()
+        try:
+            loaded = io.read_bank(tmp_path / "raw")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert io.bank_equal(bank, loaded)
+        assert peak <= payload + largest
 
     def test_manifest_has_documented_keys(self, small_bank, tmp_path):
         io.write_bank(small_bank, tmp_path / "bank")
@@ -625,6 +661,44 @@ class TestSynthetic:
         want = mu[0] - mu[1]
         corr = np.corrcoef(got.ravel(), want.ravel())[0, 1]
         assert corr > 0.8
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_timeseries_bitwise_equal_to_whole_array_draws(self, set_workers, monkeypatch,
+                                                           workers):
+        # the reference draws, filters and scales each band's whole
+        # (channels, samples) carrier at once and sums in float64
+        from scipy import signal
+
+        spec = dataclasses.replace(TINY_RAW, n_subjects=2, n_classes=3, n_channels=5)
+        mu, delta, rng = io.synth_factors(spec)
+        n = int(spec.samples_per_trial * io.SYNTH_WINDOW_S * io.SYNTH_FS)
+        want = []
+        for subj in range(spec.n_subjects):
+            for trial in range(spec.trials_per_subject):
+                log_amp = mu[trial % spec.n_classes] + delta[subj]
+                data = np.zeros((spec.n_channels, n))
+                for b, (_, lo, hi) in enumerate(DEFAULT_BANDS.bands):
+                    carrier = rng.standard_normal((spec.n_channels, n))
+                    sos = signal.butter(BUTTER_ORDER, [lo, hi], btype="bandpass",
+                                        fs=io.SYNTH_FS, output="sos")
+                    carrier = signal.sosfiltfilt(sos, carrier, axis=-1)
+                    carrier /= np.maximum(carrier.std(axis=1, keepdims=True), 1e-12)
+                    data += np.exp(log_amp[:, b:b + 1]) * carrier
+                want.append(data.astype(np.float32))
+
+        factors, used = io.synth_factors, []
+
+        def recorded(spec):
+            out = factors(spec)
+            used.append(out[2])
+            return out
+        monkeypatch.setattr(io, "synth_factors", recorded)
+        set_workers(workers)  # one row a block: slices of any size are allowed
+        got = io.gen_synthetic(spec).raw_trials
+        assert len(got) == len(want)
+        assert all(t.data.dtype == np.float32 and np.array_equal(t.data, w)
+                   for t, w in zip(got, want))
+        assert used[0].bit_generator.state == rng.bit_generator.state
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(Exception):

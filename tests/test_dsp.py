@@ -4,6 +4,7 @@ Kalman/RTS reference."""
 
 import math
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -153,11 +154,11 @@ class TestDesignCache:
         assert after.maxsize is not None  # bounded
 
     def test_cached_design_unchanged_by_filtering(self):
-        sos, _ = dsp._bandpass_design(8.0, 13.0, FS)
-        before = sos.tobytes()
+        sos, _, zi = dsp._bandpass_design(8.0, 13.0, FS)
+        before = sos.tobytes(), zi.tobytes()
         dsp.bandpass(np.random.default_rng(3).normal(size=(2, 400)), 8.0, 13.0, FS)
-        assert not sos.flags.writeable
-        assert sos.tobytes() == before
+        assert not sos.flags.writeable and not zi.flags.writeable
+        assert (sos.tobytes(), zi.tobytes()) == before
 
 
 class TestDifferentialEntropy:
@@ -518,6 +519,47 @@ def test_filtering_bitwise_equal_at_1_2_3_workers(set_workers):
             assert all(np.array_equal(a, b) for a, b in zip(got[name], arrays)), name
     started = set(threading.enumerate()) - before
     assert all(t.name.startswith("autodiff") for t in started)
+
+
+@pytest.mark.parametrize("min_slice", [1, 7, 1000, 4096, 1 << 17])
+def test_row_blocks_cover_every_row_in_order(monkeypatch, min_slice):
+    monkeypatch.setattr(ad, "_MIN_SLICE_SIZE", min_slice)
+    for rows, cols in [(1, 1), (1, 5000), (3, 2), (8, 600), (62, 6000), (62, 28), (97, 13)]:
+        cuts = dsp._row_blocks(rows, cols)
+        sizes = np.diff(cuts)
+        assert cuts[0] == 0 and cuts[-1] == rows
+        assert np.all(sizes >= 1) and len(sizes) <= rows
+        # about `_MIN_SLICE_SIZE` elements a block: never a row more
+        assert np.all((sizes - 1) * cols < min_slice)
+        assert len(sizes) == min(rows, -(-rows * cols // min_slice))
+
+
+def test_one_row_blocks_keep_the_pipeline_fast(set_workers):
+    # with slices of any size allowed, blocks are single rows, never single
+    # elements: the whole filtering pipeline of a small bank stays quick
+    set_workers(3)
+    start = time.perf_counter()
+    _pipeline_outputs()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_block_filters_bitwise_equal_to_whole_array_scipy(dtype):
+    x = np.random.default_rng(25).normal(scale=20.0, size=(62, 3000)).astype(dtype)
+    assert len(dsp._row_blocks(*x.shape)) - 1 > 1
+    x64 = x.astype(np.float64)
+    b, a = signal.iirnotch(50.0, dsp.NOTCH_Q, fs=FS)
+    assert np.array_equal(dsp.notch(x, 50.0, FS), signal.filtfilt(b, a, x64, axis=-1))
+    win = int(FS)
+    de = np.stack([s.de for s in dsp.extract_de(make_trial(x), tail_s=None)], axis=1)
+    for k, (_, low, high) in enumerate(dsp.DEFAULT_BANDS.bands):
+        sos = signal.butter(dsp.BUTTER_ORDER, [low, high], btype="bandpass", fs=FS,
+                            output="sos")
+        y = signal.sosfiltfilt(sos, x64, axis=-1)
+        assert np.array_equal(dsp.bandpass(x, low, high, FS), y)
+        var = y.reshape(len(y), -1, win).var(axis=-1)
+        want = 0.5 * np.log(2.0 * math.pi * math.e * np.maximum(var, dsp.VAR_FLOOR))
+        assert np.array_equal(de[:, :, k], want.astype(np.float32))
 
 
 def test_extract_de_returns_while_the_pool_thread_is_busy(set_workers):
