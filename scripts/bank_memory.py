@@ -17,7 +17,7 @@ scipy.signal is imported before tracing starts, so no stage counts it; the
 RSS high-water includes it, the interpreter and numpy, and memory that the
 allocator keeps after it is freed.
 
-Usage: PYTHONPATH=src python scripts/bank_memory.py [--seed 1] [--out DIR]
+Usage: PYTHONPATH=src python scripts/bank_memory.py [--seed 1]
 """
 
 import argparse
@@ -34,7 +34,6 @@ MB = 1 << 20
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=1, help="bank seed (default 1)")
-    p.add_argument("--out", help="directory to write the bank to (default: a temporary one)")
     args = p.parse_args()
 
     print(f"{'stage':<22} {'peak above start MB':>20} {'held MB':>9} {'RSS high-water MB':>18}")
@@ -64,9 +63,8 @@ def main():
         SynthSpec(seed=args.seed, mode="timeseries")))
     bank = stage("extract_bank_features", lambda: extract(raw))
     with tempfile.TemporaryDirectory() as tmp:
-        out = args.out or tmp
-        stage("write_bank", lambda: data_io.write_bank(bank, out))
-        back = stage("read_bank", lambda: data_io.read_bank(out))
+        stage("write_bank", lambda: data_io.write_bank(bank, tmp))
+        back = stage("read_bank", lambda: data_io.read_bank(tmp))
     same = stage("bank_equal", lambda: data_io.bank_equal(bank, back))
     tracemalloc.stop()
     if not same:

@@ -22,7 +22,6 @@ are out of scope; this format is the integration point (see README).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -33,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import dsp
 from .config import ConfigError, ModelConfig, SynthSpec, _from_dict
 from .dsp import DEFAULT_BANDS, FeatureSample, RawTrial
@@ -649,42 +647,17 @@ def gen_synthetic(spec: SynthSpec) -> SampleBank:
     n_trials = spec.n_subjects * spec.trials_per_subject
     raw = np.empty((n_trials, spec.n_channels, n_samples), dtype=np.float32)
     data = np.empty((spec.n_channels, n_samples))
-    # each band's carrier is drawn, filtered and scaled a row block (a unit)
-    # at a time, in the order of one whole (channels, samples) draw per band;
-    # each row is filtered and scaled on its own, and the calling thread sums
-    # the bands in order
-    cuts = dsp._row_blocks(spec.n_channels, n_samples)
-    units = [(b, r0, r1) for b in range(len(bands)) for r0, r1 in zip(cuts, cuts[1:])]
-    n_units = n_trials * len(units)
-    filters = [dsp._sosfiltfilt(*dsp._bandpass_design(lo, hi, SYNTH_FS))
-               for _, lo, hi in bands.bands]
-    draws = np.empty((2, max(np.diff(cuts)), n_samples))
-    carrier = None
-
-    def job(u, j):
-        """Job 0 draws unit u + 1 into one buffer while job 1 filters unit
-        u's draw in the other and scales its rows to unit std."""
-        nonlocal carrier
-        if j == 0:
-            if u + 1 < n_units:
-                _, r0, r1 = units[(u + 1) % len(units)]
-                rng.standard_normal(out=draws[(u + 1) % 2, :r1 - r0])
-            return
-        b, r0, r1 = units[u % len(units)]
-        carrier = filters[b](draws[u % 2, :r1 - r0])
-        carrier /= np.maximum(carrier.std(axis=1, keepdims=True), 1e-12)
-
-    job(-1, 0)  # the draw of unit 0
     trials = []
     for subj in range(spec.n_subjects):
         for trial in range(spec.trials_per_subject):
             label = trial % spec.n_classes
             log_amp = mu_class[label] + delta_subject[subj]
             data[:] = 0.0
-            for i, (b, r0, r1) in enumerate(units):
-                ad._run_jobs(functools.partial(job, len(trials) * len(units) + i), 2,
-                             min(ad._workers, 2))
-                data[r0:r1] += np.exp(log_amp[r0:r1, b:b + 1]) * carrier
+            for b, (_, lo, hi) in enumerate(bands.bands):
+                for r0, r1, carrier in dsp.band_noise(rng, spec.n_channels, n_samples,
+                                                      lo, hi, SYNTH_FS):
+                    carrier *= np.exp(log_amp[r0:r1, b:b + 1])
+                    data[r0:r1] += carrier
             out = raw[len(trials)]
             out[:] = data
             trials.append(RawTrial(subj, 0, trial, label, SYNTH_FS, out))

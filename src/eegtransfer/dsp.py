@@ -14,7 +14,9 @@ array.  The blocks run in parallel within a trial, through the autodiff
 claim runner and thread pool (one worker per CPU the process may use;
 scipy's filter loops release the GIL): ``bandpass`` and ``notch`` run one
 job per block, and ``extract_de`` one job per (band, block), each writing
-its window DE into its slice of the DE array.  Threads claim jobs from a
+its window DE into its slice of the DE array; ``band_noise``, the band
+carriers of synthetic timeseries trials, draws and filters one block at a
+time from the caller's generator.  Threads claim jobs from a
 shared counter, so a busy pool thread delays a call by at most one job.
 Every row is filtered exactly as in the whole array, so results do not
 depend on the block cut or the worker count.  The bad-channel scan is
@@ -248,6 +250,20 @@ def bandpass(data, low, high, fs):
     data = _filter_input(data, design[1], "bandpass")
     return _filter_rows(_sosfiltfilt(*design), data)
 
+
+
+def band_noise(rng, rows, cols, low, high, fs):
+    """White noise from `rng` band-passed to [low, high] Hz and scaled to
+    unit std per row, as (r0, r1, block) for contiguous blocks of the
+    (rows, cols) array in order.  The blocks are drawn in the order of one
+    whole (rows, cols) draw, so the noise is the same as that draw filtered
+    whole, while only one block of it is held at a time."""
+    cuts = _row_blocks(rows, cols)
+    draw = np.empty((max(np.diff(cuts)), cols))
+    for r0, r1 in zip(cuts, cuts[1:]):
+        block = bandpass(rng.standard_normal(out=draw[:r1 - r0]), low, high, fs)
+        block /= np.maximum(block.std(axis=1, keepdims=True), 1e-12)
+        yield r0, r1, block
 
 def notch(data, f0, fs):
     """Zero-phase second-order IIR notch at f0 with quality factor 30."""

@@ -4,7 +4,6 @@ Kalman/RTS reference."""
 
 import math
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -534,13 +533,23 @@ def test_row_blocks_cover_every_row_in_order(monkeypatch, min_slice):
         assert len(sizes) == min(rows, -(-rows * cols // min_slice))
 
 
-def test_one_row_blocks_keep_the_pipeline_fast(set_workers):
+def test_smallest_slices_give_one_job_per_row(set_workers, monkeypatch):
     # with slices of any size allowed, blocks are single rows, never single
-    # elements: the whole filtering pipeline of a small bank stays quick
+    # elements: one filter job per row, and per (band, row) in extract_de
     set_workers(3)
-    start = time.perf_counter()
-    _pipeline_outputs()
-    assert time.perf_counter() - start < 1.0
+    jobs = []
+    run_jobs = ad._run_jobs
+
+    def counted(fn, n_jobs, threads):
+        jobs.append(n_jobs)
+        return run_jobs(fn, n_jobs, threads)
+
+    monkeypatch.setattr(ad, "_run_jobs", counted)
+    x = np.random.default_rng(26).normal(size=(8, int(3 * FS)))
+    dsp.bandpass(x, 8.0, 13.0, FS)
+    dsp.notch(x, 50.0, FS)
+    dsp.extract_de(make_trial(x), tail_s=None)
+    assert jobs == [8, 8, len(dsp.DEFAULT_BANDS) * 8]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
