@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -99,10 +100,16 @@ class SynthSpec:
     mode: str = "features"
 
     def __post_init__(self):
-        counts = (self.n_subjects, self.n_classes, self.n_channels,
-                  self.n_bands, self.trials_per_subject, self.samples_per_trial)
-        if any(c <= 0 for c in counts):
-            raise ConfigError("all synthetic counts must be positive")
+        # numpy integers pass, kept as ints; bools and floats do not
+        counts = ("n_subjects", "n_classes", "n_channels", "n_bands",
+                  "trials_per_subject", "samples_per_trial")
+        for name in (*counts, "seed"):
+            value = getattr(self, name)
+            least = 0 if name == "seed" else 1
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                what = "non-negative" if least == 0 else "positive"
+                raise ConfigError(f"synth {name} must be a {what} integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.class_mean_scale < 0 or self.subject_shift_std < 0 or self.sample_noise_std < 0:
             raise ConfigError("synthetic scales must be >= 0")
         if self.mode not in ("features", "timeseries"):

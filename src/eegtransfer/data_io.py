@@ -644,23 +644,13 @@ def gen_synthetic(spec: SynthSpec) -> SampleBank:
     if bands is None:
         raise BankError("timeseries mode requires the default 5-band layout")
     n_samples = int(spec.samples_per_trial * SYNTH_WINDOW_S * SYNTH_FS)
-    n_trials = spec.n_subjects * spec.trials_per_subject
-    raw = np.empty((n_trials, spec.n_channels, n_samples), dtype=np.float32)
-    data = np.empty((spec.n_channels, n_samples))
-    trials = []
-    for subj in range(spec.n_subjects):
-        for trial in range(spec.trials_per_subject):
-            label = trial % spec.n_classes
-            log_amp = mu_class[label] + delta_subject[subj]
-            data[:] = 0.0
-            for b, (_, lo, hi) in enumerate(bands.bands):
-                for r0, r1, carrier in dsp.band_noise(rng, spec.n_channels, n_samples,
-                                                      lo, hi, SYNTH_FS):
-                    carrier *= np.exp(log_amp[r0:r1, b:b + 1])
-                    data[r0:r1] += carrier
-            out = raw[len(trials)]
-            out[:] = data
-            trials.append(RawTrial(subj, 0, trial, label, SYNTH_FS, out))
+    keys = [(subj, trial, trial % spec.n_classes) for subj in range(spec.n_subjects)
+            for trial in range(spec.trials_per_subject)]
+    log_amp = np.stack([mu_class[label] + delta_subject[subj] for subj, _, label in keys])
+    raw = np.empty((len(keys), spec.n_channels, n_samples), dtype=np.float32)
+    dsp.band_noise_trials(rng, np.exp(log_amp), SYNTH_FS, raw)
+    trials = [RawTrial(subj, 0, trial, label, SYNTH_FS, data)
+              for (subj, trial, label), data in zip(keys, raw)]
     return SampleBank("synthetic-timeseries", _class_names(spec.n_classes),
                       band_names, montage, [], trials)
 

@@ -1,26 +1,31 @@
 """Signal conditioning and per-band differential-entropy features.
 
-All operations are pure: filters are zero-phase (forward-backward) and feature
-windows are non-overlapping.  Filtering uses 4th-order Butterworth band-pass
-sections and a Q=30 IIR notch from scipy.signal.  scipy.signal is imported on
-the first filter call, so a process that only trains on or predicts from DE
-features never loads it, and each band-pass is designed once per
-(low, high, fs) and cached.
+All operations are pure, except where a caller passes an ``out`` array to
+fill: filters are zero-phase (forward-backward) and feature windows are
+non-overlapping.  Filtering uses 4th-order Butterworth band-pass sections and
+a Q=30 IIR notch from scipy.signal.  scipy.signal is imported on the first
+filter call, so a process that only trains on or predicts from DE features
+never loads it, and each band-pass is designed once per (low, high, fs) and
+cached.
 
 Filtering works on contiguous blocks of channel rows of about
 ``autodiff._MIN_SLICE_SIZE`` elements, so each of scipy's temporaries, and
 the float64 copy of a float32 input, spans one block rather than the whole
-array.  The blocks run in parallel within a trial, through the autodiff
-claim runner and thread pool (one worker per CPU the process may use;
-scipy's filter loops release the GIL): ``bandpass`` and ``notch`` run one
-job per block, and ``extract_de`` one job per (band, block), each writing
-its window DE into its slice of the DE array; ``band_noise``, the band
-carriers of synthetic timeseries trials, draws and filters one block at a
-time from the caller's generator.  Threads claim jobs from a
-shared counter, so a busy pool thread delays a call by at most one job.
-Every row is filtered exactly as in the whole array, so results do not
-depend on the block cut or the worker count.  The bad-channel scan is
-array-wide: one centred pass gives every neighbour correlation, and only
+array, and a block's filter holds at most two such arrays at once.  The
+blocks run in parallel within a trial, through the autodiff claim runner
+and thread pool (one worker per CPU the process may use; scipy's filter
+loops release the GIL): ``bandpass`` and ``notch`` run one job per block,
+and ``extract_de`` one job per (band, block), each writing its window DE
+into its slice of the DE array.  ``band_noise_trials``, which builds the
+synthetic timeseries trials, is a pipeline: each call filters one half-band
+unit of noise in row blocks while its first job draws the next unit from
+the caller's generator, in the order of whole-array draws.  Threads claim
+jobs from a shared counter, so a busy pool thread delays a call by at most
+one job.  Every row is filtered exactly as in the whole array, so results
+do not depend on the block cut or the worker count.  ``preprocess_trial``
+notches and re-references in place on the band-pass output it owns.  The
+bad-channel scan is array-wide: one centred pass gives every neighbour
+correlation, with the neighbour rows gathered a block at a time, and only
 rows with enough repeated values get their longest flat run measured.
 """
 
@@ -201,22 +206,26 @@ def _threads(n_jobs, size):
     return min(ad._workers, n_jobs, size // ad._MIN_SLICE_SIZE)
 
 
-def _filter_rows(filt, data):
+def _filter_rows(filt, data, out=None):
     """filt(data), for a float64 filter that treats each row of the last
     axis on its own, with the rows cut by `_row_blocks` into jobs that
     `ad._run_jobs` filters at once.  Each block is filtered exactly as within
-    the whole array, so the result does not depend on the cut."""
+    the whole array, so the result does not depend on the cut.  `out`, a
+    float64 array of the shape of 2-D `data`, takes the result when given;
+    it may be `data` itself, as a block is read whole before it is
+    written."""
     rows = data.reshape(-1, data.shape[-1])
     cuts = _row_blocks(*rows.shape)
-    if len(cuts) == 2:
+    if len(cuts) == 2 and out is None:
         return filt(rows).reshape(data.shape)
-    out = np.empty(rows.shape)
+    out = np.empty(data.shape) if out is None else out
+    out_rows = out.reshape(rows.shape)
 
     def block(i):
-        out[cuts[i]:cuts[i + 1]] = filt(rows[cuts[i]:cuts[i + 1]])
+        out_rows[cuts[i]:cuts[i + 1]] = filt(rows[cuts[i]:cuts[i + 1]])
 
     ad._run_jobs(block, len(cuts) - 1, _threads(len(cuts) - 1, rows.size))
-    return out.reshape(data.shape)
+    return out
 
 
 def _zero_phase(filt, padlen, zi):
@@ -226,14 +235,15 @@ def _zero_phase(filt, padlen, zi):
     filt(x, zi) forward and backward, each started from the steady-state
     initial conditions `zi` scaled by its row's first sample.  `zi` comes
     with the design, so a call on a block of rows does not solve for it
-    again."""
+    again.  Each step drops the array before it, so a call holds at most two
+    arrays of the block's size at once."""
     def run(x):
         x = np.asarray(x, dtype=np.float64)
-        ext = np.concatenate((2 * x[:, :1] - x[:, padlen:0:-1], x,
-                              2 * x[:, -1:] - x[:, -2:-padlen - 2:-1]), axis=1)
-        y = filt(ext, zi * ext[:, :1])
-        y = filt(y[:, ::-1], zi * y[:, -1:])
-        return y[:, ::-1][:, padlen:-padlen]
+        x = np.concatenate((2 * x[:, :1] - x[:, padlen:0:-1], x,
+                            2 * x[:, -1:] - x[:, -2:-padlen - 2:-1]), axis=1)
+        x = filt(x, zi * x[:, :1])
+        x = filt(x[:, ::-1], zi * x[:, -1:])
+        return x[:, ::-1][:, padlen:-padlen]
     return run
 
 
@@ -252,21 +262,70 @@ def bandpass(data, low, high, fs):
 
 
 
-def band_noise(rng, rows, cols, low, high, fs):
-    """White noise from `rng` band-passed to [low, high] Hz and scaled to
-    unit std per row, as (r0, r1, block) for contiguous blocks of the
-    (rows, cols) array in order.  The blocks are drawn in the order of one
-    whole (rows, cols) draw, so the noise is the same as that draw filtered
-    whole, while only one block of it is held at a time."""
-    cuts = _row_blocks(rows, cols)
-    draw = np.empty((max(np.diff(cuts)), cols))
-    for r0, r1 in zip(cuts, cuts[1:]):
-        block = bandpass(rng.standard_normal(out=draw[:r1 - r0]), low, high, fs)
-        block /= np.maximum(block.std(axis=1, keepdims=True), 1e-12)
-        yield r0, r1, block
+def band_noise_trials(rng, gains, fs, out):
+    """Fill `out`, a float32 (trials, channels, samples) array, with noise
+    trials: trial t is the float64 sum over the default bands b, in order, of
+    white noise from `rng` band-passed to band b, scaled to unit std per row
+    and multiplied by gains[t, :, b], rounded to float32 once.
 
-def notch(data, f0, fs):
-    """Zero-phase second-order IIR notch at f0 with quality factor 30."""
+    `rng` draws one whole (channels, samples) array per band, bands and
+    trials in order, so `out` and the state `rng` is left in are those of
+    drawing, filtering and summing whole arrays.  The work runs as a
+    pipeline: each band's noise is cut into two units of rows, and one
+    `ad._run_jobs` call filters, scales and sums one unit's row blocks while
+    its first job draws the next unit into the other of two buffers.  The
+    draw and scipy's filter loops both release the GIL, so they run at once
+    when `_threads` finds the unit worth a hand-off.  Beside `out`, this
+    holds one float64 trial sum, two units of noise and the temporaries of
+    the row blocks being filtered.  The blocks are cut at a quarter of the
+    usual size, so that two filtered at once hold less than one usual block,
+    which pays for the second unit of noise: on 62 channels of 6000 samples
+    the traced peak above `out` is 7.2 MB.
+    """
+    n_bands = len(DEFAULT_BANDS)
+    if (out.dtype != np.float32 or out.ndim != 3 or not out.size
+            or gains.shape != (*out.shape[:2], n_bands)):
+        raise DspError(f"need a non-empty float32 (trials, channels, samples) out and (trials, "
+                       f"channels, {n_bands}) gains, got {out.dtype} {out.shape} and {gains.shape}")
+    n_trials, rows, cols = out.shape
+    DEFAULT_BANDS.validate_for_fs(fs)
+    designs = [_bandpass_design(lo, hi, float(fs)) for _, lo, hi in DEFAULT_BANDS.bands]
+    padlen = max(d[1] for d in designs)
+    if cols <= padlen:
+        raise DspError(f"band noise needs at least {padlen + 1} samples per channel, got {cols}")
+    filters = [_sosfiltfilt(*d) for d in designs]
+    half = -(-rows // 2)
+    units = [(t, b, r0, min(r0 + half, rows)) for t in range(n_trials)
+             for b in range(n_bands) for r0 in range(0, rows, half)]
+    total = np.zeros((rows, cols))
+    now, ahead = np.empty((half, cols)), np.empty((half, cols))
+    rng.standard_normal(out=now[:half])
+    for (t, b, r0, r1), (_, _, n0, n1) in zip(units, units[1:] + [(0, 0, 0, 0)]):
+        noise = now[:r1 - r0]
+        cuts = _row_blocks(r1 - r0, 4 * cols)
+
+        def job(j):
+            if j == 0:
+                rng.standard_normal(out=ahead[:n1 - n0])
+                return
+            k0, k1 = cuts[j - 1], cuts[j]
+            carrier = filters[b](noise[k0:k1])
+            carrier /= np.maximum(carrier.std(axis=1, keepdims=True), 1e-12)
+            carrier *= gains[t, r0 + k0:r0 + k1, b:b + 1]
+            rows_sum = total[r0 + k0:r0 + k1]
+            rows_sum += carrier
+            if b == n_bands - 1:  # the rows' sum is whole
+                out[t, r0 + k0:r0 + k1] = rows_sum
+                rows_sum[:] = 0.0
+
+        ad._run_jobs(job, len(cuts), _threads(len(cuts), (r1 - r0 + n1 - n0) * cols))
+        now, ahead = ahead, now
+
+
+def notch(data, f0, fs, out=None):
+    """Zero-phase second-order IIR notch at f0 with quality factor 30,
+    written into `out` when given (a float64 array of 2-D `data`'s shape,
+    `data` itself included)."""
     if not 0 < f0 < fs / 2:
         raise DspError(f"notch frequency {f0} Hz outside (0, {fs / 2}) Hz")
     signal = _signal()
@@ -275,7 +334,7 @@ def notch(data, f0, fs):
     data = _filter_input(data, padlen, "notch")
     zi = signal.lfilter_zi(b, a)[None, :]
     return _filter_rows(_zero_phase(lambda x, z: signal.lfilter(b, a, x, zi=z)[0], padlen, zi),
-                        data)
+                        data, out)
 
 
 # -- differential entropy ---------------------------------------------------
@@ -410,7 +469,7 @@ def smooth_samples(samples: list[FeatureSample], q_ratio=0.01) -> list[FeatureSa
 
 def _max_run_length(x):
     """Longest run of identical consecutive values in a 1-D array."""
-    change = np.flatnonzero(np.diff(x) != 0)
+    change = np.flatnonzero(x[1:] != x[:-1])
     edges = np.concatenate(([-1], change, [x.size - 1]))
     return int(np.max(np.diff(edges)))
 
@@ -432,7 +491,7 @@ def detect_bad_channels(trial: RawTrial, montage: ChannelMontage) -> set[int]:
     # a run longer than the limit repeats a value more than limit - 1 times,
     # so only rows with that many repeats need their longest run measured
     flat_limit = FLATLINE_SECONDS * trial.fs
-    repeats = np.count_nonzero(np.diff(data, axis=1) == 0, axis=1)
+    repeats = np.count_nonzero(data[:, 1:] == data[:, :-1], axis=1)
     for c in np.flatnonzero(repeats > flat_limit - 1).tolist():
         if _max_run_length(data[c]) > flat_limit:
             bad.add(c)
@@ -447,7 +506,10 @@ def detect_bad_channels(trial: RawTrial, montage: ChannelMontage) -> set[int]:
         x = np.asarray(data, dtype=np.float64)
         x = x - x.mean(axis=1, keepdims=True)
         norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-        dots = np.einsum("ij,ij->i", x, x[nb])
+        dots = np.empty(n)
+        cuts = _row_blocks(*x.shape)
+        for r0, r1 in zip(cuts, cuts[1:]):  # neighbour rows gathered a block at a time
+            dots[r0:r1] = np.einsum("ij,ij->i", x[r0:r1], x[nb[r0:r1]])
         # a channel or neighbour whose centred row is all zeros counts as
         # uncorrelated (a float32 std can read ~1e-8 for a constant row)
         live = (norms > 0.0) & (norms[nb] > 0.0)
@@ -513,10 +575,12 @@ def preprocess_trial(trial: RawTrial, montage: ChannelMontage,
     windows can align with feature windows."""
     data = bandpass(trial.data, band[0], band[1], trial.fs)
     if notch_hz is not None and 0 < notch_hz < trial.fs / 2:
-        data = notch(data, notch_hz, trial.fs)
+        notch(data, notch_hz, trial.fs, out=data)
     cleaned = RawTrial(trial.subject_id, trial.session_id, trial.trial_id,
                        trial.label, trial.fs, data)
     bad = detect_bad_channels(cleaned, montage)
     if bad and len(bad) < trial.n_channels:
         cleaned = interpolate_channels(cleaned, bad, montage)
-    return rereference_mean(cleaned)
+    # the mean re-reference, in place on the array this call made
+    cleaned.data -= cleaned.data.mean(axis=0, keepdims=True)
+    return cleaned

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eegtransfer import autodiff as ad
 from eegtransfer import data_io as io
 from eegtransfer import model as M
 from eegtransfer import training as T
@@ -662,11 +663,12 @@ class TestSynthetic:
         corr = np.corrcoef(got.ravel(), want.ravel())[0, 1]
         assert corr > 0.8
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_timeseries_bitwise_equal_to_whole_array_draws(self, set_workers, monkeypatch,
                                                            workers):
         # the reference draws, filters and scales each band's whole
-        # (channels, samples) carrier at once and sums in float64
+        # (channels, samples) carrier at once and sums in float64; at 2 and 3
+        # workers the next unit is drawn beside the filters
         from scipy import signal
 
         spec = dataclasses.replace(TINY_RAW, n_subjects=2, n_classes=3, n_channels=5)
@@ -705,6 +707,37 @@ class TestSynthetic:
             SynthSpec(n_subjects=0)
         with pytest.raises(Exception):
             SynthSpec(mode="other")
+        # counts and seed must be integers: a float count, a bool or a string
+        # seed fails with a message naming the field, not inside numpy
+        for field, value in [("n_channels", 2.5), ("seed", "abc"), ("samples_per_trial", 1.5),
+                             ("n_subjects", True), ("trials_per_subject", 3.0),
+                             ("n_classes", "3"), ("n_bands", None), ("seed", -1)]:
+            with pytest.raises(ConfigError, match=f"^synth {field} must be a .*integer, got"):
+                run_config_from_dict({"synth": {field: value, "mode": "timeseries"}})
+
+    def test_numpy_integer_counts_accepted_as_ints(self):
+        spec = SynthSpec(n_channels=np.int64(4), seed=np.uint32(7))
+        assert (spec.n_channels, spec.seed) == (4, 7)
+        assert type(spec.n_channels) is int and type(spec.seed) is int
+
+    def test_tiny_timeseries_spec_hands_no_job_to_the_pool(self, monkeypatch):
+        # at the default slice size a TINY_RAW unit is far below what pays
+        # for a hand-off, so every pipeline call runs on the calling thread
+        threads, run_jobs, before = [], ad._run_jobs, ad._workers
+
+        def counted(fn, n_jobs, n_threads):
+            threads.append(n_threads)
+            return run_jobs(fn, n_jobs, n_threads)
+
+        monkeypatch.setattr(ad, "_run_jobs", counted)
+        ad._set_workers(2)
+        try:
+            io.gen_synthetic(TINY_RAW)
+        finally:
+            ad._set_workers(before)
+        # one call per unit: two halves of each band of each trial
+        assert len(threads) == TINY_RAW.n_subjects * TINY_RAW.trials_per_subject * 5 * 2
+        assert max(threads) < 2
 
 
 def test_extract_bank_features_window_counts():

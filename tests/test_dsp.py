@@ -122,6 +122,26 @@ class TestFilters:
             run(x[:, :-1])
         run(x)
 
+    @pytest.mark.parametrize("rows", [3, 62])
+    def test_notch_in_place_bitwise_equal(self, rows):
+        # 3 rows are one block, whose band-pass is a reversed view; 62 rows
+        # of 3000 samples are two blocks
+        y = dsp.bandpass(np.random.default_rng(27).normal(size=(rows, 3000)), 1.0, 48.0, FS)
+        want = dsp.notch(y, 50.0, FS)
+        assert dsp.notch(y, 50.0, FS, out=y) is y
+        assert np.array_equal(y, want)
+
+    def test_band_noise_trials_rejects_bad_arguments(self):
+        rng = np.random.default_rng(28)
+        state = rng.bit_generator.state
+        out = np.zeros((2, 3, 100), dtype=np.float32)
+        for gains, target in [(np.ones((2, 3, 4)), out), (np.ones((2, 3, 5)), out.astype(float)),
+                              (np.ones((2, 3, 5)), out[:, :, :20]),
+                              (np.ones((0, 3, 5)), out[:0]), (np.ones((3, 5)), out[0])]:
+            with pytest.raises(dsp.DspError):
+                dsp.band_noise_trials(rng, gains, FS, target)
+        assert rng.bit_generator.state == state
+
     def test_zero_phase_no_group_delay(self):
         x = sine(10.0)
         y = dsp.bandpass(x, 8.0, 13.0, FS)
@@ -395,6 +415,11 @@ class TestArtifactHeuristics:
             flagged.add((len(want) > 0, len(want) < n))
         assert flagged == {(True, True), (True, False), (False, True)}
 
+    def test_bad_channels_equal_per_channel_reference_in_single_row_blocks(self, monkeypatch):
+        # the neighbour rows are gathered a row block at a time
+        monkeypatch.setattr(ad, "_MIN_SLICE_SIZE", 1)
+        self.test_bad_channels_equal_per_channel_reference()
+
     def test_constant_float32_row_flagged_without_warning(self):
         # float32 std reads ~1.5e-8 for a row of 0.1, and the trial is too
         # short for the flatline rule: only the correlation rule can flag it
@@ -482,9 +507,11 @@ def test_preprocess_trial_smoke():
     m = default_montage()
     common = rng.normal(size=int(8 * FS))
     data = common + 0.2 * rng.normal(size=(62, int(8 * FS)))
+    before = data.copy()
     out = dsp.preprocess_trial(make_trial(data), m)
     assert out.data.shape == data.shape
     assert np.abs(out.data.mean(axis=0)).max() < 1e-9
+    assert np.array_equal(data, before)  # the notch and re-reference run on its own copy
 
 
 def _pipeline_outputs():
