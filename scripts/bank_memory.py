@@ -4,12 +4,8 @@ Runs the stages of the benchmark's ``extract`` workload once on its bank (the
 default timeseries `SynthSpec`: 5 subjects x 10 trials x 62 channels x 6000
 samples at 200 Hz, float32) and prints, after each stage, the traced peak of
 that stage (tracemalloc, the stage's own allocations above what was held
-when it started), the traced memory still held, the process's RSS
-high-water mark so far, and the stage's wall seconds.  The seconds are
-taken under tracemalloc, which slows every allocation and most of all
-threads that allocate at once, so they compare runs of this script, and
-can rank two versions of a threaded stage unlike the benchmark's untraced
-times:
+when it started), the traced memory still held and the process's RSS
+high-water mark so far:
 
 - ``gen_synthetic``: the raw bank;
 - ``extract_bank_features``: every trial in turn, with preprocessing,
@@ -27,7 +23,6 @@ Usage: PYTHONPATH=src python scripts/bank_memory.py [--seed 1]
 import argparse
 import resource
 import tempfile
-import time
 import tracemalloc
 
 from eegtransfer import data_io, dsp
@@ -41,19 +36,15 @@ def main():
     p.add_argument("--seed", type=int, default=1, help="bank seed (default 1)")
     args = p.parse_args()
 
-    print(f"{'stage':<22} {'peak above start MB':>20} {'held MB':>9} {'RSS high-water MB':>18}"
-          f" {'traced s':>9}")
+    print(f"{'stage':<22} {'peak above start MB':>20} {'held MB':>9} {'RSS high-water MB':>18}")
 
     def stage(name, fn):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        t0 = time.perf_counter()
         out = fn()
-        seconds = time.perf_counter() - t0
         held, peak = tracemalloc.get_traced_memory()
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{name:<22} {(peak - start) / MB:20.1f} {held / MB:9.1f} {rss:18.1f}"
-              f" {seconds:9.2f}")
+        print(f"{name:<22} {(peak - start) / MB:20.1f} {held / MB:9.1f} {rss:18.1f}")
         return out
 
     def extract(raw):

@@ -70,7 +70,7 @@ def masked_step(per_view):
     labels = np.arange(per_view) % dta.config.n_classes
     enc = M.encode(x.astype(np.float32), default_montage().positions, dta, mask_diagonal=True,
                    rng=rng)
-    z = M.project(enc.q_final, dta, train=True, rng=rng)
+    z = M.project(enc, dta, train=True, rng=rng)
     loss = ls.contrastive_loss(ad.narrow(z, 0, per_view), ad.narrow(z, per_view, per_view),
                                labels, labels)
     return dta, loss

@@ -12,7 +12,7 @@ from .data_io import (SampleBank, SplitProtocol, apply_split, gen_synthetic,
 from .dsp import (BandSpec, FeatureSample, RawTrial, bandpass,
                   differential_entropy, extract_de, lds_smooth, notch, stack_samples)
 from .evaluation import EvalReport, connectivity, icd_ics, losocv
-from .model import DtaParameters, EncoderOutput, classify, encode, init_parameters, project
+from .model import DtaParameters, classify, encode, init_parameters, project
 from .montage import ChannelMontage, ChannelSubsetMap, default_montage, load_montage
 from .losses import contrastive_loss, cosine_similarity, cross_entropy
 from .training import (AdamState, CalibrationResult, PretrainResult, adam_step,

@@ -3,7 +3,7 @@
 A small define-by-run tape: every operation returns a :class:`Tensor` that
 remembers its parents and how to push gradients back to them.  The op set is
 exactly what the model and losses call (elementwise add/mul/power, ELU,
-softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum/mean,
+softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum,
 logsumexp and four fused ops: ``linear`` (x @ w + b), ``ffn`` (linear, ELU,
 dropout, linear: both embeddings and the classifier's last two layers),
 multi-head ``attention`` (query projection, head split, query scale and
@@ -807,13 +807,6 @@ def tsum(a, axis=None, keepdims=False):
     return out
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = _wrap(a)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in np.atleast_1d(axis)])
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
 # -- normalization and attention helpers ----------------------------------
 
 def softmax(a, mask_diagonal=False):
@@ -943,17 +936,17 @@ def _attention_grad_out(g, o, mx, sm, x, k, v, wq, bq, n_heads, mask_diagonal, s
                  if want else None for (rows, cols, t), want in zip(forms, wanted))
 
 
-def attention(x, wq, bq, k, v, n_heads, mask_diagonal=False, return_weights=False):
+def attention(x, wq, bq, k, v, n_heads, mask_diagonal=False):
     """Multi-head softmax(q kᵀ / sqrt(d_head)) v with the query q = x wq + bq
-    as one node; returns (out, weights).
+    as one node.
 
     x is (..., n, d_in), wq (d_in, n_heads * d_head) and bq its bias; k, v
-    and out are (..., n, n_heads * d_head), split into heads as views.
-    `weights` is the (..., heads, query, key) probability array when
-    `return_weights` asks for it, else None.  With the mask on, the query
-    and key counts must be equal: -inf is written onto the diagonal of the
-    logits before the max, as in :func:`softmax`, so self-weights come out
-    exactly 0.  Leading axes broadcast (a batchless query is shared by all).
+    and the output are (..., n, n_heads * d_head), split into heads as
+    views.  With the mask on, the query and key counts must be equal: -inf
+    is written onto the diagonal of the logits before the max, as in
+    :func:`softmax`, so self-weights come out exactly 0 and each output row
+    mixes only the other rows of v.  Leading axes broadcast (a batchless
+    query is shared by all).
 
     The work runs a tile of batch entries at a time (`_split`'s tiles of
     at most `_TILE_BYTES` of Pᵀ), so each tile's n x n passes run in cache.
@@ -984,10 +977,6 @@ def attention(x, wq, bq, k, v, n_heads, mask_diagonal=False, return_weights=Fals
     o, mx, sm = _split(_attention_rows, _attention_out, (kh, xq, vh), *shared, size=size,
                        most=most)
     out = _make(_merge_heads(o), (x, wq, bq, k, v), "attention")
-    weights = None
-    if return_weights:
-        qh = _query_heads(xq, wq.data, bq.data, n_heads)
-        weights = np.swapaxes(_probs_t(kh, qh * scale, mask_diagonal, mx, sm)[0], -1, -2)
     if _tracked(out):
         q_shape = (*x.shape[:-1], wq.shape[-1])
         x2 = x.data.reshape(-1, x.shape[-1])
@@ -1010,7 +999,7 @@ def attention(x, wq, bq, k, v, n_heads, mask_diagonal=False, return_weights=Fals
             if gx is not None:
                 x._accumulate(gx, own=True)
         out._backward = _bw
-    return out, weights
+    return out
 
 
 def logsumexp(a, axis=-1):

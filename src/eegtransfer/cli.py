@@ -232,13 +232,13 @@ def _cmd_grad_check(args, cfg: RunConfig):
     def contrastive_head():
         # masked (training) attention; projector batch norm in eval mode so
         # batch-mean subtraction leaves no parameter without influence
-        za = model.project(model.encode(feats_a, pos, dta, mask_diagonal=True).q_final, dta)
-        zb = model.project(model.encode(feats_b, pos, dta, mask_diagonal=True).q_final, dta)
+        za = model.project(model.encode(feats_a, pos, dta, mask_diagonal=True), dta)
+        zb = model.project(model.encode(feats_b, pos, dta, mask_diagonal=True), dta)
         return losses.contrastive_loss(za, zb, labels, labels)
 
     def cross_entropy_head():
         enc = model.encode(feats_a, pos, dta)
-        return losses.cross_entropy(model.classify(enc.q_final, dta), labels)
+        return losses.cross_entropy(model.classify(enc, dta), labels)
 
     with finite_checks():
         err_con = grad_check(contrastive_head, dta.params,

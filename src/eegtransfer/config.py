@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -21,6 +22,32 @@ from .augment import AugmentConfig
 
 class ConfigError(ValueError):
     pass
+
+
+def _number(name, value, kind, sign=None):
+    """`value` checked as the field `name` of type `kind`, int or float.
+
+    An int is any ``numbers.Integral`` but a bool and comes back as a Python
+    int; a float is any finite ``numbers.Real`` but a bool and comes back
+    unchanged.  `sign` "positive" asks for > 0, "non-negative" for >= 0."""
+    if kind is int:
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    else:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value))
+    if ok and sign is not None:
+        ok = value > 0 if sign == "positive" else value >= 0
+    if not ok:
+        what = " ".join(w for w in (sign, "integer" if kind is int else "finite number") if w)
+        raise ConfigError(f"{name} must be a {what}, got {value!r}")
+    return int(value) if kind is int else value
+
+
+def _check(record, kind, sign, *names, prefix=""):
+    """:func:`_number` on each field `names` of a frozen record, in place;
+    `prefix` starts each message."""
+    for name in names:
+        object.__setattr__(record, name, _number(prefix + name, getattr(record, name), kind, sign))
 
 
 @dataclass(frozen=True)
@@ -38,21 +65,19 @@ class ModelConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        dims = {name: getattr(self, name) for name in (
-            "n_layers", "d_model", "n_heads", "ffn_hidden", "n_channels", "n_bands", "n_classes")}
+        _check(self, int, "positive", "n_layers", "d_model", "n_heads", "ffn_hidden",
+               "n_channels", "n_bands", "n_classes")
         for name, length in (("proj_dims", 3), ("clf_hidden", 2)):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or len(value) != length:
                 raise ConfigError(f"{name} must list {length} dimensions, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
-            dims.update((f"{name}[{i}]", d) for i, d in enumerate(value))
-        for name, d in dims.items():
-            if type(d) is not int or d <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {d!r}")
+            object.__setattr__(self, name, tuple(_number(f"{name}[{i}]", d, int, "positive")
+                                                 for i, d in enumerate(value)))
+        _check(self, float, "non-negative", "dropout", "init_scale")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        if not 0 <= self.dropout < 1:
+        if self.dropout >= 1:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
@@ -63,8 +88,8 @@ class StageConfig:
     lr: float
 
     def __post_init__(self):
-        if self.batch_size <= 0 or self.epochs <= 0 or self.lr <= 0:
-            raise ConfigError("batch_size, epochs and lr must be positive")
+        _check(self, int, "positive", "batch_size", "epochs")
+        _check(self, float, "positive", "lr")
 
 
 @dataclass(frozen=True)
@@ -77,12 +102,11 @@ class TrainConfig:
     k_per_class: int = 20
 
     def __post_init__(self):
-        if self.patience <= 0 or self.patience > self.calibrate.epochs:
+        _check(self, int, "non-negative", "seed", "k_per_class")
+        _check(self, int, "positive", "patience")
+        _check(self, float, "non-negative", "weight_decay")
+        if self.patience > self.calibrate.epochs:
             raise ConfigError("patience must be in [1, calibrate.epochs]")
-        if self.k_per_class < 0:
-            raise ConfigError("k_per_class must be >= 0")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,18 +124,11 @@ class SynthSpec:
     mode: str = "features"
 
     def __post_init__(self):
-        # numpy integers pass, kept as ints; bools and floats do not
-        counts = ("n_subjects", "n_classes", "n_channels", "n_bands",
-                  "trials_per_subject", "samples_per_trial")
-        for name in (*counts, "seed"):
-            value = getattr(self, name)
-            least = 0 if name == "seed" else 1
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-                what = "non-negative" if least == 0 else "positive"
-                raise ConfigError(f"synth {name} must be a {what} integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.class_mean_scale < 0 or self.subject_shift_std < 0 or self.sample_noise_std < 0:
-            raise ConfigError("synthetic scales must be >= 0")
+        _check(self, int, "positive", "n_subjects", "n_classes", "n_channels", "n_bands",
+               "trials_per_subject", "samples_per_trial", prefix="synth ")
+        _check(self, int, "non-negative", "seed", prefix="synth ")
+        _check(self, float, "non-negative", "class_mean_scale", "subject_shift_std",
+               "sample_noise_std", prefix="synth ")
         if self.mode not in ("features", "timeseries"):
             raise ConfigError(f"mode must be 'features' or 'timeseries', got {self.mode!r}")
 
@@ -124,6 +141,9 @@ class RunConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     synth: SynthSpec = field(default_factory=SynthSpec)
     protocol: str | None = None
+
+    def __post_init__(self):
+        _check(self, int, "non-negative", "seed")
 
 
 _NESTED = {

@@ -68,7 +68,7 @@ def contrastive_loss(z_a, z_b, labels_a, labels_b, tau=DEFAULT_TEMPERATURE) -> T
     x = ad.matmul(za, ad.swapaxes(zb, -1, -2)) * (1.0 / tau)
     y = (labels_a[:, None] == labels_b[None, :]).astype(x.data.dtype)
     # softplus(x) - x*y == -[y ln(sig(x)) + (1-y) ln(1 - sig(x))], stably
-    return ad.tmean(ad.softplus(x) + x * Tensor(-y))
+    return ad.tsum(ad.softplus(x) + x * Tensor(-y)) * (1.0 / y.size)
 
 
 def cross_entropy(logits, label) -> Tensor:
@@ -91,7 +91,7 @@ def cross_entropy(logits, label) -> Tensor:
         raise LossError(f"label out of range for {c} classes")
     neg_onehot = np.zeros((n, c), dtype=t.data.dtype)
     neg_onehot[np.arange(n), labels] = -1.0
-    return ad.tmean(ad.logsumexp(t, axis=-1) + ad.tsum(t * Tensor(neg_onehot), axis=-1))
+    return ad.tsum(ad.logsumexp(t, axis=-1) + ad.tsum(t * Tensor(neg_onehot), axis=-1)) * (1.0 / n)
 
 
 def softmax_probs(logits) -> np.ndarray:

@@ -21,7 +21,6 @@ inference is safe; training has a single writer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +35,6 @@ POS_TABLE_STD = 0.1
 
 class ModelError(ValueError):
     pass
-
-
-@dataclass
-class EncoderOutput:
-    q_final: Tensor                      # (B, n_channels, d_model)
-    attention: list | None = None        # per layer: (B, heads, n, n)
 
 
 class DtaParameters:
@@ -193,8 +186,7 @@ def init_inputs(p_emb: Tensor, pos_table: Tensor, s_emb: Tensor):
     return q1, kv
 
 
-def masked_attention(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: bool,
-                     return_weights=False):
+def masked_attention(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: bool) -> Tensor:
     """Multi-head attention over channels; pretraining masks the diagonal.
 
     The layer's query input and projection, the shared (B, n, d_model) keys
@@ -203,46 +195,38 @@ def masked_attention(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: boo
     included).  With the mask on, diagonal logits are driven to -inf before
     the softmax, so the post-softmax self-weight is exactly zero and each
     row is a convex combination of the *other* channels' values.  Returns
-    the heads' merged (B, n, d_model) output, before the output projection,
-    and, when `return_weights` asks for it, the (B, heads, query, key)
-    attention weights array (else None): the op does not keep the weights,
-    so building them costs a second pass over the logits.
+    the heads' merged (B, n, d_model) output, before the output projection.
     """
     if mask_diagonal and q.shape[-2] < 2:
         raise ModelError("diagonal masking needs at least 2 channels")
     p = dta.params
     return ad.attention(q, p[f"enc{layer}.q.w"], p[f"enc{layer}.q.b"], k, v, dta.config.n_heads,
-                        mask_diagonal=mask_diagonal, return_weights=return_weights)
+                        mask_diagonal=mask_diagonal)
 
 
-def encoder_layer(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: bool, rng,
-                  return_weights=False):
+def encoder_layer(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: bool, rng) -> Tensor:
     """One post-norm block of two tape nodes: attention with its query
     projection, then :func:`autodiff.post_attention`, the output projection
     and LN1(q + attention W + b), the feed-forward and LN2(x + ffn(x)).
-    Feed-forward dropout fires when an `rng` is given; the attention weights
-    come back as :func:`masked_attention` returns them."""
+    Feed-forward dropout fires when an `rng` is given.  Returns the
+    (B, n, d_model) query input of the next layer."""
     p, name = dta.params, f"enc{layer}"
-    mixed, attn = masked_attention(q, k, v, dta, layer, mask_diagonal, return_weights)
+    mixed = masked_attention(q, k, v, dta, layer, mask_diagonal)
     mlp = (p[f"{name}.ffn.f1.w"], p[f"{name}.ffn.f1.b"], p[f"{name}.ffn.f2.w"],
            p[f"{name}.ffn.f2.b"])
-    out = ad.post_attention(mixed, q, (p[f"{name}.out.w"], p[f"{name}.out.b"]),
-                            (p[f"{name}.ln1.g"], p[f"{name}.ln1.b"]), mlp,
-                            (p[f"{name}.ln2.g"], p[f"{name}.ln2.b"]), dta.config.dropout, rng)
-    return out, attn
+    return ad.post_attention(mixed, q, (p[f"{name}.out.w"], p[f"{name}.out.b"]),
+                             (p[f"{name}.ln1.g"], p[f"{name}.ln1.b"]), mlp,
+                             (p[f"{name}.ln2.g"], p[f"{name}.ln2.b"]), dta.config.dropout, rng)
 
 
-def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None,
-           capture_attention=False) -> EncoderOutput:
-    """Run the full encoder.
+def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None) -> Tensor:
+    """Run the full encoder; returns the (B, n, d_model) channel representations.
 
     `de` is (B, n, bands), (n, bands), or a Tensor.  `mask_diagonal` removes
     the attention diagonal (contrastive pretraining); calibration and
     prediction leave it off.  Dropout fires only when an `rng` is given.
-    Output q_final is (B, n, d_model), as are the keys and values every
-    layer's attention node takes.  `capture_attention` asks every layer
-    for its (B, heads, n, n) weights, each rebuilt from the logits after
-    the layer's attention has run; without it none is built.
+    Every layer's attention node takes the same (B, n, d_model) keys and
+    values.
     """
     cfg = dta.config
     x = de if isinstance(de, Tensor) else Tensor(np.asarray(de, dtype=dta.dtype))
@@ -257,13 +241,9 @@ def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None,
     q, kv = init_inputs(p_emb, dta.params["pos_table"], s_emb)
     k = ad.linear(kv, dta.params["kv.k.w"])
     v = _affine(kv, dta.params, "kv.v")
-
-    attn_maps = [] if capture_attention else None
     for layer in range(cfg.n_layers):
-        q, attn = encoder_layer(q, k, v, dta, layer, mask_diagonal, rng, capture_attention)
-        if capture_attention:
-            attn_maps.append(attn)
-    return EncoderOutput(q_final=q, attention=attn_maps)
+        q = encoder_layer(q, k, v, dta, layer, mask_diagonal, rng)
+    return q
 
 
 def _flatten(q_final):
@@ -279,7 +259,7 @@ def _batch_norm(x, dta, key, train):
     if train:
         neg_mu = ad.tsum(x, axis=0) * (-1.0 / x.shape[0])
         xc = x + neg_mu
-        batch_var = ad.tmean(xc * xc, axis=0)
+        batch_var = ad.tsum(xc * xc, axis=0) * (1.0 / x.shape[0])
         inv = ad.power(batch_var + BN_EPS, -0.5)
         state[mean] = (1 - BN_MOMENTUM) * state[mean] - BN_MOMENTUM * neg_mu.data
         state[var] = (1 - BN_MOMENTUM) * state[var] + BN_MOMENTUM * batch_var.data

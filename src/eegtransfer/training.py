@@ -144,7 +144,7 @@ def pretrain(bank, montage: ChannelMontage, mconf: ModelConfig,
             # one pass over both views; batch-norm statistics span the pair
             both = np.concatenate([view_a, view_b], axis=0)
             enc = m.encode(both, pos, dta, mask_diagonal=True, rng=rng_dropout)
-            z = m.project(enc.q_final, dta, train=True, rng=rng_dropout)
+            z = m.project(enc, dta, train=True, rng=rng_dropout)
             z_a = ad.narrow(z, 0, batch_size)
             z_b = ad.narrow(z, batch_size, batch_size)
             loss = contrastive_loss(z_a, z_b, batch_labels, batch_labels)
@@ -238,7 +238,7 @@ def calibrate(pretrained: m.DtaParameters, labeled, montage: ChannelMontage,
             idx = fit_idx[perm[start:start + batch_size]]
             dta.params.zero_grad()
             enc = m.encode(feats[idx], pos, dta, rng=rng_dropout)
-            loss = cross_entropy(m.classify(enc.q_final, dta), labels[idx])
+            loss = cross_entropy(m.classify(enc, dta), labels[idx])
             loss.backward()
             adam_step(dta.params, opt, train_names)
             losses.append(float(loss.data))
@@ -270,7 +270,7 @@ def encode_in_chunks(dta: m.DtaParameters, feats, montage: ChannelMontage, head)
         raise TrainError("no samples to encode")
     pos = montage.positions
     with ad.no_grad():
-        return np.concatenate([head(m.encode(feats[i:i + INFERENCE_CHUNK], pos, dta).q_final, dta)
+        return np.concatenate([head(m.encode(feats[i:i + INFERENCE_CHUNK], pos, dta), dta)
                                for i in range(0, feats.shape[0], INFERENCE_CHUNK)])
 
 

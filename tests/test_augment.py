@@ -145,3 +145,6 @@ def test_config_validation():
         ag.AugmentConfig(mixup_alpha=0.0)
     with pytest.raises(ag.AugmentError):
         ag.AugmentConfig(mask_prob=1.0)
+    for alpha in (float("inf"), float("nan")):
+        with pytest.raises(ag.AugmentError, match="mixup_alpha"):
+            ag.AugmentConfig(mixup_alpha=alpha)

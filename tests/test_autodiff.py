@@ -53,7 +53,8 @@ def test_elementwise_primitives(shape):
     fd_check(lambda: ad.tsum(ad.elu(ps["x"]) * ad.Tensor(w)), ps)
     fd_check(lambda: ad.tsum(ad.softplus(ps["x"]) * ad.Tensor(w)), ps)
     # subtraction is the add of a negated operand (Tensor has no `-`)
-    fd_check(lambda: ad.tmean(ad.add(ps["x"] * ps["x"] + ad.mul(ps["x"], -2.0), -1.5)), ps)
+    fd_check(lambda: ad.tsum(ad.add(ps["x"] * ps["x"] + ad.mul(ps["x"], -2.0), -1.5))
+             * (1.0 / ps["x"].data.size), ps)
 
 
 def test_power_gradients():
@@ -86,7 +87,7 @@ def test_reductions_and_shapes():
     w2 = rng.normal(size=(24,))
     w3 = rng.normal(size=(2, 4, 3))
     w4 = rng.normal(size=(3, 2, 2))
-    fd_check(lambda: ad.tsum(ad.tmean(ps["x"], axis=0) * ad.Tensor(w0)), ps)
+    fd_check(lambda: ad.tsum(ad.tsum(ps["x"], axis=0) * (1.0 / 3) * ad.Tensor(w0)), ps)
     fd_check(lambda: ad.tsum(ad.tsum(ps["x"], axis=-1) * ad.Tensor(w1)), ps)
     fd_check(lambda: ad.tsum(ad.reshape(ps["x"], (24,)) * ad.Tensor(w2)), ps)
     fd_check(lambda: ad.tsum(ad.swapaxes(ps["x"], 0, 2) * ad.Tensor(w3)), ps)
@@ -151,8 +152,8 @@ def reference_attention(q, k, v, n_heads, mask_diagonal):
     return ad.reshape(mixed, (*lead, n, h * dh))
 
 
-def projected_attention(ps, n_heads, mask, **kwargs):
-    return ad.attention(ps["x"], ps["wq"], ps["bq"], ps["k"], ps["v"], n_heads, mask, **kwargs)
+def projected_attention(ps, n_heads, mask):
+    return ad.attention(ps["x"], ps["wq"], ps["bq"], ps["k"], ps["v"], n_heads, mask)
 
 
 @pytest.mark.parametrize("mask", [False, True])
@@ -167,29 +168,30 @@ def test_attention_matches_chain_and_gradient(mask, q_shape):
     ps.add("bq", rng.normal(size=12))
     ps.add("k", rng.normal(size=(2, 5, 12)))
     ps.add("v", rng.normal(size=(2, 5, 12)))
-    out, weights = projected_attention(ps, 3, mask, return_weights=True)
+    out = projected_attention(ps, 3, mask)
     want = reference_attention(ad.linear(ps["x"], ps["wq"], ps["bq"]), ps["k"], ps["v"], 3, mask)
-    assert out.shape == (2, 5, 12) and weights.shape == (2, 3, 5, 5)
+    assert out.shape == (2, 5, 12)
     assert np.allclose(out.data, want.data, rtol=0, atol=1e-12)
-    assert np.allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
-    if mask:
-        assert np.all(weights[..., np.arange(5), np.arange(5)] == 0.0)
-    else:
-        assert np.all(weights > 0.0)
     w = rng.normal(size=(2, 5, 12))
-    fd_check(lambda: ad.tsum(projected_attention(ps, 3, mask)[0] * ad.Tensor(w)), ps)
+    fd_check(lambda: ad.tsum(projected_attention(ps, 3, mask) * ad.Tensor(w)), ps)
     assert out._op == "attention" and len(out._parents) == 5
 
 
 def test_attention_masked_float32_self_weights_exactly_zero():
+    """A masked self-weight is exactly 0, however large its logit: changing
+    only channel 0's value leaves channel 0's output row unchanged, bit for
+    bit."""
     rng = np.random.default_rng(15)
     q, k, v = (rng.normal(size=(4, 7, 6)).astype(np.float32) for _ in range(3))
     q[..., 0, :] = k[..., 0, :] * 50.0  # a dominant self-logit is still removed
     # an identity projection passes the query through exactly
     eye, zero = np.eye(6, dtype=np.float32), np.zeros(6, dtype=np.float32)
-    out, weights = ad.attention(q, eye, zero, k, v, 2, mask_diagonal=True, return_weights=True)
-    assert out.dtype == weights.dtype == np.float32
-    assert np.all(weights[..., np.arange(7), np.arange(7)] == 0.0)
+    out = ad.attention(q, eye, zero, k, v, 2, mask_diagonal=True)
+    assert out.dtype == np.float32
+    v[..., 0, :] = rng.normal(size=(4, 6)) * 100.0
+    moved = ad.attention(q, eye, zero, k, v, 2, mask_diagonal=True)
+    assert np.array_equal(moved.data[..., 0, :], out.data[..., 0, :])
+    assert not np.array_equal(moved.data[..., 1:, :], out.data[..., 1:, :])
 
 
 def test_attention_mask_needs_square_logits():
@@ -201,16 +203,14 @@ def test_attention_mask_needs_square_logits():
     with pytest.raises(ad.AutodiffError, match="n >= 2"):
         ad.attention(one, w, b, one, one, 2, mask_diagonal=True)
     # unmasked cross-attention is fine
-    out, weights = ad.attention(q, w, b, kv, kv, 2, return_weights=True)
-    assert weights.shape == (2, 2, 3, 5) and out.shape == (2, 3, 4)
+    assert ad.attention(q, w, b, kv, kv, 2).shape == (2, 3, 4)
 
 
 def run_attention(arrays, mask, dout):
     """Output and every input's gradient bytes of a tracked attention (x, wq,
     bq, k, v) fed `dout`."""
     ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out, weights = ad.attention(*ts, 2, mask_diagonal=mask)
-    assert weights is None  # built only when asked for
+    out = ad.attention(*ts, 2, mask_diagonal=mask)
     out.backward(dout)
     return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
 
@@ -256,8 +256,8 @@ def test_attention_float32_bitwise_equal_to_query_linear_first(x_shape, workers,
     eye, zero = np.eye(32, dtype=np.float32), np.zeros(32, dtype=np.float32)
 
     def projected_first(x, wq, bq, k, v):
-        return ad.attention(ad.linear(x, wq, bq), eye, zero, k, v, 4, True)[0]
-    assert_bitwise(lambda *ts: ad.attention(*ts, 4, True)[0], projected_first, arrays, rng)
+        return ad.attention(ad.linear(x, wq, bq), eye, zero, k, v, 4, True)
+    assert_bitwise(lambda *ts: ad.attention(*ts, 4, True), projected_first, arrays, rng)
 
 
 def test_attention_forward_keeps_no_probabilities(set_workers):
@@ -274,7 +274,7 @@ def test_attention_forward_keeps_no_probabilities(set_workers):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out, _ = ad.attention(x, wq, bq, k, v, 4, mask_diagonal=True)
+        out = ad.attention(x, wq, bq, k, v, 4, mask_diagonal=True)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -578,7 +578,7 @@ def _split_op_cases():
                       np.random.default_rng(3))
 
     def attention(mask):
-        return lambda ps: projected_attention(ps, 2, mask)[0]
+        return lambda ps: projected_attention(ps, 2, mask)
 
     def layer_norm(ps):
         return ad.layer_norm(ps["a"], ps["g"], ps["b"], residual=ps["r"])

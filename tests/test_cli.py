@@ -14,6 +14,7 @@ import pytest
 
 from eegtransfer import autodiff as ad
 from eegtransfer import cli
+from eegtransfer.augment import AugmentError
 from eegtransfer.config import ConfigError, RunConfig, load_run_config, run_config_from_dict
 from eegtransfer.data_io import apply_split, get_protocol, read_bank
 
@@ -297,6 +298,33 @@ class TestConfig:
             run_config_from_dict({"modle": {}})
         with pytest.raises(ConfigError, match="unknown keys"):
             run_config_from_dict({"model": {"d_modle": 3}})
+
+    @pytest.mark.parametrize("doc,error,message", [
+        ('{"train": {"seed": "abc"}}', ConfigError, "^seed must be a non-negative integer"),
+        ('{"train": {"seed": 1.5}}', ConfigError, "^seed must be a non-negative integer"),
+        ('{"train": {"patience": 2.5}}', ConfigError, "^patience must be a positive integer"),
+        ('{"train": {"k_per_class": 2.5}}', ConfigError,
+         "^k_per_class must be a non-negative integer"),
+        ('{"train": {"pretrain": {"batch_size": 2.5, "epochs": 1, "lr": 1e-4}}}', ConfigError,
+         "^batch_size must be a positive integer"),
+        ('{"train": {"calibrate": {"batch_size": 8, "epochs": 20, "lr": NaN}}}', ConfigError,
+         "^lr must be a positive finite number"),
+        ('{"train": {"weight_decay": NaN}}', ConfigError,
+         "^weight_decay must be a non-negative finite number"),
+        ('{"model": {"init_scale": NaN}}', ConfigError,
+         "^init_scale must be a non-negative finite number"),
+        ('{"synth": {"sample_noise_std": NaN}}', ConfigError,
+         "^synth sample_noise_std must be a non-negative finite number"),
+        ('{"seed": "abc"}', ConfigError, "^seed must be a non-negative integer"),
+        ('{"seed": true}', ConfigError, "^seed must be a non-negative integer"),
+        ('{"augment": {"mixup_alpha": Infinity}}', AugmentError, "^mixup_alpha must be finite"),
+    ])
+    def test_bad_numbers_rejected(self, doc, error, message):
+        """Wrong types and the non-finite numbers json reads (NaN, Infinity)
+        fail with a message naming the field; a top-level seed is checked as
+        itself, not as the synth seed it is copied to."""
+        with pytest.raises(error, match=message):
+            run_config_from_dict(json.loads(doc))
 
     def test_readme_config_block_loads(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -12,7 +12,8 @@ from eegtransfer import autodiff as ad
 from eegtransfer import data_io as io
 from eegtransfer import model as M
 from eegtransfer import training as T
-from eegtransfer.config import ConfigError, ModelConfig, SynthSpec, run_config_from_dict
+from eegtransfer.config import (ConfigError, ModelConfig, StageConfig, SynthSpec, TrainConfig,
+                                run_config_from_dict)
 from eegtransfer.dsp import DEFAULT_BANDS, BUTTER_ORDER, extract_de
 
 SMALL = SynthSpec(n_subjects=2, n_classes=3, n_channels=8, trials_per_subject=3,
@@ -404,8 +405,8 @@ class TestCheckpoints:
         loaded, opt = io.load_checkpoint(path)
         assert opt is None
         probe = np.stack([s.de for s in small_bank.samples[:4]]).astype(np.float64)
-        a = M.encode(probe, small_bank.montage.positions, dta).q_final.data
-        b = M.encode(probe, small_bank.montage.positions, loaded).q_final.data
+        a = M.encode(probe, small_bank.montage.positions, dta).data
+        b = M.encode(probe, small_bank.montage.positions, loaded).data
         assert np.array_equal(a, b)
 
     def test_failed_save_leaves_earlier_checkpoint(self, tmp_path, monkeypatch):
@@ -533,7 +534,8 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("key,value", [
         ("proj_dims", [8, 8]), ("clf_hidden", [4, 4, 4]), ("proj_dims", 8),
-        ("n_layers", 2.5), ("proj_dims", [8, 8.0, 8]), ("n_heads", True)])
+        ("n_layers", 2.5), ("proj_dims", [8, 8.0, 8]), ("n_heads", True),
+        ("init_scale", float("nan")), ("init_scale", float("inf")), ("dropout", float("nan"))])
     def test_malformed_model_config_rejected(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key) as err:
             run_config_from_dict({"model": {key: value}})
@@ -714,11 +716,22 @@ class TestSynthetic:
                              ("n_classes", "3"), ("n_bands", None), ("seed", -1)]:
             with pytest.raises(ConfigError, match=f"^synth {field} must be a .*integer, got"):
                 run_config_from_dict({"synth": {field: value, "mode": "timeseries"}})
+        # scales must be finite: json reads NaN and Infinity
+        for field, value in [("sample_noise_std", float("nan")),
+                             ("class_mean_scale", float("inf")), ("subject_shift_std", -0.5),
+                             ("sample_noise_std", "0.5")]:
+            with pytest.raises(ConfigError, match=f"^synth {field} must be a .*finite number, got"):
+                run_config_from_dict({"synth": {field: value}})
 
     def test_numpy_integer_counts_accepted_as_ints(self):
         spec = SynthSpec(n_channels=np.int64(4), seed=np.uint32(7))
         assert (spec.n_channels, spec.seed) == (4, 7)
         assert type(spec.n_channels) is int and type(spec.seed) is int
+        # every config record stores its integer fields the same way
+        train = TrainConfig(seed=np.int64(3), pretrain=StageConfig(np.int32(8), 1, 1e-4))
+        model = ModelConfig(d_model=np.int64(8), n_heads=2, proj_dims=(np.int16(4), 4, 4))
+        assert type(train.seed) is int and type(train.pretrain.batch_size) is int
+        assert type(model.d_model) is int and type(model.proj_dims[0]) is int
 
     def test_tiny_timeseries_spec_hands_no_job_to_the_pool(self, monkeypatch):
         # at the default slice size a TINY_RAW unit is far below what pays

@@ -114,12 +114,11 @@ class TestMaskedAttention:
         q = ad.Tensor(rng.normal(size=(1, 2, 8)))
         k = ad.Tensor(rng.normal(size=(1, 2, 8)))
         v = ad.Tensor(rng.normal(size=(1, 2, 8)))
-        _, attn = M.masked_attention(q, k, v, d2, 0, mask_diagonal=True,
-                                     return_weights=True)
-        # with the diagonal removed each row has one column left
-        assert np.allclose(attn[:, :, 0, 1], 1.0)
-        assert np.allclose(attn[:, :, 1, 0], 1.0)
-        assert np.all(attn[:, :, 0, 0] == 0.0)
+        mixed = M.masked_attention(q, k, v, d2, 0, mask_diagonal=True).data
+        # with the diagonal removed each row has one column left, with
+        # weight 1 in every head: the channels swap values exactly
+        assert np.array_equal(mixed[:, 0], v.data[:, 1])
+        assert np.array_equal(mixed[:, 1], v.data[:, 0])
 
     def test_three_channels_equal_logits_split_half(self, tiny):
         cfg = ModelConfig(n_layers=1, d_model=8, n_heads=1, ffn_hidden=16,
@@ -132,11 +131,11 @@ class TestMaskedAttention:
         q = ad.Tensor(rng.normal(size=(1, 3, 8)))
         k = ad.Tensor(rng.normal(size=(1, 3, 8)))
         v = ad.Tensor(rng.normal(size=(1, 3, 8)))
-        _, attn = M.masked_attention(q, k, v, d3, 0, mask_diagonal=True,
-                                     return_weights=True)
-        off = attn[0, 0][~np.eye(3, dtype=bool)]
-        assert np.allclose(off, 0.5, atol=1e-7)
-        assert np.all(np.diag(attn[0, 0]) == 0.0)
+        mixed = M.masked_attention(q, k, v, d3, 0, mask_diagonal=True).data[0]
+        # each row is the mean of the other two channels' values
+        for i in range(3):
+            others = np.delete(v.data[0], i, axis=0)
+            assert np.allclose(mixed[i], others.mean(axis=0), rtol=0, atol=1e-12)
 
     def test_test_mode_saturated_diagonal_returns_own_value(self):
         # craft logits with +40 on the diagonal: softmax keeps own value
@@ -161,21 +160,26 @@ class TestMaskedAttention:
 
 class TestEncode:
     def test_attention_rows_sum_to_one_and_diagonal_zero(self, tiny):
-        dta, pos = tiny
+        """In every layer, values that are one row c repeated come out as c
+        (each row's weights sum to one), and with the mask on, changing only
+        channel i's value leaves channel i's output row unchanged, bit for
+        bit (its self-weight is exactly zero)."""
+        dta, _ = tiny
         rng = np.random.default_rng(7)
-        out = M.encode(rand_de(rng, batch=3), pos, dta, mask_diagonal=True,
-                       capture_attention=True)
-        for attn in out.attention:
-            assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
-            assert np.all(attn[:, :, np.arange(6), np.arange(6)] == 0.0)
-
-    def test_test_mode_diagonal_may_be_positive(self, tiny):
-        dta, pos = tiny
-        rng = np.random.default_rng(8)
-        out = M.encode(rand_de(rng, batch=2), pos, dta,
-                       capture_attention=True)
-        diag = out.attention[0][:, :, np.arange(6), np.arange(6)]
-        assert np.all(diag > 0.0)
+        q, k = (ad.Tensor(rng.normal(size=(3, 6, TINY.d_model))) for _ in range(2))
+        c = rng.normal(size=TINY.d_model)
+        v = rng.normal(size=(3, 6, TINY.d_model))
+        for layer in range(TINY.n_layers):
+            for mask in (False, True):
+                same = ad.Tensor(np.broadcast_to(c, v.shape).copy())
+                mixed = M.masked_attention(q, k, same, dta, layer, mask).data
+                assert np.allclose(mixed, c, rtol=0, atol=1e-12)
+            base = M.masked_attention(q, k, ad.Tensor(v), dta, layer, True).data
+            for i in range(6):
+                moved = v.copy()
+                moved[:, i] += rng.uniform(-10, 10, size=TINY.d_model)
+                out = M.masked_attention(q, k, ad.Tensor(moved), dta, layer, True).data
+                assert np.array_equal(out[:, i], base[:, i])
 
     def test_key_value_bitwise_constant_across_layers(self, tiny, monkeypatch):
         dta, pos = tiny
@@ -200,11 +204,11 @@ class TestEncode:
         dta, pos = tiny
         rng = np.random.default_rng(10)
         de = rand_de(rng)
-        base = M.encode(de, pos, dta, mask_diagonal=True).q_final.data[0]
+        base = M.encode(de, pos, dta, mask_diagonal=True).data[0]
         for i in range(6):
             bumped = de.copy()
             bumped[i] += rng.uniform(-10, 10, size=5)
-            out = M.encode(bumped, pos, dta, mask_diagonal=True).q_final.data[0]
+            out = M.encode(bumped, pos, dta, mask_diagonal=True).data[0]
             assert np.max(np.abs(out[i] - base[i])) <= 1e-9
             others = np.delete(np.abs(out - base), i, axis=0)
             assert others.max() >= 1e-6
@@ -213,18 +217,18 @@ class TestEncode:
         dta, pos = tiny
         rng = np.random.default_rng(11)
         de = rand_de(rng)
-        base = M.encode(de, pos, dta).q_final.data[0]
+        base = M.encode(de, pos, dta).data[0]
         bumped = de.copy()
         bumped[2] += 1.0
-        out = M.encode(bumped, pos, dta).q_final.data[0]
+        out = M.encode(bumped, pos, dta).data[0]
         assert np.max(np.abs(out[2] - base[2])) > 1e-6
 
     def test_eval_mode_bitwise_deterministic(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(12)
         de = rand_de(rng, batch=3)
-        a = M.encode(de, pos, dta).q_final.data
-        b = M.encode(de, pos, dta).q_final.data
+        a = M.encode(de, pos, dta).data
+        b = M.encode(de, pos, dta).data
         assert np.array_equal(a, b)
 
     def test_channel_permutation_equivariance(self, tiny):
@@ -234,8 +238,8 @@ class TestEncode:
         perm = np.array([3, 1, 5, 0, 2, 4])
         permuted = dta.copy()
         permuted.params["pos_table"].data = dta.params["pos_table"].data[perm]
-        base = M.encode(de, pos, dta, mask_diagonal=True).q_final.data[0]
-        out = M.encode(de[perm], pos[perm], permuted, mask_diagonal=True).q_final.data[0]
+        base = M.encode(de, pos, dta, mask_diagonal=True).data[0]
+        out = M.encode(de[perm], pos[perm], permuted, mask_diagonal=True).data[0]
         assert np.allclose(out, base[perm], atol=1e-9)
 
     def test_encoder_layer_zero_ffn_reduces_to_norms(self, tiny):
@@ -251,32 +255,32 @@ class TestEncode:
         q, kv = M.init_inputs(p_emb, zeroed.params["pos_table"], s_emb)
         k = ad.linear(kv, zeroed.params["kv.k.w"])
         v = M._affine(kv, zeroed.params, "kv.v")
-        mixed, _ = M.masked_attention(q, k, v, zeroed, 0, mask_diagonal=True)
+        mixed = M.masked_attention(q, k, v, zeroed, 0, mask_diagonal=True)
         h = M._affine(mixed, zeroed.params, "enc0.out")
         x = ad.layer_norm(q + h, zeroed.params["enc0.ln1.g"], zeroed.params["enc0.ln1.b"])
         want = ad.layer_norm(x, zeroed.params["enc0.ln2.g"], zeroed.params["enc0.ln2.b"]).data
-        got, _ = M.encoder_layer(q, k, v, zeroed, 0, True, None)
+        got = M.encoder_layer(q, k, v, zeroed, 0, True, None)
         assert np.allclose(got.data, want, atol=1e-12)
 
     def test_dropout_fires_only_with_rng(self, tiny):
         dta, pos = tiny
         de = rand_de(np.random.default_rng(23), batch=2)
-        plain = M.encode(de, pos, dta).q_final.data
-        dropped = M.encode(de, pos, dta, rng=np.random.default_rng(0)).q_final.data
+        plain = M.encode(de, pos, dta).data
+        dropped = M.encode(de, pos, dta, rng=np.random.default_rng(0)).data
         assert not np.array_equal(dropped, plain)
         # at rate 0 an rng is never drawn from and the output is unchanged
         no_dropout = M.DtaParameters(dataclasses.replace(TINY, dropout=0.0),
                                      dta.params, dta.bn_state)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        assert np.array_equal(M.encode(de, pos, no_dropout, rng=rng).q_final.data, plain)
+        assert np.array_equal(M.encode(de, pos, no_dropout, rng=rng).data, plain)
         assert rng.bit_generator.state == state
 
     def test_shape_contract(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(15)
         out = M.encode(rand_de(rng, batch=4), pos, dta)
-        assert out.q_final.shape == (4, 6, TINY.d_model)
+        assert out.shape == (4, 6, TINY.d_model)
         with pytest.raises(M.ModelError):
             M.encode(rng.normal(size=(4, 7, 5)), pos, dta)
 
@@ -289,7 +293,7 @@ class TestEncode:
         dta = dta.copy()  # train-mode projection writes batch-norm state
         rng = np.random.default_rng(16)
         enc = M.encode(rand_de(rng, batch=4), pos, dta, mask_diagonal=True, rng=rng)
-        z = M.project(enc.q_final, dta, train=True, rng=rng)
+        z = M.project(enc, dta, train=True, rng=rng)
         labels = np.array([0, 1])
         loss = ls.contrastive_loss(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels)
         kv_weights = (dta.params["kv.k.w"], dta.params["kv.v.w"])
@@ -299,8 +303,8 @@ class TestEncode:
         upstream = {}
         for t in kv_linears:
             upstream.update(graph(t))
-        return ([t for i, t in graph(enc.q_final).items() if i not in upstream and t._parents],
-                enc.q_final, upstream)  # parameters are leaves
+        return ([t for i, t in graph(enc).items() if i not in upstream and t._parents],
+                enc, upstream)  # parameters are leaves
 
     def test_layers_are_two_fused_nodes_each_after_key_value_linears(self, tiny):
         """Between the kv.k/kv.v linears and the encoder output, a masked
@@ -366,7 +370,7 @@ class TestEncode:
         contrastive = ["narrow", "narrow", *row_norm, *row_norm, "swapaxes", "matmul", "mul",
                        "softplus", "mul", "add", "sum", "mul"]
         enc = M.encode(rand_de(rng, batch=4), pos, dta, mask_diagonal=True, rng=rng)
-        z = M.project(enc.q_final, dta, train=True, rng=rng)
+        z = M.project(enc, dta, train=True, rng=rng)
         labels = np.array([0, 1])
         loss = ls.contrastive_loss(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels)
         assert tape_ops(loss) == sorted(encoder + projector + contrastive)
@@ -380,12 +384,12 @@ class TestEncode:
         classifier = ["reshape", "linear", "elu", "ffn"]
         cross_entropy = ["mul", "sum", "logsumexp", "add", "sum", "mul"]
         enc = M.encode(rand_de(rng, batch=4), pos, dta, rng=rng)
-        logits = M.classify(enc.q_final, dta)
+        logits = M.classify(enc, dta)
         loss = ls.cross_entropy(logits, np.array([0, 1, 2, 0]))
         assert tape_ops(loss) == sorted(encoder + classifier + cross_entropy)
         assert len(tape_ops(loss)) == 16 + 2 * TINY.n_layers  # 24 at the reference 4 layers
         chain, t = [], logits
-        while t is not enc.q_final:
+        while t is not enc:
             chain.append(t._op)
             t = t._parents[0]
         assert chain[::-1] == classifier
@@ -397,25 +401,25 @@ class TestHeads:
         dta, pos = tiny
         rng = np.random.default_rng(16)
         enc = M.encode(rand_de(rng, batch=3), pos, dta)
-        z = M.project(enc.q_final, dta, train=False)
+        z = M.project(enc, dta, train=False)
         assert z.shape == (3, TINY.proj_dims[-1])
 
     def test_projection_eval_deterministic_and_train_uses_batch_stats(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(17)
         enc = M.encode(rand_de(rng, batch=4), pos, dta)
-        a = M.project(enc.q_final, dta, train=False).data
+        a = M.project(enc, dta, train=False).data
         enc2 = M.encode(rand_de(np.random.default_rng(17), batch=4), pos, dta)
-        b = M.project(enc2.q_final, dta, train=False).data
+        b = M.project(enc2, dta, train=False).data
         assert np.array_equal(a, b)
 
     def test_eval_projection_ignores_batch_composition(self, tiny):
         dta, pos = tiny
         rng = np.random.default_rng(18)
         de = rand_de(rng, batch=4)
-        full = M.project(M.encode(de, pos, dta).q_final,
+        full = M.project(M.encode(de, pos, dta),
                          dta, train=False).data
-        solo = M.project(M.encode(de[:1], pos, dta).q_final,
+        solo = M.project(M.encode(de[:1], pos, dta),
                          dta, train=False).data
         assert np.allclose(full[0], solo[0], atol=1e-9)
 
@@ -425,7 +429,7 @@ class TestHeads:
         rng = np.random.default_rng(19)
         before = work.bn_state["proj.bn1.mean"].copy()
         enc = M.encode(rand_de(rng, batch=4), pos, work, mask_diagonal=True)
-        M.project(enc.q_final, work, train=True)
+        M.project(enc, work, train=True)
         assert not np.array_equal(before, work.bn_state["proj.bn1.mean"])
 
     def test_eval_projection_leaves_running_stats(self, tiny):
@@ -433,7 +437,7 @@ class TestHeads:
         work = dta.copy()
         before = {k: v.copy() for k, v in work.bn_state.items()}
         enc = M.encode(rand_de(np.random.default_rng(24), batch=4), pos, work)
-        M.project(enc.q_final, work, rng=np.random.default_rng(0))
+        M.project(enc, work, rng=np.random.default_rng(0))
         assert all(np.array_equal(v, work.bn_state[k]) for k, v in before.items())
 
     def test_projector_gradient(self, tiny):
@@ -445,7 +449,7 @@ class TestHeads:
 
         def f():
             enc = M.encode(de, pos, dta)
-            z = M.project(enc.q_final, dta, train=True)
+            z = M.project(enc, dta, train=True)
             return ad.tsum(z * ad.Tensor(w))
 
         err = ad.grad_check(f, dta.params, names=dta.projector_names())
@@ -455,7 +459,7 @@ class TestHeads:
         dta, pos = tiny
         rng = np.random.default_rng(21)
         enc = M.encode(rand_de(rng, batch=2), pos, dta)
-        logits = M.classify(enc.q_final, dta)
+        logits = M.classify(enc, dta)
         assert logits.shape == (2, TINY.n_classes)
         # the fresh head is zero-initialized: uniform predictions
         probs = ls.softmax_probs(logits.data)
@@ -513,7 +517,7 @@ def test_pretrain_step_bitwise_equal_at_1_2_3_workers(set_workers):
         dta = M.init_parameters(cfg, seed=3, dtype=np.float32)
         rng_dropout = np.random.default_rng(7)
         enc = M.encode(x, pos, dta, mask_diagonal=True, rng=rng_dropout)
-        z = M.project(enc.q_final, dta, train=True, rng=rng_dropout)
+        z = M.project(enc, dta, train=True, rng=rng_dropout)
         loss = ls.contrastive_loss(ad.narrow(z, 0, 5), ad.narrow(z, 5, 5), labels, labels)
         loss.backward()
         assert (ad._pool is not None) == (workers > 1)  # the split path ran
@@ -530,7 +534,7 @@ def _masked_step(x, labels, pos):
     dta = M.init_parameters(cfg, seed=3, dtype=np.float32)
     rng_dropout = np.random.default_rng(7)
     enc = M.encode(x, pos, dta, mask_diagonal=True, rng=rng_dropout)
-    z = M.project(enc.q_final, dta, train=True, rng=rng_dropout)
+    z = M.project(enc, dta, train=True, rng=rng_dropout)
     half = len(labels)
     loss = ls.contrastive_loss(ad.narrow(z, 0, half), ad.narrow(z, half, half), labels, labels)
     loss.backward()
@@ -625,9 +629,9 @@ def _generic_batch_norm(x, gamma, beta, state, key, train):
     if not train:
         centred = ad.add(x, ad.mul(ad.Tensor(state[mean]), -1.0))
         return centred * ad.Tensor(1.0 / np.sqrt(state[var] + M.BN_EPS)) * gamma + beta
-    mu = ad.tmean(x, axis=0)
+    mu = ad.tsum(x, axis=0) * (1.0 / x.shape[0])
     xc = ad.add(x, ad.mul(mu, -1.0))
-    batch_var = ad.tmean(xc * xc, axis=0)
+    batch_var = ad.tsum(xc * xc, axis=0) * (1.0 / x.shape[0])
     y = xc * ad.power(batch_var + M.BN_EPS, -0.5) * gamma + beta
     state[mean] = (1 - M.BN_MOMENTUM) * state[mean] + M.BN_MOMENTUM * mu.data
     state[var] = (1 - M.BN_MOMENTUM) * state[var] + M.BN_MOMENTUM * batch_var.data
@@ -662,14 +666,14 @@ def _generic_contrastive(z_a, z_b, labels_a, labels_b):
     x = ad.matmul(unit_rows(z_a), ad.swapaxes(unit_rows(z_b), -1, -2))
     x = x * (1.0 / ls.DEFAULT_TEMPERATURE)
     y = (labels_a[:, None] == labels_b[None, :]).astype(x.dtype)
-    return ad.tmean(ad.add(ad.softplus(x), ad.mul(x * ad.Tensor(y), -1.0)))
+    return ad.tsum(ad.add(ad.softplus(x), ad.mul(x * ad.Tensor(y), -1.0))) * (1.0 / y.size)
 
 
 def _generic_cross_entropy(t, labels):
     onehot = np.zeros(t.shape, dtype=t.dtype)
     onehot[np.arange(len(labels)), labels] = 1.0
     picked = ad.tsum(t * ad.Tensor(onehot), axis=-1)
-    return ad.tmean(ad.add(ad.logsumexp(t, axis=-1), ad.mul(picked, -1.0)))
+    return ad.tsum(ad.add(ad.logsumexp(t, axis=-1), ad.mul(picked, -1.0))) * (1.0 / len(labels))
 
 
 def _as_bytes(fn, dta, inputs):

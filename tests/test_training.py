@@ -293,6 +293,6 @@ class TestPredict:
             assert one_label == label
             assert np.allclose(one_probs, p)
         with ad.no_grad():
-            per_sample = [encode(f, tiny_bank.montage.positions, dta).q_final.data[0]
+            per_sample = [encode(f, tiny_bank.montage.positions, dta).data[0]
                           for f in feats]
         assert np.allclose(reps, np.mean(per_sample, axis=0))
