@@ -5,12 +5,16 @@ bundled 62-channel montage, 2 x --per-view random feature samples, dropout
 on) and prints two tables:
 
 - the bytes the forward graph keeps, by node op and kept array.  Every
-  distinct base buffer that a node output or a node's backward closure
-  references is counted once; parameters are left out.  A buffer belongs
-  to the node whose output it is, else to the first node (in forward order)
-  whose backward closure holds it, named after the closure variable;
+  distinct base buffer that a node output, a node's backward closure or its
+  rebuild closure references is counted once; parameters are left out, and
+  so are the outputs the encoder has released.  A buffer belongs to the
+  node whose output it is, else to the first node (in forward order) whose
+  closure holds it, named after the closure variable;
 - each node's backward peak (tracemalloc) above the memory held when that
-  node's backward starts, largest first, and the sweep's overall peak.
+  node's backward starts, largest first.
+
+Between them it prints the traced peak of each phase, the forward pass's
+and the backward sweep's, so it shows which of the two sets the step's peak.
 
 Usage: PYTHONPATH=src python scripts/graph_memory.py [--per-view 256] [--top 12]
 """
@@ -51,8 +55,10 @@ def forward_order(root):
 
 
 def closure_arrays(fn):
-    """(variable name, ndarray) for each array a backward closure holds,
-    directly or in a tuple."""
+    """(variable name, ndarray) for each array a closure holds, directly or
+    in a tuple."""
+    if fn is None:
+        return
     for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
         try:
             value = cell.cell_contents
@@ -80,12 +86,10 @@ def graph_bytes(nodes, params):
     """(op, array name) -> [bytes, buffers] over the distinct base buffers
     the graph keeps, parameters excluded."""
     owner = {id(base(t.data)): None for t in params}
-    arrays = []
+    arrays = [(t, "out", t.data) for t in nodes if t.data is not None]
     for t in nodes:
-        arrays.append((t, "out", t.data))
-    for t in nodes:
-        if t._backward is not None:
-            arrays.extend((t, name, a) for name, a in closure_arrays(t._backward))
+        for fn in (t._backward, t._rebuild):
+            arrays.extend((t, name, a) for name, a in closure_arrays(fn))
     table = collections.defaultdict(lambda: [0, 0])
     for t, name, a in arrays:
         b = base(a)
@@ -106,6 +110,7 @@ def main():
 
     tracemalloc.start()
     dta, loss = masked_step(args.per_view)
+    forward_peak = tracemalloc.get_traced_memory()[1]
     nodes = forward_order(loss)
     params = [t for _, t in dta.params.items()]
     table = graph_bytes([t for t in nodes if t._parents], params)
@@ -136,8 +141,9 @@ def main():
     held = tracemalloc.get_traced_memory()[0]
     loss.backward()
     tracemalloc.stop()
-    print(f"\nbackward: {held / MB:.1f} MB held before the sweep, "
-          f"peak {sweep_peak[0] / MB:.1f} MB")
+    print(f"\nphase peaks (traced): forward {forward_peak / MB:.1f} MB, "
+          f"backward sweep {sweep_peak[0] / MB:.1f} MB")
+    print(f"backward: {held / MB:.1f} MB held before the sweep")
     print(f"{'node':<18} {'peak above start MB':>20} {'held at start MB':>17}")
     for rise, label, start in sorted(peaks, reverse=True)[:args.top]:
         print(f"{label:<18} {rise / MB:20.2f} {start / MB:17.1f}")

@@ -9,10 +9,11 @@ views are reproducible and callers own RNG partitioning across workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checks import check_fields
 
 
 class AugmentError(ValueError):
@@ -25,9 +26,9 @@ class AugmentConfig:
     mask_prob: float = 0.2       # per-channel zeroing probability
 
     def __post_init__(self):
-        if not 0 < self.mixup_alpha < math.inf:
-            raise AugmentError(f"mixup_alpha must be finite and > 0, got {self.mixup_alpha}")
-        if not 0 <= self.mask_prob < 1:
+        check_fields(self, float, "positive", "mixup_alpha", error=AugmentError)
+        check_fields(self, float, "non-negative", "mask_prob", error=AugmentError)
+        if self.mask_prob >= 1:
             raise AugmentError(f"mask_prob must be in [0, 1), got {self.mask_prob}")
 
 

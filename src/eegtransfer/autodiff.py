@@ -5,7 +5,8 @@ remembers its parents and how to push gradients back to them.  The op set is
 exactly what the model and losses call (elementwise add/mul/power, ELU,
 softplus, dropout, reshape/swapaxes/narrow, batched matmul, sum,
 logsumexp and four fused ops: ``linear`` (x @ w + b), ``ffn`` (linear, ELU,
-dropout, linear: both embeddings and the classifier's last two layers),
+dropout, linear, plus an optional residual: both embeddings, the source one
+with the first query added, and the classifier's last two layers),
 multi-head ``attention`` (query projection, head split, query scale and
 head merge inside) with an optional diagonal mask, and ``post_attention``
 (the rest of a post-norm encoder layer: output projection, residual Add &
@@ -24,10 +25,18 @@ probabilities, bit for bit, a cache-sized tile of batch entries at a time;
 + β) and its dropout mask as bits (selective recomputation, Korthikanti et
 al. 2022).
 
-Gradients are exact, not approximated; the engine runs in float64 for checks
-and float32 for training.  A backward sweep consumes its graph (memory is
-released as the sweep proceeds), and :func:`no_grad` disables graph capture
-entirely for inference loops.
+Each activation is held once.  A tracked ``post_attention`` output can be
+rebuilt, bit for bit, as x̂₂ γ₂ + β₂ from the x̂₂ its node keeps anyway, so
+:meth:`Tensor.release` drops it once its consumers have run forward (the
+encoder releases every layer output but the last), and ``attention``'s
+backward rebuilds a released query input; no other output can be released.
+A backward sweep consumes its graph: when a node's rule runs, the node's
+output array is dropped first, unless it is the sweep's root or a leaf, and
+its parents, rule and gradient go after, so memory is released as the sweep
+proceeds.  A dropped or released array leaves ``data`` None, and reading it
+fails.  Gradients are exact, not approximated; the engine runs in float64
+for checks and float32 for training, and :func:`no_grad` disables graph
+capture entirely for inference loops.
 
 A graph is built and swept from one thread.  Inside the fused ops, the
 per-sample work (per batch entry and head in ``attention``, the layer norm's
@@ -329,9 +338,13 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    """A numpy array with a gradient slot and a backward rule."""
+    """A numpy array with a gradient slot and a backward rule.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    `data` is None once the array is dropped: by a backward sweep that has
+    run the node's rule, or by :meth:`release`.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_rebuild")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
         self.data = np.asarray(data)
@@ -340,6 +353,7 @@ class Tensor:
         self._parents = _parents
         self._backward = None
         self._op = _op
+        self._rebuild = None  # rebuilds `data`, bit for bit, once released
 
     @property
     def shape(self):
@@ -361,13 +375,28 @@ class Tensor:
         else:
             self.grad += grad
 
+    def release(self):
+        """Drop the array of an output that can be rebuilt bit for bit (a
+        tracked :func:`post_attention` output); a no-op for any other.  A
+        backward rule that reads a released input rebuilds it."""
+        if self._rebuild is not None:
+            self.data = None
+
+    def _value(self):
+        """The array, rebuilt if it was released."""
+        return self._rebuild() if self.data is None else self.data
+
     def backward(self, grad=None):
         """Reverse-mode sweep seeding this node with `grad` (default: ones).
 
-        The sweep consumes the graph: parents, backward rules and
-        intermediate gradients are dropped as soon as they have been used,
-        so large training graphs release memory during the sweep.  Rebuild
-        the graph before calling backward again.
+        The sweep consumes the graph.  When a node's rule runs, the node's
+        output array is dropped first (`data` becomes None), unless the node
+        is this root or a leaf; its parents, rule and gradient go once the
+        rule has run.  Rules hold what they read from their own output (ELU
+        keeps its output array) and from their inputs' shapes, so large
+        training graphs release memory during the sweep.  Read any
+        intermediate's values before the sweep, and rebuild the graph before
+        calling backward again.
         """
         topo = []
         seen = set()
@@ -392,11 +421,13 @@ class Tensor:
         self.grad = seeded.copy()
         while topo:
             node = topo.pop()
+            dropped = node._op != "leaf" and node is not self
+            if dropped:
+                node.data = None
             if node._backward is not None:
                 node._backward()
-            node._backward = None
-            node._parents = ()
-            if node._op != "leaf" and node is not self:
+            node._backward, node._parents, node._rebuild = None, (), None
+            if dropped:
                 node.grad = None
         self.grad = seeded
 
@@ -524,11 +555,12 @@ def _elu_slope(e):
 def elu(a):
     """ELU with alpha 1: x for x > 0, exp(x) - 1 otherwise."""
     a = _wrap(a)
-    out = _make(_elu(a.data), (a,), "elu")
+    e = _elu(a.data)
+    out = _make(e, (a,), "elu")
     if _tracked(out):
         def _bw():
             g = out.grad  # dead after this closure; safe to consume in place
-            g *= _elu_slope(out.data)
+            g *= _elu_slope(e)
             a._accumulate(g, own=True)
         out._backward = _bw
     return out
@@ -560,8 +592,10 @@ def reshape(a, *shape):
         shape = tuple(shape[0])
     out = _make(a.data.reshape(shape), (a,), "reshape")
     if _tracked(out):
+        a_shape = a.shape
+
         def _bw():
-            a._accumulate(out.grad.reshape(a.data.shape), own=True)
+            a._accumulate(out.grad.reshape(a_shape), own=True)
         out._backward = _bw
     return out
 
@@ -687,15 +721,17 @@ def linear(x, w, b=None):
     return out
 
 
-def _ffn_rows(x, keep, w1, b1, w2, b2, rate, e=None, y=None):
-    """The ELU output e and the feed-forward output."""
+def _ffn_rows(x, keep, r, w1, b1, w2, b2, rate, e=None, y=None):
+    """The ELU output e and the feed-forward output, plus `r` if given."""
     e = _affine_rows(x, w1, b1, e)
     _elu(e, out=e)
-    return e, _affine_rows(e if keep is None else e * _keep_scale(keep, rate, e.dtype),
-                           w2, b2, y)
+    y = _affine_rows(e if keep is None else e * _keep_scale(keep, rate, e.dtype), w2, b2, y)
+    if r is not None:
+        y += r
+    return e, y
 
 
-def _ffn_out(x, keep, w1, b1, w2, b2, rate):
+def _ffn_out(x, keep, r, w1, b1, w2, b2, rate):
     e = _affine_out(x, w1, b1)[0]
     return e, _affine_out(e, w2, b2)[0]
 
@@ -704,12 +740,12 @@ def _ffn_norm_rows(x, keep, w1, b1, w2, b2, rate, gamma, beta, avg, e=None, xhat
                    val=None):
     """The ELU output e and layer norm of x + ffn(x): the feed-forward output
     is written into x̂'s buffer, and the norm runs on it in place."""
-    e, xhat = _ffn_rows(x, keep, w1, b1, w2, b2, rate, e, xhat)
+    e, xhat = _ffn_rows(x, keep, None, w1, b1, w2, b2, rate, e, xhat)
     return (e, *_norm_rows(xhat, x, gamma, beta, avg, xhat, inv, val))
 
 
 def _ffn_norm_out(x, keep, w1, b1, w2, b2, rate, gamma, beta, avg):
-    e, y = _ffn_out(x, keep, w1, b1, w2, b2, rate)
+    e, y = _ffn_out(x, keep, None, w1, b1, w2, b2, rate)
     return (e, *_norm_stats_out(y, gamma, beta, avg))
 
 
@@ -757,37 +793,45 @@ def _ffn_hidden_grad(g, e, bits, w2, rate):
                   size=e.size)
 
 
-def ffn(x, w1, b1, w2, b2, rate, rng):
-    """linear(dropout(elu(linear(x, w1, b1)), rate, rng), w2, b2) as one node.
+def ffn(x, w1, b1, w2, b2, rate, rng, residual=None):
+    """linear(dropout(elu(linear(x, w1, b1)), rate, rng), w2, b2) as one node,
+    plus `residual` when given.
 
-    The backward keeps only the ELU output e and the keep mask packed into
-    bits: the ELU derivative is min(e, 0) + 1, and once the hidden gradient
-    is formed, e is scaled in place into the dropout output for w2's weight
-    GEMM.  Dropout draws exactly as :func:`dropout` does and fires only when
-    an `rng` is given and `rate` > 0.  The forward's tiles are sized by the
-    widest of the input, hidden and output rows, so a narrow input (the 5
-    bands of the source embedding) still pays for the pool.  The backward
-    computes all four parameter gradients beside the input gradient's tiles.
+    The residual must broadcast to the output's shape (a batchless one goes
+    whole to every tile) and is added to each tile's output in place, so
+    the sum is the one array the node makes.  The backward keeps only the
+    ELU output e and the keep mask packed into bits: the ELU derivative is
+    min(e, 0) + 1, and once the hidden gradient is formed, e is scaled in
+    place into the dropout output for w2's weight GEMM.  Dropout draws
+    exactly as :func:`dropout` does and fires only when an `rng` is given
+    and `rate` > 0.  The forward's tiles are sized by the widest of the
+    input, hidden and output rows, so a narrow input (the 5 bands of the
+    source embedding) still pays for the pool.  The backward computes all
+    four parameter gradients beside the input gradient's tiles.
     """
     x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
+    r = None if residual is None else _wrap(residual)
     keep = _ffn_keep(x, w1, rate, rng)
     size = x.data.size // x.shape[-1] * max(x.shape[-1], *w2.shape)
-    e, y = _split(_ffn_rows, _ffn_out, (x.data, keep), w1.data, b1.data, w2.data, b2.data, rate,
-                  size=size)
+    e, y = _split(_ffn_rows, _ffn_out, (x.data, keep, None if r is None else r.data), w1.data,
+                  b1.data, w2.data, b2.data, rate, size=size)
     bits = _pack(keep)
     del keep
-    out = _make(y, (x, w1, b1, w2, b2), "ffn")
+    out = _make(y, (x, w1, b1, w2, b2) if r is None else (x, w1, b1, w2, b2, r), "ffn")
     if _tracked(out):
         x2 = x.data.reshape(-1, x.shape[-1])
+        r_shape = None if r is None else r.shape
 
         def _bw():
             g, rows = out.grad, x2.shape[0]
             gh = _ffn_hidden_grad(g, e, bits, w2, rate)  # e now holds the dropout output
             jobs = (*_param_grads(g.reshape(rows, -1), e.reshape(rows, -1), w2, b2),
                     *_param_grads(gh.reshape(rows, -1), x2, w1, b1))
-            gx = _input_grad(gh, w1.data, jobs, x.data.size, x.requires_grad)
+            gx = _input_grad(gh, w1.data, jobs, x2.size, x.requires_grad)
             if gx is not None:
                 x._accumulate(gx, own=True)
+            if r is not None and r.requires_grad:  # g is dead from here
+                r._accumulate(_unbroadcast(g, r_shape), own=True)
         out._backward = _bw
     return out
 
@@ -953,7 +997,8 @@ def attention(x, wq, bq, k, v, n_heads, mask_diagonal=False):
     Each tile projects its own slice of the query, the rows a whole-array
     :func:`linear` would give them, and scales it by 1/sqrt(d_head); the
     node keeps no projected query, and the backward's tiles project it
-    again, bit for bit.  The backward ends in the projection's
+    again, bit for bit, from x as it reads it then (rebuilt if x was
+    released).  The backward ends in the projection's
     input-gradient tiles, with wq's and bq's gradients beside them.  The
     probabilities are formed transposed, keys on axis -2, so the max and
     sum over keys reduce over an outer axis.  The node keeps only each
@@ -976,16 +1021,18 @@ def attention(x, wq, bq, k, v, n_heads, mask_diagonal=False):
     most = _TILE_BYTES * len(kh) // (size * kh.itemsize)
     o, mx, sm = _split(_attention_rows, _attention_out, (kh, xq, vh), *shared, size=size,
                        most=most)
+    del xq  # the backward reads x afresh: a released query input is rebuilt
     out = _make(_merge_heads(o), (x, wq, bq, k, v), "attention")
     if _tracked(out):
         q_shape = (*x.shape[:-1], wq.shape[-1])
-        x2 = x.data.reshape(-1, x.shape[-1])
 
         def _bw():
+            xd = x._value()
+            x2 = xd.reshape(-1, xd.shape[-1])
             want_q = any(t.requires_grad for t in (x, wq, bq))
             dv, dq, dk = (None if g is None else _merge_heads(g) for g in _split(
                 _attention_grad_rows, _attention_grad_out,
-                (_heads(out.grad, n_heads), o, mx, sm, xq, kh, vh), *shared,
+                (_heads(out.grad, n_heads), o, mx, sm, xd[..., None, :, :], kh, vh), *shared,
                 (v.requires_grad, want_q, k.requires_grad), size=size, most=most))
             for t, grad in ((v, dv), (k, dk)):
                 if grad is not None:
@@ -995,7 +1042,7 @@ def attention(x, wq, bq, k, v, n_heads, mask_diagonal=False):
             dq = _unbroadcast(dq, q_shape)  # scaled once summed down to the query's shape
             dq *= scale
             gx = _input_grad(dq, wq.data, _param_grads(dq.reshape(x2.shape[0], -1), x2, wq, bq),
-                             x.data.size, x.requires_grad)
+                             x2.size, x.requires_grad)
             if gx is not None:
                 x._accumulate(gx, own=True)
         out._backward = _bw
@@ -1169,11 +1216,14 @@ def post_attention(x, residual, proj, norm1, mlp, norm2, rate, rng):
     sublayer's last GEMM into its norm's x̂ buffer, so y₁ and the pre-norm
     sums live only in the tile.  The node keeps only what its backward
     cannot rebuild: both norms' x̂ and reciprocal stds, the ELU output e and
-    the keep mask packed into bits.  The backward scales e in place into
-    the dropout output once the hidden gradient is formed, releases it after
+    the keep mask packed into bits.  Its backward reads no residual values,
+    only the residual's shape.  The backward scales e in place into the
+    dropout output once the hidden gradient is formed, releases it after
     w2's weight GEMM, and then rebuilds y₁ = x̂₁ γ₁ + β₁ (elementwise, so the
     forward's bits) for w1's.  Every parameter gradient is claimed beside
-    the tiles of an input gradient.
+    the tiles of an input gradient.  The output itself is rebuilt the same
+    way, x̂₂ γ₂ + β₂ over `_split`'s tiles, once :meth:`Tensor.release` has
+    dropped it.
     """
     x, r = _wrap(x), _wrap(residual)
     (wo, bo), (gamma1, beta1), (w1, b1, w2, b2), (gamma2, beta2) = (
@@ -1191,6 +1241,9 @@ def post_attention(x, residual, proj, norm1, mlp, norm2, rate, rng):
     out = _make(y, (*upstream, gamma2, beta2), "post_attention")
     if _tracked(out):
         x2 = x.data.reshape(rows, -1)
+        r_shape = r.shape
+        out._rebuild = lambda: _split(_scale_shift_rows, _scale_shift_out, (xhat2,), gamma2.data,
+                                      beta2.data)
 
         def _bw():
             nonlocal e
@@ -1216,7 +1269,7 @@ def post_attention(x, residual, proj, norm1, mlp, norm2, rate, rng):
             if gx is not None:
                 x._accumulate(gx, own=True)
             if r.requires_grad:
-                r._accumulate(_unbroadcast(gs, r.shape), own=True)
+                r._accumulate(_unbroadcast(gs, r_shape), own=True)
         out._backward = _bw
     return out
 

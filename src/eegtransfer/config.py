@@ -12,42 +12,21 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-import numbers
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
-from .augment import AugmentConfig
+from .augment import AugmentConfig, AugmentError
+from .checks import check_fields, number
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _number(name, value, kind, sign=None):
-    """`value` checked as the field `name` of type `kind`, int or float.
-
-    An int is any ``numbers.Integral`` but a bool and comes back as a Python
-    int; a float is any finite ``numbers.Real`` but a bool and comes back
-    unchanged.  `sign` "positive" asks for > 0, "non-negative" for >= 0."""
-    if kind is int:
-        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    else:
-        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-              and math.isfinite(value))
-    if ok and sign is not None:
-        ok = value > 0 if sign == "positive" else value >= 0
-    if not ok:
-        what = " ".join(w for w in (sign, "integer" if kind is int else "finite number") if w)
-        raise ConfigError(f"{name} must be a {what}, got {value!r}")
-    return int(value) if kind is int else value
-
-
-def _check(record, kind, sign, *names, prefix=""):
-    """:func:`_number` on each field `names` of a frozen record, in place;
-    `prefix` starts each message."""
-    for name in names:
-        object.__setattr__(record, name, _number(prefix + name, getattr(record, name), kind, sign))
+# the shared number rule (see :mod:`checks`), failing with ConfigError
+_number = partial(number, error=ConfigError)
+_check = partial(check_fields, error=ConfigError)
 
 
 @dataclass(frozen=True)
@@ -125,10 +104,10 @@ class SynthSpec:
 
     def __post_init__(self):
         _check(self, int, "positive", "n_subjects", "n_classes", "n_channels", "n_bands",
-               "trials_per_subject", "samples_per_trial", prefix="synth ")
-        _check(self, int, "non-negative", "seed", prefix="synth ")
+               "trials_per_subject", "samples_per_trial")
+        _check(self, int, "non-negative", "seed")
         _check(self, float, "non-negative", "class_mean_scale", "subject_shift_std",
-               "sample_noise_std", prefix="synth ")
+               "sample_noise_std")
         if self.mode not in ("features", "timeseries"):
             raise ConfigError(f"mode must be 'features' or 'timeseries', got {self.mode!r}")
 
@@ -171,10 +150,13 @@ def _from_dict(cls, d, where):
             kwargs[key] = _from_dict(nested[key], value, f"{where}.{key}")
         else:
             kwargs[key] = value
+    # the record's own errors get its path; a nested record's carry theirs
     try:
         return cls(**kwargs)
     except TypeError as e:
         raise ConfigError(f"{where}: {e}") from None
+    except (ConfigError, AugmentError) as e:
+        raise type(e)(f"{where}: {e}") from None
 
 
 def run_config_from_dict(d: dict) -> RunConfig:

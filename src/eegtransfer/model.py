@@ -151,11 +151,11 @@ def _affine(x, params, name):
     return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
-def _mlp_embed(x, params, name):
-    """f2(ELU(f1(x))) as one ``ffn`` node: the row-wise two-layer embedding
-    used for positions and source features."""
+def _mlp_embed(x, params, name, residual=None):
+    """f2(ELU(f1(x))) (+ residual) as one ``ffn`` node: the row-wise
+    two-layer embedding used for positions and source features."""
     return ad.ffn(x, params[f"{name}.f1.w"], params[f"{name}.f1.b"], params[f"{name}.f2.w"],
-                  params[f"{name}.f2.b"], 0.0, None)
+                  params[f"{name}.f2.b"], 0.0, None, residual=residual)
 
 
 def embed_positions(pos_data, dta: DtaParameters) -> Tensor:
@@ -166,24 +166,26 @@ def embed_positions(pos_data, dta: DtaParameters) -> Tensor:
     return _mlp_embed(Tensor(pos), dta.params, "pos_embed")
 
 
-def embed_source(de, dta: DtaParameters) -> Tensor:
-    """(..., n, n_bands) features -> (..., n, d_model) source encoding."""
+def embed_source(de, dta: DtaParameters, residual=None) -> Tensor:
+    """(..., n, n_bands) features -> (..., n, d_model) source encoding, plus
+    `residual` (broadcast to it) when given, inside the same ``ffn`` node."""
     x = de if isinstance(de, Tensor) else Tensor(np.asarray(de, dtype=dta.dtype))
     if x.shape[-1] != dta.config.n_bands:
         raise ModelError(f"expected {dta.config.n_bands} bands, got {x.shape[-1]}")
-    return _mlp_embed(x, dta.params, "src_embed")
+    return _mlp_embed(x, dta.params, "src_embed", residual)
 
 
-def init_inputs(p_emb: Tensor, pos_table: Tensor, s_emb: Tensor):
-    """First-layer query plus the shared key/value input.
+def init_inputs(p_emb: Tensor, pos_table: Tensor, de, dta: DtaParameters):
+    """First-layer query q1 = p_emb + pos_table plus the shared key/value
+    input q1 + the source encoding of the features `de`.
 
-    The key and value inputs are one and the same tensor (query + source
-    encoding); they are projected once and never recomputed, so every layer
-    consumes bit-identical keys and values.
+    The key and value inputs are one and the same tensor; they are projected
+    once and never recomputed, so every layer consumes bit-identical keys
+    and values.  The source encoding adds q1 inside its ``ffn`` node, so it
+    is never an array of its own.
     """
     q1 = p_emb + pos_table
-    kv = q1 + s_emb
-    return q1, kv
+    return q1, embed_source(de, dta, residual=q1)
 
 
 def masked_attention(q, k, v, dta: DtaParameters, layer: int, mask_diagonal: bool) -> Tensor:
@@ -226,7 +228,11 @@ def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None) -> T
     the attention diagonal (contrastive pretraining); calibration and
     prediction leave it off.  Dropout fires only when an `rng` is given.
     Every layer's attention node takes the same (B, n, d_model) keys and
-    values.
+    values.  In a tracked graph each layer's output is released once the
+    next layer has used it (:meth:`autodiff.Tensor.release`): the next
+    attention's backward rebuilds it, bit for bit, from the x̂₂ its
+    post_attention node keeps, so the graph holds no layer output but the
+    last.
     """
     cfg = dta.config
     x = de if isinstance(de, Tensor) else Tensor(np.asarray(de, dtype=dta.dtype))
@@ -237,12 +243,13 @@ def encode(de, pos_data, dta: DtaParameters, mask_diagonal=False, rng=None) -> T
             f"features must be (B, {cfg.n_channels}, {cfg.n_bands}), got {x.shape}")
 
     p_emb = embed_positions(pos_data, dta)
-    s_emb = embed_source(x, dta)
-    q, kv = init_inputs(p_emb, dta.params["pos_table"], s_emb)
+    q, kv = init_inputs(p_emb, dta.params["pos_table"], x, dta)
     k = ad.linear(kv, dta.params["kv.k.w"])
     v = _affine(kv, dta.params, "kv.v")
     for layer in range(cfg.n_layers):
-        q = encoder_layer(q, k, v, dta, layer, mask_diagonal, rng)
+        out = encoder_layer(q, k, v, dta, layer, mask_diagonal, rng)
+        q.release()  # a layer output: the next attention's backward rebuilds it
+        q = out
     return q
 
 

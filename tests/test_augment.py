@@ -148,3 +148,8 @@ def test_config_validation():
     for alpha in (float("inf"), float("nan")):
         with pytest.raises(ag.AugmentError, match="mixup_alpha"):
             ag.AugmentConfig(mixup_alpha=alpha)
+    # wrong types fail naming the field; a bool is not a number
+    for field in ("mixup_alpha", "mask_prob"):
+        for value in ("x", True, False, None):
+            with pytest.raises(ag.AugmentError, match=f"^{field} must be a .*finite number, got"):
+                ag.AugmentConfig(**{field: value})

@@ -461,6 +461,24 @@ def test_ffn_float32_bitwise_equal_to_chain(rate, seeded):
     assert draws[ad.ffn] == draws[reference_ffn]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("r_shape", [(6, 62, 32), (62, 32)], ids=["batched", "batchless"])
+def test_ffn_residual_float32_bitwise_equal_to_add(r_shape, workers, set_workers):
+    """ffn(..., residual=r) gives the bytes of the add node r + ffn(...):
+    output and every input's gradient, whole and cut into tiles."""
+    set_workers(workers)
+    rng = np.random.default_rng(38)
+    arrays = [rng.normal(size=(6, 62, 32)).astype(np.float32),
+              rng.normal(size=(32, 64)).astype(np.float32),
+              rng.normal(size=64).astype(np.float32),
+              rng.normal(size=(64, 32)).astype(np.float32),
+              rng.normal(size=32).astype(np.float32),
+              rng.normal(size=r_shape).astype(np.float32)]
+    assert_bitwise(lambda x, w1, b1, w2, b2, r: ad.ffn(x, w1, b1, w2, b2, 0.0, None, residual=r),
+                   lambda x, w1, b1, w2, b2, r: ad.add(r, ad.ffn(x, w1, b1, w2, b2, 0.0, None)),
+                   arrays, rng)
+
+
 @pytest.mark.parametrize("a_shape,r_shape", [((2, 5, 6), (2, 5, 6)),
                                              ((5, 6), (2, 5, 6)),
                                              ((2, 5, 6), (5, 6))],
@@ -575,7 +593,7 @@ def _split_op_cases():
     the parameters whose gradient is checked, if not all])."""
     def ffn(ps):  # the same mask on every call: the rng is re-seeded
         return ad.ffn(ps["x"], ps["w1"], ps["b1"], ps["w2"], ps["b2"], 0.3,
-                      np.random.default_rng(3))
+                      np.random.default_rng(3), residual=ps["r"] if "r" in ps else None)
 
     def attention(mask):
         return lambda ps: projected_attention(ps, 2, mask)
@@ -585,6 +603,7 @@ def _split_op_cases():
 
     def post(ps):  # the same mask on every call: the rng is re-seeded
         return post_attention(*(ps[k] for k in post_shapes), 0.3, np.random.default_rng(3))
+    ffn_shapes = {"x": (8, 3, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 5), "b2": (5,)}
     kv = {"k": (8, 5, 6), "v": (8, 5, 6), "wq": (4, 6), "bq": (6,)}
     ln = {"g": (6,), "b": (6,)}
     post_shapes = {"x": (8, 3, 6), "r": (8, 3, 6), "wo": (6, 6), "bo": (6,), "g1": (6,),
@@ -593,7 +612,9 @@ def _split_op_cases():
     return {
         "linear": ({"x": (8, 3, 5), "w": (5, 2), "b": (2,)},
                    lambda ps: ad.linear(ps["x"], ps["w"], ps["b"])),
-        "ffn": ({"x": (8, 3, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 5), "b2": (5,)}, ffn),
+        "ffn": (ffn_shapes, ffn),
+        "ffn_residual": ({**ffn_shapes, "r": (8, 3, 5)}, ffn),
+        "ffn_batchless_residual": ({**ffn_shapes, "r": (3, 5)}, ffn),
         # post_attention's two halves, each through the whole node
         "linear_add_norm": (post_shapes, post, ["x", "r", "wo", "bo", "g1", "be1"]),
         "ffn_add_norm": (post_shapes, post, ["w1", "b1", "w2", "b2", "g2", "be2"]),

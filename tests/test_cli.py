@@ -299,31 +299,45 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown keys"):
             run_config_from_dict({"model": {"d_modle": 3}})
 
-    @pytest.mark.parametrize("doc,error,message", [
-        ('{"train": {"seed": "abc"}}', ConfigError, "^seed must be a non-negative integer"),
-        ('{"train": {"seed": 1.5}}', ConfigError, "^seed must be a non-negative integer"),
-        ('{"train": {"patience": 2.5}}', ConfigError, "^patience must be a positive integer"),
+    @pytest.mark.parametrize("doc,error,message,where", [
+        ('{"train": {"seed": "abc"}}', ConfigError, "^seed must be a non-negative integer",
+         "config.train"),
+        ('{"train": {"seed": 1.5}}', ConfigError, "^seed must be a non-negative integer",
+         "config.train"),
+        ('{"train": {"patience": 2.5}}', ConfigError, "^patience must be a positive integer",
+         "config.train"),
         ('{"train": {"k_per_class": 2.5}}', ConfigError,
-         "^k_per_class must be a non-negative integer"),
+         "^k_per_class must be a non-negative integer", "config.train"),
         ('{"train": {"pretrain": {"batch_size": 2.5, "epochs": 1, "lr": 1e-4}}}', ConfigError,
-         "^batch_size must be a positive integer"),
+         "^batch_size must be a positive integer", "config.train.pretrain"),
         ('{"train": {"calibrate": {"batch_size": 8, "epochs": 20, "lr": NaN}}}', ConfigError,
-         "^lr must be a positive finite number"),
+         "^lr must be a positive finite number, got nan", "config.train.calibrate"),
         ('{"train": {"weight_decay": NaN}}', ConfigError,
-         "^weight_decay must be a non-negative finite number"),
+         "^weight_decay must be a non-negative finite number", "config.train"),
         ('{"model": {"init_scale": NaN}}', ConfigError,
-         "^init_scale must be a non-negative finite number"),
+         "^init_scale must be a non-negative finite number", "config.model"),
         ('{"synth": {"sample_noise_std": NaN}}', ConfigError,
-         "^synth sample_noise_std must be a non-negative finite number"),
-        ('{"seed": "abc"}', ConfigError, "^seed must be a non-negative integer"),
-        ('{"seed": true}', ConfigError, "^seed must be a non-negative integer"),
-        ('{"augment": {"mixup_alpha": Infinity}}', AugmentError, "^mixup_alpha must be finite"),
+         "^sample_noise_std must be a non-negative finite number", "config.synth"),
+        ('{"seed": "abc"}', ConfigError, "^seed must be a non-negative integer", "config"),
+        ('{"seed": true}', ConfigError, "^seed must be a non-negative integer", "config"),
+        ('{"augment": {"mixup_alpha": Infinity}}', AugmentError,
+         "^mixup_alpha must be a positive finite number, got inf", "config.augment"),
+        ('{"augment": {"mixup_alpha": "x"}}', AugmentError,
+         "^mixup_alpha must be a positive finite number, got 'x'", "config.augment"),
+        ('{"augment": {"mixup_alpha": true}}', AugmentError,
+         "^mixup_alpha must be a positive finite number, got True", "config.augment"),
+        ('{"augment": {"mask_prob": "x"}}', AugmentError,
+         "^mask_prob must be a non-negative finite number, got 'x'", "config.augment"),
+        ('{"augment": {"mask_prob": false}}', AugmentError,
+         "^mask_prob must be a non-negative finite number, got False", "config.augment"),
     ])
-    def test_bad_numbers_rejected(self, doc, error, message):
+    def test_bad_numbers_rejected(self, doc, error, message, where):
         """Wrong types and the non-finite numbers json reads (NaN, Infinity)
-        fail with a message naming the field; a top-level seed is checked as
-        itself, not as the synth seed it is copied to."""
-        with pytest.raises(error, match=message):
+        fail with a message that starts with the record's path in the
+        document and names the field; a top-level seed is checked as itself,
+        not as the synth seed it is copied to."""
+        # each `message` is anchored right after its record's path
+        with pytest.raises(error, match=f"^{re.escape(where)}: {message.removeprefix('^')}"):
             run_config_from_dict(json.loads(doc))
 
     def test_readme_config_block_loads(self):

@@ -714,13 +714,13 @@ class TestSynthetic:
         for field, value in [("n_channels", 2.5), ("seed", "abc"), ("samples_per_trial", 1.5),
                              ("n_subjects", True), ("trials_per_subject", 3.0),
                              ("n_classes", "3"), ("n_bands", None), ("seed", -1)]:
-            with pytest.raises(ConfigError, match=f"^synth {field} must be a .*integer, got"):
+            with pytest.raises(ConfigError, match=f"^config.synth: {field} must be a .*integer, got"):
                 run_config_from_dict({"synth": {field: value, "mode": "timeseries"}})
         # scales must be finite: json reads NaN and Infinity
         for field, value in [("sample_noise_std", float("nan")),
                              ("class_mean_scale", float("inf")), ("subject_shift_std", -0.5),
                              ("sample_noise_std", "0.5")]:
-            with pytest.raises(ConfigError, match=f"^synth {field} must be a .*finite number, got"):
+            with pytest.raises(ConfigError, match=f"^config.synth: {field} must be a .*finite number, got"):
                 run_config_from_dict({"synth": {field: value}})
 
     def test_numpy_integer_counts_accepted_as_ints(self):

@@ -87,19 +87,21 @@ class TestEmbeddings:
 
 class TestInitInputs:
     def test_key_equals_value_and_sums(self, tiny):
+        """The key/value input is q1 plus the source encoding, bit for bit,
+        with a batchless q1 added to every batch entry."""
         dta, pos = tiny
         rng = np.random.default_rng(2)
         p_emb = M.embed_positions(pos, dta)
-        s_emb = M.embed_source(rand_de(rng), dta)
-        q1, kv = M.init_inputs(p_emb, dta.params["pos_table"], s_emb)
-        assert np.allclose(q1.data, p_emb.data + dta.params["pos_table"].data, atol=1e-12)
-        assert np.allclose(kv.data, q1.data + s_emb.data, atol=1e-12)
+        for de in (rand_de(rng), rand_de(rng, batch=3)):
+            q1, kv = M.init_inputs(p_emb, dta.params["pos_table"], de, dta)
+            assert np.allclose(q1.data, p_emb.data + dta.params["pos_table"].data, atol=1e-12)
+            assert np.array_equal(kv.data, q1.data + M.embed_source(de, dta).data)
 
     def test_zero_source_makes_kv_equal_q(self, tiny):
+        """Zero features encode to exactly zero under the fresh zero biases."""
         dta, pos = tiny
         p_emb = M.embed_positions(pos, dta)
-        zeros = ad.Tensor(np.zeros((6, TINY.d_model)))
-        q1, kv = M.init_inputs(p_emb, dta.params["pos_table"], zeros)
+        q1, kv = M.init_inputs(p_emb, dta.params["pos_table"], np.zeros((6, TINY.n_bands)), dta)
         assert np.array_equal(q1.data, kv.data)
 
 
@@ -251,8 +253,7 @@ class TestEncode:
         rng = np.random.default_rng(14)
         de = rand_de(rng)
         p_emb = M.embed_positions(pos, zeroed)
-        s_emb = M.embed_source(ad.Tensor(de[None]), zeroed)
-        q, kv = M.init_inputs(p_emb, zeroed.params["pos_table"], s_emb)
+        q, kv = M.init_inputs(p_emb, zeroed.params["pos_table"], ad.Tensor(de[None]), zeroed)
         k = ad.linear(kv, zeroed.params["kv.k.w"])
         v = M._affine(kv, zeroed.params, "kv.v")
         mixed = M.masked_attention(q, k, v, zeroed, 0, mask_diagonal=True)
@@ -316,41 +317,46 @@ class TestEncode:
         assert sorted(t._op for t in nodes) == sorted(layer * TINY.n_layers)
 
     def test_encoder_layer_keeps_only_what_its_backward_cannot_rebuild(self, tiny):
-        """The (B, n, ·) buffers the encoder's nodes hold, as outputs or in
-        their backward closures, are per layer exactly: the attention output
-        o and each query's softmax max and sum; both norms' x̂ and
-        reciprocal stds, the ELU output e, the keep mask as uint8 bits and
-        the layer output.  No projected query, LN1 output or boolean mask
-        is kept: the backward rebuilds the first two."""
+        """The (B, n, ·) buffers the encoder's nodes hold, as outputs, in
+        their backward closures or in their rebuilds, are per layer exactly:
+        the attention output o and each query's softmax max and sum; both
+        norms' x̂ and reciprocal stds, the ELU output e and the keep mask as
+        uint8 bits; and the last layer's output.  No projected query, LN1
+        output, boolean mask or earlier layer output is kept: the backward
+        rebuilds them (a layer output from x̂₂)."""
         def base(a):
             while isinstance(a.base, np.ndarray):
                 a = a.base
             return a
 
-        nodes, _, upstream = self._encoder_nodes(tiny)
+        nodes, enc, upstream = self._encoder_nodes(tiny)
         batch, n, d, hidden = 4, TINY.n_channels, TINY.d_model, TINY.ffn_hidden
         # the keys and values, the first layer's query input and the parameters
         outside = {id(base(t.data)) for t in upstream.values()}
         outside.update(id(base(t.data)) for _, t in tiny[0].params.items())
         kept = {}
         for t in nodes:
-            arrays = [t.data]
-            for cell in t._backward.__closure__ or ():
-                try:
-                    value = cell.cell_contents
-                except ValueError:  # a name the node's form never binds
-                    continue
-                arrays += [a for a in (value if isinstance(value, tuple) else (value,))
-                           if isinstance(a, np.ndarray)]
+            arrays = [] if t.data is None else [t.data]
+            for fn in (t._backward, t._rebuild):
+                for cell in getattr(fn, "__closure__", None) or ():
+                    try:
+                        value = cell.cell_contents
+                    except ValueError:  # a name the node's form never binds
+                        continue
+                    arrays += [a for a in (value if isinstance(value, tuple) else (value,))
+                               if isinstance(a, np.ndarray)]
             for a in arrays:
                 b = base(a)
                 if b.size % (batch * n) == 0 and id(b) not in outside:
                     kept[id(b)] = b
+        released = [t for t in nodes if t.data is None]
+        assert len(released) == TINY.n_layers - 1
+        assert all(t._op == "post_attention" for t in released) and enc.data is not None
         f = "float64"
-        layer = [(n * d, f)] * 4 + [(n, f)] * 2 + [(n * hidden, f), (n * hidden // 8, "uint8")]
+        layer = [(n * d, f)] * 3 + [(n, f)] * 2 + [(n * hidden, f), (n * hidden // 8, "uint8")]
         layer += [(TINY.n_heads * n, f)] * 2
         assert sorted((b.size // batch, b.dtype.name) for b in kept.values()) == sorted(
-            layer * TINY.n_layers)
+            layer * TINY.n_layers + [(n * d, f)])
 
     def test_pretrain_and_calibration_steps_record_these_tape_nodes(self, tiny):
         """The op multiset of a masked pretrain step and of a calibration
@@ -361,7 +367,7 @@ class TestEncode:
         dta = dta.copy()  # train-mode projection writes batch-norm state
         rng = np.random.default_rng(16)
         layer = ["attention", "post_attention"]
-        encoder = ["ffn", "ffn", "add", "add", "linear", "linear", *layer * TINY.n_layers]
+        encoder = ["ffn", "ffn", "add", "linear", "linear", *layer * TINY.n_layers]
         batch_norm = ["sum", "mul", "add", "mul", "sum", "mul", "add", "power", "mul", "mul",
                       "add"]
         projector = ["reshape", "linear", *batch_norm, "elu", "dropout",
@@ -374,12 +380,13 @@ class TestEncode:
         labels = np.array([0, 1])
         loss = ls.contrastive_loss(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels)
         assert tape_ops(loss) == sorted(encoder + projector + contrastive)
-        assert len(tape_ops(loss)) == 54 + 2 * TINY.n_layers  # 62 at the reference 4 layers
+        assert len(tape_ops(loss)) == 53 + 2 * TINY.n_layers  # 61 at the reference 4 layers
 
+        # the source encoding and q1 are summed inside one ffn node
         p_emb = M.embed_positions(pos, dta)
-        s_emb = M.embed_source(rand_de(rng, batch=4), dta)
-        for emb in (p_emb, s_emb):
-            assert emb._op == "ffn" and not any(p._parents for p in emb._parents)
+        q1, kv = M.init_inputs(p_emb, dta.params["pos_table"], rand_de(rng, batch=4), dta)
+        assert p_emb._op == "ffn" and not any(p._parents for p in p_emb._parents)
+        assert kv._op == "ffn" and [p for p in kv._parents if p._parents] == [q1]
 
         classifier = ["reshape", "linear", "elu", "ffn"]
         cross_entropy = ["mul", "sum", "logsumexp", "add", "sum", "mul"]
@@ -387,13 +394,110 @@ class TestEncode:
         logits = M.classify(enc, dta)
         loss = ls.cross_entropy(logits, np.array([0, 1, 2, 0]))
         assert tape_ops(loss) == sorted(encoder + classifier + cross_entropy)
-        assert len(tape_ops(loss)) == 16 + 2 * TINY.n_layers  # 24 at the reference 4 layers
+        assert len(tape_ops(loss)) == 15 + 2 * TINY.n_layers  # 23 at the reference 4 layers
         chain, t = [], logits
         while t is not enc:
             chain.append(t._op)
             t = t._parents[0]
         assert chain[::-1] == classifier
         assert not hasattr(ad.Tensor, "__sub__") and not hasattr(ad.Tensor, "__neg__")
+
+
+class TestGraphMemory:
+    """Each (B, n, d) activation of a training graph is held once: a layer
+    output is released once the next layer has used it and rebuilt from x̂₂
+    on demand, and the backward sweep drops each node's output."""
+
+    @staticmethod
+    def _shift_norms(dta, rng):
+        """Move every layer norm's γ and β off the fresh 1 and 0, which a
+        rebuild that drops either would still match."""
+        for name in dta.params.names():
+            if ".ln" in name:
+                t = dta.params[name]
+                t.data = (t.data + rng.uniform(-0.5, 0.5, size=t.shape)).astype(t.dtype)
+
+    @staticmethod
+    def _spy_layers(monkeypatch):
+        """[(layer output, copy of its values when made)], filled by encode."""
+        outs, layer = [], M.encoder_layer
+
+        def spy(*args, **kwargs):
+            out = layer(*args, **kwargs)
+            outs.append((out, out.data.copy()))
+            return out
+        monkeypatch.setattr(M, "encoder_layer", spy)
+        return outs
+
+    def test_sweep_drops_every_intermediate(self, tiny, monkeypatch):
+        """After loss.backward() every encoder output and every other
+        intermediate has `data` None; the root, the parameters and the
+        input features keep theirs."""
+        dta, pos = tiny
+        dta = dta.copy()  # train-mode projection writes batch-norm state
+        outs = self._spy_layers(monkeypatch)
+        rng = np.random.default_rng(16)
+        de = ad.Tensor(rand_de(rng, batch=4))
+        enc = M.encode(de, pos, dta, mask_diagonal=True, rng=rng)
+        z = M.project(enc, dta, train=True, rng=rng)
+        labels = np.array([0, 1])
+        loss = ls.contrastive_loss(ad.narrow(z, 0, 2), ad.narrow(z, 2, 2), labels, labels)
+        inner = [t for t in graph(loss).values() if t._parents and t is not loss]
+        assert len(inner) == len(tape_ops(loss)) - 1
+        assert [t.data is None for t, _ in outs] == [True] * (TINY.n_layers - 1) + [False]
+        loss.backward()
+        assert all(t.data is None for t in inner)
+        assert all(t.data is None for t, _ in outs) and enc.data is None
+        assert loss.data is not None and de.data is not None
+        assert all(t.data is not None for _, t in dta.params.items())
+        with pytest.raises(AttributeError):
+            z.shape  # a used-up tensor fails loudly
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_released_layer_output_rebuilds_bit_for_bit(self, tiny, monkeypatch, set_workers,
+                                                        dtype, workers):
+        """Every layer output but the last is released by encode and rebuilt
+        with the forward's bits (over `_split`'s tiles at 2 workers); under
+        no_grad nothing is released."""
+        _, pos = tiny
+        set_workers(workers)
+        dta = M.init_parameters(dataclasses.replace(TINY, n_layers=3), seed=2, dtype=dtype)
+        outs = self._spy_layers(monkeypatch)
+        rng = np.random.default_rng(25)
+        self._shift_norms(dta, rng)
+        de = rand_de(rng, batch=10)
+        enc = M.encode(de, pos, dta, mask_diagonal=True, rng=rng)
+        assert outs[-1][0] is enc and enc.data is not None
+        for out, want in outs[:-1]:
+            assert out.data is None
+            got = out._value()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        outs.clear()
+        with ad.no_grad():
+            M.encode(de, pos, dta, mask_diagonal=True)
+        assert len(outs) == 3 and all(t.data is not None for t, _ in outs)
+
+    def test_grad_check_through_released_layer_output(self, tiny, monkeypatch):
+        """Layer 1's query input is layer 0's released output: its
+        attention's backward rebuilds it for the query weights' gradient and
+        sends its gradient back into layer 0, both exact in float64."""
+        dta, pos = tiny
+        dta = dta.copy()
+        outs = self._spy_layers(monkeypatch)
+        rng = np.random.default_rng(26)
+        self._shift_norms(dta, rng)
+        de = rand_de(rng, batch=3)
+        w = rng.normal(size=(3, TINY.n_channels, TINY.d_model))
+
+        def f():
+            return ad.tsum(M.encode(de, pos, dta, mask_diagonal=True) * ad.Tensor(w))
+
+        f()
+        assert outs[0][0].data is None  # released when tracked
+        names = ["enc1.q.w", "enc1.q.b", "enc0.ln2.g", "enc0.ln2.b", "enc0.ffn.f2.b",
+                 "enc0.q.b"]
+        assert ad.grad_check(f, dta.params, names=names) < 1e-4
 
 
 class TestHeads:
@@ -519,9 +623,10 @@ def test_pretrain_step_bitwise_equal_at_1_2_3_workers(set_workers):
         enc = M.encode(x, pos, dta, mask_diagonal=True, rng=rng_dropout)
         z = M.project(enc, dta, train=True, rng=rng_dropout)
         loss = ls.contrastive_loss(ad.narrow(z, 0, 5), ad.narrow(z, 5, 5), labels, labels)
+        z_bytes = z.data.tobytes()  # the sweep drops z
         loss.backward()
         assert (ad._pool is not None) == (workers > 1)  # the split path ran
-        runs.append((loss.data.tobytes(), z.data.tobytes(), rng_dropout.bit_generator.state,
+        runs.append((loss.data.tobytes(), z_bytes, rng_dropout.bit_generator.state,
                      {n: g.tobytes() for n, g in dta.params.gradients().items()}))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
@@ -537,8 +642,9 @@ def _masked_step(x, labels, pos):
     z = M.project(enc, dta, train=True, rng=rng_dropout)
     half = len(labels)
     loss = ls.contrastive_loss(ad.narrow(z, 0, half), ad.narrow(z, half, half), labels, labels)
+    z_bytes = z.data.tobytes()  # the sweep drops z
     loss.backward()
-    return (loss.data.tobytes(), z.data.tobytes(), str(rng_dropout.bit_generator.state),
+    return (loss.data.tobytes(), z_bytes, str(rng_dropout.bit_generator.state),
             {n: g.tobytes() for n, g in dta.params.gradients().items()})
 
 
@@ -684,9 +790,10 @@ def _as_bytes(fn, dta, inputs):
     tensors = [ad.Tensor(a, requires_grad=True) for a in inputs]
     rng = np.random.default_rng(11)
     out = fn(dta, rng, *tensors)
+    out_bytes = out.data.tobytes()  # the sweep drops the output
     w = np.random.default_rng(12).normal(size=out.shape).astype(out.dtype)
     ad.tsum(out * ad.Tensor(w)).backward()
-    return [out.data.tobytes(), *(t.grad.tobytes() for t in tensors),
+    return [out_bytes, *(t.grad.tobytes() for t in tensors),
             *(g.tobytes() for g in dta.params.gradients().values()),
             *(v.tobytes() for v in dta.bn_state.values()), str(rng.bit_generator.state)]
 
