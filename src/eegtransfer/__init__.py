@@ -9,8 +9,8 @@ from .augment import AugmentConfig, make_views, mask_channels, mixup
 from .config import ModelConfig, RunConfig, SynthSpec, TrainConfig, load_run_config
 from .data_io import (SampleBank, SplitProtocol, apply_split, gen_synthetic,
                       load_checkpoint, read_bank, save_checkpoint, write_bank)
-from .dsp import (BandSpec, FeatureSample, RawTrial, bandpass,
-                  differential_entropy, extract_de, lds_smooth, notch, stack_samples)
+from .dsp import (FeatureSample, RawTrial, bandpass, differential_entropy, extract_de,
+                  lds_smooth, notch, stack_samples)
 from .evaluation import EvalReport, connectivity, icd_ics, losocv
 from .model import DtaParameters, classify, encode, init_parameters, project
 from .montage import ChannelMontage, ChannelSubsetMap, default_montage, load_montage

@@ -224,20 +224,18 @@ def _cmd_grad_check(args, cfg: RunConfig):
         return 1
     montage = data_io.synth_montage(mcfg.n_channels)
     rng = np.random.default_rng(cfg.seed)
-    feats_a = rng.normal(size=(4, mcfg.n_channels, mcfg.n_bands))
-    feats_b = rng.normal(size=(4, mcfg.n_channels, mcfg.n_bands))
+    feats = rng.normal(size=(8, mcfg.n_channels, mcfg.n_bands))  # two views of 4 samples
     labels = np.arange(4) % mcfg.n_classes
     pos = montage.positions
 
     def contrastive_head():
         # masked (training) attention; projector batch norm in eval mode so
         # batch-mean subtraction leaves no parameter without influence
-        za = model.project(model.encode(feats_a, pos, dta, mask_diagonal=True), dta)
-        zb = model.project(model.encode(feats_b, pos, dta, mask_diagonal=True), dta)
-        return losses.contrastive_loss(za, zb, labels, labels)
+        z = model.project(model.encode(feats, pos, dta, mask_diagonal=True), dta)
+        return losses.contrastive_loss(z, labels)
 
     def cross_entropy_head():
-        enc = model.encode(feats_a, pos, dta)
+        enc = model.encode(feats[:4], pos, dta)
         return losses.cross_entropy(model.classify(enc, dta), labels)
 
     with finite_checks():
@@ -253,6 +251,17 @@ def _cmd_grad_check(args, cfg: RunConfig):
 
 
 # -- parser -----------------------------------------------------------------------
+
+
+def _positive_int(text):
+    """argparse type of a count that must be at least 1 (`--jobs`)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer of at least 1, got {text!r}")
+    return value
 
 
 def _add_common(sp):
@@ -313,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-per-class", type=int)
     sp.add_argument("--from-scratch", action="store_true",
                     help="skip pretraining (randomly initialized baseline)")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.set_defaults(handler=_cmd_evaluate)
 
     sp = sub.add_parser("robustness", help="electrode-failure / noise sweeps")

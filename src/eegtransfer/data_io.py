@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dsp
 from .config import ConfigError, ModelConfig, SynthSpec, _from_dict
-from .dsp import DEFAULT_BANDS, FeatureSample, RawTrial
+from .dsp import BAND_NAMES, FeatureSample, RawTrial
 from .model import DtaParameters, init_parameters
 from .montage import ChannelMontage, MontageError, default_montage, parse_montage, save_montage
 
@@ -417,7 +417,8 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
     bytes past the last array, a missing header key, an array record whose
     dtype is not <f4 or <f8 or whose shape entries or offset are not
     non-negative integers, a model config this version does not know or
-    accept, or a config that does not match `expected_config`.
+    accept, a config that does not match `expected_config`, or a parameter
+    or batch-norm array that is missing or not of the config's shape.
     """
     from .training import AdamState
 
@@ -482,10 +483,13 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None, dtype=None
         if tuple(arr.shape) != t.data.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name}")
         t.data = arr.astype(cast) if cast else arr.copy()
-    for name in dta.bn_state:
-        if ("bn", name) in stored:
-            arr = stored[("bn", name)]
-            dta.bn_state[name] = arr.astype(cast) if cast else arr.copy()
+    for name, fresh in dta.bn_state.items():
+        if ("bn", name) not in stored:
+            raise CheckpointError(f"{path}: missing batch-norm array {name}")
+        arr = stored[("bn", name)]
+        if arr.shape != fresh.shape:
+            raise CheckpointError(f"{path}: shape mismatch for batch-norm array {name}")
+        dta.bn_state[name] = arr.astype(cast) if cast else arr.copy()
 
     opt = None
     if header.get("optimizer"):
@@ -624,8 +628,8 @@ def gen_synthetic(spec: SynthSpec) -> SampleBank:
     """
     mu_class, delta_subject, rng = synth_factors(spec)
     montage = synth_montage(spec.n_channels)
-    bands = DEFAULT_BANDS if spec.n_bands == len(DEFAULT_BANDS) else None
-    band_names = (bands.names if bands is not None
+    default_layout = spec.n_bands == len(BAND_NAMES)
+    band_names = (BAND_NAMES if default_layout
                   else tuple(f"band{i}" for i in range(spec.n_bands)))
 
     if spec.mode == "features":
@@ -641,7 +645,7 @@ def gen_synthetic(spec: SynthSpec) -> SampleBank:
         return SampleBank("synthetic-features", _class_names(spec.n_classes),
                           band_names, montage, samples, [])
 
-    if bands is None:
+    if not default_layout:
         raise BankError("timeseries mode requires the default 5-band layout")
     n_samples = int(spec.samples_per_trial * SYNTH_WINDOW_S * SYNTH_FS)
     keys = [(subj, trial, trial % spec.n_classes) for subj in range(spec.n_subjects)
@@ -655,23 +659,23 @@ def gen_synthetic(spec: SynthSpec) -> SampleBank:
                       band_names, montage, [], trials)
 
 
-def extract_bank_features(bank: SampleBank, window_s=SYNTH_WINDOW_S,
-                          tail_s=dsp.DEFAULT_TAIL_SECONDS, smooth=True,
-                          preprocess=False, reject_segments=False) -> SampleBank:
-    """Feature bank from a raw-trial bank: per-trial conditioning, windowed
-    band differential entropy, optional segment rejection and smoothing."""
+def extract_bank_features(bank: SampleBank, smooth=True, preprocess=False,
+                          reject_segments=False) -> SampleBank:
+    """Feature bank from a raw-trial bank: per trial, optional conditioning
+    (`dsp.preprocess_trial`), the last `dsp.DEFAULT_TAIL_SECONDS`, band
+    differential entropy over `SYNTH_WINDOW_S` windows, and optional segment
+    rejection and smoothing."""
     if not bank.raw_trials:
         raise BankError("bank has no raw trials to extract features from")
-    if len(bank.bands) != len(DEFAULT_BANDS):
+    if len(bank.bands) != len(BAND_NAMES):
         raise BankError("feature extraction uses the default 5-band layout")
-    band_spec = DEFAULT_BANDS
     samples = []
     for trial in bank.raw_trials:
         t = dsp.preprocess_trial(trial, bank.montage) if preprocess else trial
-        t = dsp.trial_tail(t, tail_s)
-        trial_samples = dsp.extract_de(t, band_spec, window_s, tail_s=None)
+        t = dsp.trial_tail(t)
+        trial_samples = dsp.extract_de(t, SYNTH_WINDOW_S)
         if reject_segments:
-            keep = dsp.reject_bad_segments(t, window_s)
+            keep = dsp.reject_bad_segments(t, SYNTH_WINDOW_S)
             trial_samples = [s for s, k in zip(trial_samples, keep) if k]
             for w, s in enumerate(trial_samples):
                 s.window_index = w

@@ -3,7 +3,13 @@
 All operations are pure, except where a caller passes an ``out`` array to
 fill: filters are zero-phase (forward-backward) and feature windows are
 non-overlapping.  Filtering uses 4th-order Butterworth band-pass sections and
-a Q=30 IIR notch from scipy.signal.  scipy.signal is imported on the first
+a Q=30 IIR notch from scipy.signal.  The pipeline has one recipe, fixed by
+module constants: ``preprocess_trial`` band-passes to ``PREPROCESS_BAND``
+(0.01-48 Hz) and notches ``NOTCH_HZ`` (50 Hz) when it lies below Nyquist;
+``trial_tail`` keeps the last ``DEFAULT_TAIL_SECONDS`` (30 s); ``extract_de``
+takes the DE of each ``DEFAULT_BANDS`` (name, low Hz, high Hz) band, named
+``BAND_NAMES``; and ``lds_smooth`` runs at process noise ``LDS_Q_RATIO``
+(0.01) times the observation noise.  scipy.signal is imported on the first
 filter call, so a process that only trains on or predicts from DE features
 never loads it, and each band-pass is designed once per (low, high, fs) and
 cached.
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +57,19 @@ SEGMENT_VAR_FACTOR = 7.0
 INTERP_NEIGHBORS = 4
 
 DEFAULT_TAIL_SECONDS = 30.0
+PREPROCESS_BAND = (0.01, 48.0)  # Hz, band-pass edges of preprocess_trial
+NOTCH_HZ = 50.0  # mains frequency preprocess_trial notches
+LDS_Q_RATIO = 0.01  # LDS process noise over observation noise
+
+# (name, low Hz, high Hz) of each differential-entropy band, in feature order
+DEFAULT_BANDS = (
+    ("delta", 0.1, 4.0),
+    ("theta", 4.0, 8.0),
+    ("alpha", 8.0, 13.0),
+    ("beta", 13.0, 31.0),
+    ("gamma", 31.0, 50.0),
+)
+BAND_NAMES = tuple(name for name, _, _ in DEFAULT_BANDS)
 
 
 class DspError(ValueError):
@@ -86,41 +105,6 @@ class RawTrial:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class BandSpec:
-    """Ordered (name, low Hz, high Hz) frequency bands."""
-
-    bands: tuple[tuple[str, float, float], ...] = (
-        ("delta", 0.1, 4.0),
-        ("theta", 4.0, 8.0),
-        ("alpha", 8.0, 13.0),
-        ("beta", 13.0, 31.0),
-        ("gamma", 31.0, 50.0),
-    )
-
-    def __post_init__(self):
-        object.__setattr__(self, "bands",
-                           tuple((str(n), float(lo), float(hi)) for n, lo, hi in self.bands))
-        for name, lo, hi in self.bands:
-            if not 0 < lo < hi:
-                raise DspError(f"band {name}: need 0 < low < high, got ({lo}, {hi})")
-
-    @property
-    def names(self):
-        return tuple(b[0] for b in self.bands)
-
-    def __len__(self):
-        return len(self.bands)
-
-    def validate_for_fs(self, fs):
-        for name, lo, hi in self.bands:
-            if hi >= fs / 2:
-                raise DspError(f"band {name} upper edge {hi} Hz >= Nyquist ({fs / 2} Hz)")
-
-
-DEFAULT_BANDS = BandSpec()
-
-
 @dataclass
 class FeatureSample:
     """Differential entropy of one window: channels x bands, in nats."""
@@ -154,6 +138,15 @@ def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
 def _check_band(low, high, fs):
     if not 0 < low < high < fs / 2:
         raise DspError(f"band ({low}, {high}) Hz invalid for fs={fs} Hz")
+
+
+def _band_designs(fs):
+    """The cached band-pass design of each default band at `fs`, else a
+    DspError naming the first band whose upper edge is not below Nyquist."""
+    for name, _, high in DEFAULT_BANDS:
+        if high >= fs / 2:
+            raise DspError(f"band {name} upper edge {high} Hz >= Nyquist ({fs / 2} Hz)")
+    return [_bandpass_design(low, high, float(fs)) for _, low, high in DEFAULT_BANDS]
 
 
 def _signal():
@@ -288,8 +281,7 @@ def band_noise_trials(rng, gains, fs, out):
         raise DspError(f"need a non-empty float32 (trials, channels, samples) out and (trials, "
                        f"channels, {n_bands}) gains, got {out.dtype} {out.shape} and {gains.shape}")
     n_trials, rows, cols = out.shape
-    DEFAULT_BANDS.validate_for_fs(fs)
-    designs = [_bandpass_design(lo, hi, float(fs)) for _, lo, hi in DEFAULT_BANDS.bands]
+    designs = _band_designs(fs)
     padlen = max(d[1] for d in designs)
     if cols <= padlen:
         raise DspError(f"band noise needs at least {padlen + 1} samples per channel, got {cols}")
@@ -359,37 +351,34 @@ def _window_de(filtered, n_windows, win):
     return 0.5 * np.log(2.0 * math.pi * math.e * np.maximum(var, VAR_FLOOR))
 
 
-def trial_tail(trial: RawTrial, tail_s=DEFAULT_TAIL_SECONDS) -> RawTrial:
-    """The last `tail_s` seconds of a trial (whole trial if shorter or None)."""
-    if tail_s is None:
-        return trial
-    n_tail = int(round(tail_s * trial.fs))
+def trial_tail(trial: RawTrial) -> RawTrial:
+    """The last `DEFAULT_TAIL_SECONDS` of a trial (the whole trial if shorter)."""
+    n_tail = int(round(DEFAULT_TAIL_SECONDS * trial.fs))
     if n_tail >= trial.n_samples:
         return trial
     return RawTrial(trial.subject_id, trial.session_id, trial.trial_id,
                     trial.label, trial.fs, trial.data[:, -n_tail:])
 
 
-def extract_de(trial: RawTrial, bands: BandSpec = DEFAULT_BANDS,
-               window_s=1.0, tail_s=DEFAULT_TAIL_SECONDS) -> list[FeatureSample]:
-    """Band-filter the trial tail and emit one DE sample per window.
+def extract_de(trial: RawTrial, window_s=1.0) -> list[FeatureSample]:
+    """Filter the whole trial to each of `DEFAULT_BANDS` and emit one DE
+    sample per window.
 
-    Filtering runs over the full tail (so band transients settle across
+    Filtering runs over the full trial (so band transients settle across
     window edges) before slicing into non-overlapping `window_s` windows;
-    the sample count is exactly floor(tail_length / window).
+    the sample count is exactly floor(trial_length / window).  Callers that
+    want the trial's tail cut it first (`trial_tail`).
     """
-    bands.validate_for_fs(trial.fs)
-    tail = trial_tail(trial, tail_s)
+    designs = _band_designs(trial.fs)
     win = int(round(window_s * trial.fs))
     if win < 2:
         raise DspError(f"window of {window_s} s is too short at fs={trial.fs}")
-    n_windows = tail.n_samples // win
+    n_windows = trial.n_samples // win
     if n_windows < 1:
         raise DspError(
-            f"trial has {tail.n_samples} samples, shorter than one {window_s} s window")
-    designs = [_bandpass_design(lo, hi, float(trial.fs)) for _, lo, hi in bands.bands]
-    data = _filter_input(tail.data, max(d[1] for d in designs), "bandpass")
-    de = np.empty((tail.n_channels, n_windows, len(bands)))
+            f"trial has {trial.n_samples} samples, shorter than one {window_s} s window")
+    data = _filter_input(trial.data, max(d[1] for d in designs), "bandpass")
+    de = np.empty((trial.n_channels, n_windows, len(designs)))
     cuts = _row_blocks(*data.shape)
     n_jobs = len(designs) * (len(cuts) - 1)
 
@@ -408,12 +397,12 @@ def extract_de(trial: RawTrial, bands: BandSpec = DEFAULT_BANDS,
 
 # -- temporal smoothing ------------------------------------------------------
 
-def lds_smooth(sequence, q_ratio=0.01):
+def lds_smooth(sequence):
     """Random-walk Kalman filter + RTS smoother over a feature sequence.
 
     Each scalar dimension is smoothed independently with observation noise
     r = population variance of that dimension across the sequence and process
-    noise q = `q_ratio` * r.  The filter is initialized at the first
+    noise q = `LDS_Q_RATIO` * r.  The filter is initialized at the first
     observation with P = r.  Constant dimensions (r = 0) pass through
     unchanged.
     """
@@ -434,7 +423,7 @@ def lds_smooth(sequence, q_ratio=0.01):
     if np.any(active):
         ya = y[:, active]
         ra = r[active]
-        qa = q_ratio * ra
+        qa = LDS_Q_RATIO * ra
         x_filt = np.empty_like(ya)
         p_filt = np.empty_like(ya)
         x_pred = np.empty_like(ya)
@@ -455,9 +444,9 @@ def lds_smooth(sequence, q_ratio=0.01):
     return [out[t].reshape(shape) for t in range(n)]
 
 
-def smooth_samples(samples: list[FeatureSample], q_ratio=0.01) -> list[FeatureSample]:
+def smooth_samples(samples: list[FeatureSample]) -> list[FeatureSample]:
     """LDS-smooth a trial's DE sequence, keeping metadata and window order."""
-    smoothed = lds_smooth([s.de for s in samples], q_ratio=q_ratio)
+    smoothed = lds_smooth([s.de for s in samples])
     return [
         FeatureSample(s.subject_id, s.session_id, s.trial_id, s.window_index,
                       s.label, m)
@@ -561,21 +550,14 @@ def interpolate_channels(trial: RawTrial, bad: set, montage: ChannelMontage) -> 
                     trial.label, trial.fs, data)
 
 
-def rereference_mean(trial: RawTrial) -> RawTrial:
-    """Subtract the instantaneous across-channel mean (idempotent)."""
-    data = trial.data - trial.data.mean(axis=0, keepdims=True)
-    return RawTrial(trial.subject_id, trial.session_id, trial.trial_id,
-                    trial.label, trial.fs, data)
-
-
-def preprocess_trial(trial: RawTrial, montage: ChannelMontage,
-                     band=(0.01, 48.0), notch_hz=50.0) -> RawTrial:
-    """Conditioning chain: band-pass, notch, bad-channel interpolation,
-    mean re-reference.  Segment rejection is applied separately so its
-    windows can align with feature windows."""
-    data = bandpass(trial.data, band[0], band[1], trial.fs)
-    if notch_hz is not None and 0 < notch_hz < trial.fs / 2:
-        notch(data, notch_hz, trial.fs, out=data)
+def preprocess_trial(trial: RawTrial, montage: ChannelMontage) -> RawTrial:
+    """Conditioning chain: band-pass to `PREPROCESS_BAND`, a `NOTCH_HZ` notch
+    when it lies below Nyquist, bad-channel interpolation, and a re-reference
+    to the instantaneous across-channel mean.  Segment rejection is applied
+    separately so its windows can align with feature windows."""
+    data = bandpass(trial.data, *PREPROCESS_BAND, trial.fs)
+    if NOTCH_HZ < trial.fs / 2:
+        notch(data, NOTCH_HZ, trial.fs, out=data)
     cleaned = RawTrial(trial.subject_id, trial.session_id, trial.trial_id,
                        trial.label, trial.fs, data)
     bad = detect_bad_channels(cleaned, montage)

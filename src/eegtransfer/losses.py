@@ -1,10 +1,13 @@
 """Contrastive pair loss over projected views, plus classifier cross-entropy.
 
-The contrastive objective scores every (row of view A, row of view B) pair:
-temperature-scaled cosine similarity goes through a binary cross-entropy
-with a label-equality target, in the overflow-safe logits form
-softplus(x) - x*y.  Scoring the full N x N pair matrix lets one sample be
-similar to several samples at once.
+The contrastive objective takes the (2N, dim) stack of two views' projections
+of one labelled batch, view A in rows 0..N-1 and view B in rows N..2N-1, as
+SimCLR writes its pair loss.  It scores every (row of view A, row of view B)
+pair: cosine similarity at temperature `DEFAULT_TEMPERATURE` goes through a
+binary cross-entropy with a label-equality target, in the overflow-safe
+logits form softplus(x) - x*y.  Scoring the full N x N pair matrix lets one
+sample be similar to several samples at once.  Cross-entropy takes a
+(B, C) batch of logits and its B labels.
 """
 
 from __future__ import annotations
@@ -44,49 +47,41 @@ def _row_normalize(z):
     return z * ad.power(norms_sq, -0.5)
 
 
-def contrastive_loss(z_a, z_b, labels_a, labels_b, tau=DEFAULT_TEMPERATURE) -> Tensor:
+def contrastive_loss(z, labels) -> Tensor:
     """Mean binary cross-entropy over temperature-scaled pairwise cosines.
 
-    `z_a` and `z_b` are matching (N, dim) projected views with their class
-    labels.  Targets are 1 where the pair's labels match and 0 otherwise.
-    Returns a scalar Tensor; gradients flow to z_a and z_b when they are
-    Tensors that require grad.
+    `z` is the (2N, dim) stack of both views' projections, the second view
+    from row N on; both views carry `labels` (N,).  The rows are normalised
+    once and the halves narrowed from the result.  Targets are 1 where the
+    pair's labels match and 0 otherwise.  Returns a scalar Tensor; gradients
+    flow to `z` when it is a Tensor that requires grad.
     """
-    if tau <= 0:
-        raise LossError(f"temperature must be positive, got {tau}")
-    z_a = _as_tensor(z_a)
-    z_b = _as_tensor(z_b)
-    labels_a = np.asarray(labels_a, dtype=np.int64)
-    labels_b = np.asarray(labels_b, dtype=np.int64)
-    if z_a.shape != z_b.shape or z_a.ndim != 2 or z_a.shape[0] < 1:
-        raise LossError(f"views must be matching (N, dim), got {z_a.shape} and {z_b.shape}")
-    if len(labels_a) != z_a.shape[0] or len(labels_b) != z_b.shape[0]:
-        raise LossError("label count does not match view rows")
+    z = _as_tensor(z)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
+    if labels.ndim != 1 or z.ndim != 2 or n < 1 or z.shape[0] != 2 * n:
+        raise LossError(f"need a (2N, dim) stack of two views for {labels.shape} labels, "
+                        f"got {z.shape}")
 
-    za = _row_normalize(z_a)
-    zb = _row_normalize(z_b)
-    x = ad.matmul(za, ad.swapaxes(zb, -1, -2)) * (1.0 / tau)
-    y = (labels_a[:, None] == labels_b[None, :]).astype(x.data.dtype)
+    unit = _row_normalize(z)
+    x = ad.matmul(ad.narrow(unit, 0, n), ad.swapaxes(ad.narrow(unit, n, n), -1, -2))
+    x = x * (1.0 / DEFAULT_TEMPERATURE)
+    y = (labels[:, None] == labels[None, :]).astype(x.data.dtype)
     # softplus(x) - x*y == -[y ln(sig(x)) + (1-y) ln(1 - sig(x))], stably
     return ad.tsum(ad.softplus(x) + x * Tensor(-y)) * (1.0 / y.size)
 
 
-def cross_entropy(logits, label) -> Tensor:
-    """-ln softmax(logits)[label] via log-sum-exp; accepts a batch.
+def cross_entropy(logits, labels) -> Tensor:
+    """Mean over a batch of -ln softmax(logits)[label], via log-sum-exp.
 
-    `logits` is (C,) with an int label or (B, C) with B labels; returns the
-    scalar mean over the batch.
+    `logits` is (B, C) and `labels` holds B class indices; returns a scalar
+    Tensor.
     """
     t = _as_tensor(logits)
-    squeeze = t.ndim == 1
-    if squeeze:
-        t = ad.reshape(t, (1, t.shape[0]))
-        labels = np.array([label], dtype=np.int64)
-    else:
-        labels = np.asarray(label, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if t.ndim != 2 or labels.shape != t.shape[:1]:
+        raise LossError(f"need (B, C) logits and B labels, got {t.shape} and {labels.shape}")
     n, c = t.shape
-    if labels.shape != (n,):
-        raise LossError(f"expected {n} labels, got {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= c):
         raise LossError(f"label out of range for {c} classes")
     neg_onehot = np.zeros((n, c), dtype=t.data.dtype)

@@ -145,9 +145,7 @@ def pretrain(bank, montage: ChannelMontage, mconf: ModelConfig,
             both = np.concatenate([view_a, view_b], axis=0)
             enc = m.encode(both, pos, dta, mask_diagonal=True, rng=rng_dropout)
             z = m.project(enc, dta, train=True, rng=rng_dropout)
-            z_a = ad.narrow(z, 0, batch_size)
-            z_b = ad.narrow(z, batch_size, batch_size)
-            loss = contrastive_loss(z_a, z_b, batch_labels, batch_labels)
+            loss = contrastive_loss(z, batch_labels)
             loss.backward()
             adam_step(dta.params, opt, train_names)
             batch_losses.append(float(loss.data))

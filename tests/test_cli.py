@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
+import contextlib
 import faulthandler
+import io
 import json
 import os
 import re
@@ -36,6 +38,16 @@ TRIALS = TINY_CONFIG["synth"]["trials_per_subject"]
 WINDOWS = TINY_CONFIG["synth"]["samples_per_trial"]
 
 
+def main_quiet(argv):
+    """cli.main(argv), asserting that it wrote nothing to stdout: every
+    subcommand but `predict` reports on stderr only."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert out.getvalue() == "", (argv[0], out.getvalue())
+    return code
+
+
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "tiny.json"
@@ -46,15 +58,15 @@ def config_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def bank_dir(tmp_path_factory, config_path):
     out = tmp_path_factory.mktemp("bank")
-    assert cli.main(["gen-synth", "--config", config_path, "--out", str(out)]) == 0
+    assert main_quiet(["gen-synth", "--config", config_path, "--out", str(out)]) == 0
     return str(out)
 
 
 @pytest.fixture(scope="module")
 def pretrained_dir(tmp_path_factory, config_path, bank_dir):
     out = tmp_path_factory.mktemp("pre")
-    code = cli.main(["pretrain", "--config", config_path, "--bank", bank_dir,
-                     "--out", str(out)])
+    code = main_quiet(["pretrain", "--config", config_path, "--bank", bank_dir,
+                       "--out", str(out)])
     assert code == 0
     return str(out)
 
@@ -77,9 +89,20 @@ class TestUsageErrors:
             cli.main(["gen-synth", "--out", "x", "--wat"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_evaluate_jobs_below_1_exits_2(self, capsys, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--bank", str(tmp_path), "--out", str(tmp_path / "o"),
+                      "--jobs", jobs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err
+        assert f"argument --jobs: need an integer of at least 1, got '{jobs}'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_error_exits_1(self, capsys, tmp_path):
-        code = cli.main(["pretrain", "--bank", str(tmp_path / "missing"),
-                         "--out", str(tmp_path / "o")])
+        code = main_quiet(["pretrain", "--bank", str(tmp_path / "missing"),
+                           "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -105,9 +128,9 @@ class TestPipeline:
     def test_calibrate_and_predict(self, config_path, bank_dir, pretrained_dir,
                                    tmp_path, capsys):
         out = tmp_path / "cal"
-        code = cli.main(["calibrate", "--config", config_path, "--bank", bank_dir,
-                         "--checkpoint", f"{pretrained_dir}/pretrained.ckpt",
-                         "--subject", "0", "--out", str(out)])
+        code = main_quiet(["calibrate", "--config", config_path, "--bank", bank_dir,
+                           "--checkpoint", f"{pretrained_dir}/pretrained.ckpt",
+                           "--subject", "0", "--out", str(out)])
         assert code == 0
         capsys.readouterr()
         code = cli.main(["predict", "--bank", bank_dir,
@@ -153,8 +176,8 @@ class TestPipeline:
 
     def test_evaluate_writes_stamped_report(self, config_path, bank_dir, tmp_path):
         out = tmp_path / "eval"
-        code = cli.main(["evaluate", "--config", config_path, "--bank", bank_dir,
-                         "--out", str(out)])
+        code = main_quiet(["evaluate", "--config", config_path, "--bank", bank_dir,
+                           "--out", str(out)])
         assert code == 0
         text = (out / "report.csv").read_text()
         first = text.splitlines()[0]
@@ -174,18 +197,18 @@ class TestPipeline:
             test = apply_split(target, get_protocol("ratio80"))[1]
             assert {s.label for s in test.samples} == {0, 1}
         out = tmp_path / "sd"
-        assert cli.main(["evaluate", "--config", config_path, "--bank", bank_dir,
-                         "--mode", "subject-dependent", "--out", str(out)]) == 0
+        assert main_quiet(["evaluate", "--config", config_path, "--bank", bank_dir,
+                           "--mode", "subject-dependent", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["protocol"] == "subject-dependent+ratio80"
         assert set(report["per_subject"]) == {"0", "1"}
 
     def test_evaluate_byte_identical_reruns(self, config_path, bank_dir, tmp_path):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
-        assert cli.main(["evaluate", "--config", config_path, "--bank", bank_dir,
-                         "--out", str(out1), "--jobs", "1"]) == 0
-        assert cli.main(["evaluate", "--config", config_path, "--bank", bank_dir,
-                         "--out", str(out2), "--jobs", "1"]) == 0
+        assert main_quiet(["evaluate", "--config", config_path, "--bank", bank_dir,
+                           "--out", str(out1), "--jobs", "1"]) == 0
+        assert main_quiet(["evaluate", "--config", config_path, "--bank", bank_dir,
+                           "--out", str(out2), "--jobs", "1"]) == 0
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
     def test_evaluate_jobs_2_byte_identical_to_jobs_1(self, config_path, bank_dir,
@@ -193,15 +216,15 @@ class TestPipeline:
         # a pretrain in this process starts the fused ops' thread pool, so
         # the fold processes are forked from a process that has one
         set_workers(2)
-        assert cli.main(["pretrain", "--config", config_path, "--bank", bank_dir,
-                         "--out", str(tmp_path / "pre")]) == 0
+        assert main_quiet(["pretrain", "--config", config_path, "--bank", bank_dir,
+                           "--out", str(tmp_path / "pre")]) == 0
         assert ad._pool is not None
         outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
         faulthandler.dump_traceback_later(300, exit=True)  # a hung fold ends the run
         try:
             for jobs, out in zip((1, 2), outs):
-                assert cli.main(["evaluate", "--config", config_path, "--bank", bank_dir,
-                                 "--out", str(out), "--jobs", str(jobs)]) == 0
+                assert main_quiet(["evaluate", "--config", config_path, "--bank", bank_dir,
+                                   "--out", str(out), "--jobs", str(jobs)]) == 0
         finally:
             faulthandler.cancel_dump_traceback_later()
         for name in ("report.json", "report.csv"):
@@ -211,21 +234,21 @@ class TestPipeline:
                                                     pretrained_dir, tmp_path):
         ckpt = f"{pretrained_dir}/pretrained.ckpt"
         rob = tmp_path / "rob"
-        assert cli.main(["robustness", "--config", config_path, "--bank", bank_dir,
-                         "--checkpoint", ckpt, "--mode", "failure",
-                         "--sweep", "0,1,2", "--out", str(rob)]) == 0
+        assert main_quiet(["robustness", "--config", config_path, "--bank", bank_dir,
+                           "--checkpoint", ckpt, "--mode", "failure",
+                           "--sweep", "0,1,2", "--out", str(rob)]) == 0
         lines = (rob / "robustness.csv").read_text().splitlines()
         assert lines[1] == "param,accuracy"
         assert len(lines) == 5
 
         noise = tmp_path / "noise"
-        assert cli.main(["robustness", "--config", config_path, "--bank", bank_dir,
-                         "--checkpoint", ckpt, "--mode", "noise",
-                         "--sweep", "0.1,1.0", "--out", str(noise)]) == 0
+        assert main_quiet(["robustness", "--config", config_path, "--bank", bank_dir,
+                           "--checkpoint", ckpt, "--mode", "noise",
+                           "--sweep", "0.1,1.0", "--out", str(noise)]) == 0
 
         conn = tmp_path / "conn"
-        assert cli.main(["connectivity", "--config", config_path, "--bank", bank_dir,
-                         "--checkpoint", ckpt, "--out", str(conn)]) == 0
+        assert main_quiet(["connectivity", "--config", config_path, "--bank", bank_dir,
+                           "--checkpoint", ckpt, "--out", str(conn)]) == 0
         edges = (conn / "edges.csv").read_text().splitlines()
         assert edges[1] == "i,j,cosine,retained"
         assert len(edges) == 2 + 8 * 7 // 2
@@ -233,24 +256,24 @@ class TestPipeline:
         assert cent[1] == "node,degree_centrality"
 
         exp = tmp_path / "exp"
-        assert cli.main(["export-features", "--bank", bank_dir,
-                         "--checkpoint", ckpt, "--out", str(exp)]) == 0
+        assert main_quiet(["export-features", "--bank", bank_dir,
+                           "--checkpoint", ckpt, "--out", str(exp)]) == 0
         header = (exp / "features.csv").read_text().splitlines()[0]
         assert header.startswith("subject,session,trial,window,label,stage,f0")
 
     def test_default_failure_sweep_stops_below_channel_count(self, config_path, bank_dir,
                                                              pretrained_dir, tmp_path, capsys):
         # the 8-channel bank: the default sweep's counts from 8 up are dropped
-        assert cli.main(["robustness", "--config", config_path, "--bank", bank_dir,
-                         "--checkpoint", f"{pretrained_dir}/pretrained.ckpt",
-                         "--mode", "failure", "--out", str(tmp_path)]) == 0
+        assert main_quiet(["robustness", "--config", config_path, "--bank", bank_dir,
+                           "--checkpoint", f"{pretrained_dir}/pretrained.ckpt",
+                           "--mode", "failure", "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "robustness.csv").read_text().splitlines()[2:]
         assert [r.split(",")[0] for r in rows] == ["0", "1", "2", "4", "6"]
         # an explicit sweep is taken as given
-        assert cli.main(["robustness", "--config", config_path, "--bank", bank_dir,
-                         "--checkpoint", f"{pretrained_dir}/pretrained.ckpt",
-                         "--mode", "failure", "--sweep", "0,8",
-                         "--out", str(tmp_path / "explicit")]) == 1
+        assert main_quiet(["robustness", "--config", config_path, "--bank", bank_dir,
+                           "--checkpoint", f"{pretrained_dir}/pretrained.ckpt",
+                           "--mode", "failure", "--sweep", "0,8",
+                           "--out", str(tmp_path / "explicit")]) == 1
         assert "EvalError: cannot fail 8 of 8 channels" in capsys.readouterr().err
 
     def test_extract_features_from_timeseries(self, tmp_path, config_path):
@@ -260,10 +283,10 @@ class TestPipeline:
         cpath = tmp_path / "ts.json"
         cpath.write_text(json.dumps(cfg), encoding="utf-8")
         raw = tmp_path / "raw"
-        assert cli.main(["gen-synth", "--config", str(cpath), "--out", str(raw)]) == 0
+        assert main_quiet(["gen-synth", "--config", str(cpath), "--out", str(raw)]) == 0
         feat = tmp_path / "feat"
-        assert cli.main(["extract-features", "--bank", str(raw),
-                         "--out", str(feat)]) == 0
+        assert main_quiet(["extract-features", "--bank", str(raw),
+                           "--out", str(feat)]) == 0
         manifest = json.loads((feat / "manifest.json").read_text())
         assert manifest["counts"]["n_samples"] == 2 * 4
 
@@ -274,7 +297,7 @@ class TestPipeline:
         assert block is not None, "README shows no tiny.json"
         cpath = tmp_path / "tiny.json"
         cpath.write_text(block.group(1), encoding="utf-8")
-        assert cli.main(["grad-check", "--config", str(cpath)]) == 0
+        assert main_quiet(["grad-check", "--config", str(cpath)]) == 0
         err = capsys.readouterr().err
         assert "max relative error" in err
         assert "PASSED" in err
@@ -286,7 +309,7 @@ class TestPipeline:
             raise AssertionError("grad_check ran")
 
         monkeypatch.setattr(cli, "grad_check", never)
-        assert cli.main(["grad-check"]) == 1
+        assert main_quiet(["grad-check"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert "417283" in lines[0] and "--config" in lines[0]

@@ -14,7 +14,7 @@ from eegtransfer import model as M
 from eegtransfer import training as T
 from eegtransfer.config import (ConfigError, ModelConfig, StageConfig, SynthSpec, TrainConfig,
                                 run_config_from_dict)
-from eegtransfer.dsp import DEFAULT_BANDS, BUTTER_ORDER, extract_de
+from eegtransfer.dsp import DEFAULT_BANDS, BUTTER_ORDER
 
 SMALL = SynthSpec(n_subjects=2, n_classes=3, n_channels=8, trials_per_subject=3,
                   samples_per_trial=4, seed=11)
@@ -548,6 +548,31 @@ class TestCheckpoints:
             io.load_checkpoint(path)
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("name", ["proj.bn1.mean", "proj.bn2.mean"])
+    def test_missing_batch_norm_array_rejected(self, tmp_path, name):
+        # the record goes and its bytes stay, so no other check fires first
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path)
+        rewrite_header(path, lambda h: h["arrays"].remove(
+            next(r for r in h["arrays"] if (r["kind"], r["name"]) == ("bn", name))))
+        with pytest.raises(io.CheckpointError, match=f"missing batch-norm array {name}$"):
+            io.load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[2], [8, 1], []])
+    def test_batch_norm_array_of_wrong_shape_rejected(self, tmp_path, shape):
+        cfg, dta = self.make_model()
+        path = tmp_path / "model.ckpt"
+        io.save_checkpoint(dta, path)
+
+        def reshape(header):
+            record = next(r for r in header["arrays"] if r["name"] == "proj.bn1.var")
+            record["shape"] = shape
+        rewrite_header(path, reshape)
+        with pytest.raises(io.CheckpointError,
+                           match="shape mismatch for batch-norm array proj.bn1.var$"):
+            io.load_checkpoint(path)
+
     def corrupt_array_record(self, tmp_path, key, value):
         """A saved checkpoint whose first array record holds `value` at `key`."""
         cfg, dta = self.make_model()
@@ -681,7 +706,7 @@ class TestSynthetic:
             for trial in range(spec.trials_per_subject):
                 log_amp = mu[trial % spec.n_classes] + delta[subj]
                 data = np.zeros((spec.n_channels, n))
-                for b, (_, lo, hi) in enumerate(DEFAULT_BANDS.bands):
+                for b, (_, lo, hi) in enumerate(DEFAULT_BANDS):
                     carrier = rng.standard_normal((spec.n_channels, n))
                     sos = signal.butter(BUTTER_ORDER, [lo, hi], btype="bandpass",
                                         fs=io.SYNTH_FS, output="sos")

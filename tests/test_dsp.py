@@ -112,7 +112,7 @@ class TestFilters:
         (lambda x: dsp.bandpass(x, 8.0, 13.0, FS), 28),
         (lambda x: dsp.notch(x, 50.0, FS), 10),
         (lambda x: dsp.preprocess_trial(make_trial(x), default_montage_head(2)), 28),
-        (lambda x: dsp.extract_de(make_trial(x), window_s=0.05, tail_s=None), 28),
+        (lambda x: dsp.extract_de(make_trial(x), window_s=0.05), 28),
     ], ids=["bandpass", "notch", "preprocess_trial", "extract_de"])
     def test_input_not_longer_than_pad_length_rejected(self, run, minimum):
         # forward-backward filtering pads each end; input no longer than the
@@ -156,7 +156,7 @@ class TestDesignCache:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bandpass_bitwise_equal_to_fresh_design(self, dtype):
         x = np.random.default_rng(1).normal(size=(3, 600)).astype(dtype)
-        for _, low, high in dsp.DEFAULT_BANDS.bands + (("pre", 0.01, 48.0),):
+        for _, low, high in dsp.DEFAULT_BANDS + (("pre", *dsp.PREPROCESS_BAND),):
             sos = signal.butter(dsp.BUTTER_ORDER, [low, high], btype="bandpass", fs=FS,
                                 output="sos")
             expected = signal.sosfiltfilt(sos, x.astype(np.float64), axis=-1)
@@ -234,22 +234,32 @@ class TestExtractDe:
         with pytest.raises(dsp.DspError):
             dsp.extract_de(trial)
 
+    def test_band_above_nyquist_names_the_band(self):
+        # at 90 Hz the gamma band's 50 Hz upper edge is past Nyquist (45 Hz)
+        trial = make_trial(np.random.default_rng(5).normal(size=(2, 900)), fs=90.0)
+        with pytest.raises(dsp.DspError, match=r"band gamma upper edge 50\.0 Hz >= Nyquist"):
+            dsp.extract_de(trial)
+
     def test_scaling_adds_log_gain_to_every_band(self):
         rng = np.random.default_rng(6)
         data = rng.normal(size=(3, int(5 * FS)))
         t1 = make_trial(data)
         t2 = make_trial(10.0 * data)
-        de1 = np.stack([s.de for s in dsp.extract_de(t1, tail_s=None)])
-        de2 = np.stack([s.de for s in dsp.extract_de(t2, tail_s=None)])
+        de1 = np.stack([s.de for s in dsp.extract_de(t1)])
+        de2 = np.stack([s.de for s in dsp.extract_de(t2)])
         assert np.allclose(de2 - de1, math.log(10.0), atol=1e-5)
 
     def test_sample_count_is_floor_of_tail_over_window(self):
         rng = np.random.default_rng(7)
         trial = make_trial(rng.normal(size=(2, int(7.6 * FS))))
-        assert len(dsp.extract_de(trial, tail_s=None)) == 7
-        # a long trial is cut to the configured tail
+        assert len(dsp.extract_de(trial)) == 7
+        assert dsp.trial_tail(trial) is trial  # shorter than the tail
+        # a long trial is cut to the tail, its last 30 s
         trial_long = make_trial(rng.normal(size=(2, int(45 * FS))))
-        assert len(dsp.extract_de(trial_long, tail_s=30.0)) == 30
+        tail = dsp.trial_tail(trial_long)
+        assert np.array_equal(tail.data, trial_long.data[:, -int(30 * FS):])
+        assert len(dsp.extract_de(tail)) == 30
+        assert len(dsp.extract_de(trial_long)) == 45  # extract_de cuts nothing
 
 
 class TestLdsSmooth:
@@ -486,19 +496,24 @@ class TestInterpolation:
 
 
 class TestRereference:
+    """preprocess_trial ends in a re-reference to the across-channel mean."""
+
     def test_channel_mean_is_zero_everywhere(self):
         rng = np.random.default_rng(18)
-        out = dsp.rereference_mean(make_trial(rng.normal(5.0, 2.0, size=(8, 500))))
+        out = dsp.preprocess_trial(make_trial(rng.normal(5.0, 2.0, size=(8, 500))),
+                                   default_montage_head(8))
         assert np.abs(out.data.mean(axis=0)).max() < 1e-9
 
     def test_idempotent(self):
         rng = np.random.default_rng(19)
-        once = dsp.rereference_mean(make_trial(rng.normal(size=(8, 500))))
-        twice = dsp.rereference_mean(once)
-        assert np.allclose(once.data, twice.data, atol=1e-12)
+        once = dsp.preprocess_trial(make_trial(rng.normal(size=(8, 500))),
+                                    default_montage_head(8)).data
+        twice = once - once.mean(axis=0, keepdims=True)
+        assert np.allclose(once, twice, atol=1e-12)
 
     def test_single_channel_goes_to_zero(self):
-        out = dsp.rereference_mean(make_trial(np.random.default_rng(20).normal(size=(1, 100))))
+        out = dsp.preprocess_trial(make_trial(np.random.default_rng(20).normal(size=(1, 100))),
+                                   default_montage_head(1))
         assert np.all(out.data == 0.0)
 
 
@@ -526,7 +541,7 @@ def _pipeline_outputs():
         "bandpass": [dsp.bandpass(trial.data, 8.0, 13.0, trial.fs)],
         "notch": [dsp.notch(trial.data, 50.0, trial.fs)],
         "preprocess_trial": [dsp.preprocess_trial(trial, raw.montage).data],
-        "extract_de": [s.de for s in dsp.extract_de(trial, tail_s=None)],
+        "extract_de": [s.de for s in dsp.extract_de(trial)],
         "extract_bank_features": [s.de for s in feats.samples],
     }
 
@@ -575,7 +590,7 @@ def test_smallest_slices_give_one_job_per_row(set_workers, monkeypatch):
     x = np.random.default_rng(26).normal(size=(8, int(3 * FS)))
     dsp.bandpass(x, 8.0, 13.0, FS)
     dsp.notch(x, 50.0, FS)
-    dsp.extract_de(make_trial(x), tail_s=None)
+    dsp.extract_de(make_trial(x))
     assert jobs == [8, 8, len(dsp.DEFAULT_BANDS) * 8]
 
 
@@ -587,8 +602,8 @@ def test_row_block_filters_bitwise_equal_to_whole_array_scipy(dtype):
     b, a = signal.iirnotch(50.0, dsp.NOTCH_Q, fs=FS)
     assert np.array_equal(dsp.notch(x, 50.0, FS), signal.filtfilt(b, a, x64, axis=-1))
     win = int(FS)
-    de = np.stack([s.de for s in dsp.extract_de(make_trial(x), tail_s=None)], axis=1)
-    for k, (_, low, high) in enumerate(dsp.DEFAULT_BANDS.bands):
+    de = np.stack([s.de for s in dsp.extract_de(make_trial(x))], axis=1)
+    for k, (_, low, high) in enumerate(dsp.DEFAULT_BANDS):
         sos = signal.butter(dsp.BUTTER_ORDER, [low, high], btype="bandpass", fs=FS,
                             output="sos")
         y = signal.sosfiltfilt(sos, x64, axis=-1)
@@ -601,7 +616,7 @@ def test_row_block_filters_bitwise_equal_to_whole_array_scipy(dtype):
 def test_extract_de_returns_while_the_pool_thread_is_busy(set_workers):
     trial = make_trial(np.random.default_rng(24).normal(size=(4, int(3 * FS))))
     set_workers(1)
-    want = np.stack([s.de for s in dsp.extract_de(trial, tail_s=None)])
+    want = np.stack([s.de for s in dsp.extract_de(trial)])
     set_workers(2)
     held, release = threading.Event(), threading.Event()
 
@@ -612,7 +627,7 @@ def test_extract_de_returns_while_the_pool_thread_is_busy(set_workers):
     blocker = ad._executor().submit(occupy)  # the pool's only thread
     try:
         assert held.wait(timeout=10)
-        got = np.stack([s.de for s in dsp.extract_de(trial, tail_s=None)])
+        got = np.stack([s.de for s in dsp.extract_de(trial)])
         assert not blocker.done()
     finally:
         release.set()
